@@ -277,6 +277,8 @@ class MockPlatform:
                 return False
             if not entry.alive:
                 continue
+            if all(b.finished for b in entry.shell.behaviors):
+                return False  # buried at from_tick
             for i, behavior in enumerate(entry.shell.behaviors):
                 if behavior.finished:
                     continue

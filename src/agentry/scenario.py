@@ -55,7 +55,15 @@ def _validate_latency(spec: Any, path: str, problems: list[str]) -> None:
         problems.append(f"{path}: {exc}")
 
 
-def _validate_behavior(spec: Any, path: str, locations: list[str], n_agents: int, problems: list[str]) -> None:
+def _validate_behavior(
+    spec: Any,
+    path: str,
+    dummy_locations: dict[str, LocationId],
+    dummy_agents: list[AgentId],
+    problems: list[str],
+) -> None:
+    """Check one behavior tree by building it, with stand-in locations and
+    agent ids (built once per document) for its markers."""
     if not isinstance(spec, dict):
         problems.append(f"{path}: behavior spec must be an object")
         return
@@ -65,10 +73,8 @@ def _validate_behavior(spec: Any, path: str, locations: list[str], n_agents: int
         problems.append(f"{path}/kind: unknown behavior kind {kind!r}{_suggest(str(kind), known)}")
         return
     # Markers must point at things the scenario actually declares.
-    _validate_markers(spec, path, locations, n_agents, problems)
+    _validate_markers(spec, path, list(dummy_locations), len(dummy_agents), problems)
     try:
-        dummy_locations = {name: LocationId(i, name) for i, name in enumerate(locations)}
-        dummy_agents = [AgentId(i + 1) for i in range(n_agents)]
         behavior_from_dict(_substitute(spec, dummy_locations, dummy_agents, "tests"))
     except Exception as exc:
         problems.append(f"{path}: {exc}")
@@ -165,6 +171,8 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
     if not isinstance(agents, list):
         problems.append("/agents: must be a list")
         agents = []
+    dummy_locations = {name: LocationId(i, name) for i, name in enumerate(names)}
+    dummy_agents = [AgentId(i + 1) for i in range(len(agents))]
     for i, entry in enumerate(agents):
         path = f"/agents/{i}"
         if not isinstance(entry, dict):
@@ -174,7 +182,7 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
         if not isinstance(where, str) or (names and where not in names):
             problems.append(f"{path}/location: unknown location {where!r}{_suggest(str(where), names)}")
         for j, spec in enumerate(_agent_behavior_specs(entry, path, problems)):
-            _validate_behavior(spec, f"{path}/behaviors/{j}", names, len(agents), problems)
+            _validate_behavior(spec, f"{path}/behaviors/{j}", dummy_locations, dummy_agents, problems)
 
     tests = doc.get("tests")
     if tests is not None:

@@ -11,6 +11,32 @@ skipped) in a fixed phase order:
 4. sweep zero-latency arrivals and deliveries produced during phase 3,
 5. terminate agents whose behaviors have all finished.
 
+The phases read indexes instead of scanning every agent ever spawned, so the
+cost of a tick follows the work due at it. Phase and step order are the same
+as a full scan would give:
+
+* the *arrivals heap* of ``(arrive_tick, agent value, id)`` feeds phases 1
+  and 4, and the *message heap* of ``(due, send seq, message)`` phases 2
+  and 4;
+* the *candidate set* of spawn indexes feeds phase 3, walked in spawn order.
+  An agent joins it when it is spawned, gets a behavior attached, receives a
+  delivery or finishes an arrival, and stays in it while it steps;
+* the *timer heap* of ``(tick, spawn index)`` holds every other agent that
+  has a time-based wake, at its earliest one. Entries are skipped lazily:
+  only the one matching the record's ``wake_at`` is live. Due entries move
+  their agent into the candidate set at the start of the tick;
+* the *maybe-done set* (spawned, arrived, or finished a behavior this tick)
+  feeds phase 5. An agent in it with no unfinished behavior is work at the
+  next tick, so even one spawned from outside with none terminates. A
+  terminated agent drops its behaviors; its state and location stay.
+
+Before the clock moves, every candidate is re-checked with the one
+runnability rule (``_slot_next_tick``). Those that cannot step at the next
+tick move to the timer heap or, with no time-based wake, leave the indexes
+until a delivery, attach or arrival brings them back. So the next tick
+processed is exactly the earliest one with work, and a tick with nothing to
+do is never processed.
+
 All randomness (latency draws) comes from one seeded generator, so a given
 config and scenario always yields a byte-identical trace.
 """
@@ -126,7 +152,10 @@ _TERMINATED = "terminated"
 class _AgentRecord:
     shell: AgentShell
     slots: list[_Slot]
+    index: int  # spawn order
     status: str = _ACTIVE
+    # Tick of the live timer-heap entry; None while a candidate or asleep.
+    wake_at: Optional[Ticks] = None
     # Transit bookkeeping, meaningful while status == _MIGRATING.
     blob: bytes = b""
     transit_from: Optional[LocationId] = None
@@ -146,6 +175,11 @@ class SimPlatform:
         self._rng = random.Random(self._config.seed)
         self._locs_by_name: dict[str, LocationId] = {}
         self._agents: dict[AgentId, _AgentRecord] = {}
+        self._records: list[_AgentRecord] = []  # by spawn index
+        self._candidates: set[int] = set()
+        self._timers: list[tuple[Ticks, int]] = []
+        self._arrivals: list[tuple[Ticks, int, AgentId]] = []
+        self._maybe_done: set[int] = set()
         self._next_agent_value = 1
         self._next_loc_value = 1
         self._heap: list[tuple[Ticks, int, Message]] = []
@@ -220,7 +254,11 @@ class SimPlatform:
             raise ValueError(f"agent id {agent_id!r} already in use")
         shell = AgentShell(id=agent_id, home=at, current=at, behaviors=list(behaviors))
         slots = [_Slot(b, attach_tick=attach_tick) for b in shell.behaviors]
-        self._agents[agent_id] = _AgentRecord(shell=shell, slots=slots)
+        rec = _AgentRecord(shell=shell, slots=slots, index=len(self._records))
+        self._agents[agent_id] = rec
+        self._records.append(rec)
+        self._make_candidate(rec)
+        self._maybe_done.add(rec.index)
         self._log.emit(tick, EventKind.SPAWN, agent_id, {"at": at.name})
         return agent_id
 
@@ -303,6 +341,9 @@ class SimPlatform:
         rec.dest = dest
         rec.arrive_tick = tick + latency
         rec.transit_latency = latency
+        rec.wake_at = None
+        self._candidates.discard(rec.index)
+        heapq.heappush(self._arrivals, (rec.arrive_tick, agent.value, agent))
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
         self._do_attach(target, behavior, self._clock)
@@ -316,6 +357,7 @@ class SimPlatform:
             return
         rec.shell.behaviors.append(behavior)
         rec.slots.append(_Slot(behavior, attach_tick=tick))
+        self._make_candidate(rec)
 
     # Clock and run loop ----------------------------------------------------
 
@@ -348,19 +390,51 @@ class SimPlatform:
         return self._log
 
     def _next_work_tick(self) -> Optional[Ticks]:
+        """The earliest tick with work, re-filing candidates that have none
+        at the floor into the timer heap (or out of the indexes)."""
         floor = self._next_tick
-        candidates: list[Ticks] = []
-        if self._heap:
-            candidates.append(max(self._heap[0][0], floor))
-        for rec in self._agents.values():
-            if rec.status == _MIGRATING:
-                candidates.append(max(rec.arrive_tick, floor))
-            elif rec.status == _ACTIVE:
-                for slot in rec.slots:
-                    tick = self._slot_next_tick(rec, slot, floor)
-                    if tick is not None:
-                        candidates.append(tick)
-        return min(candidates) if candidates else None
+        for index in list(self._candidates):
+            rec = self._records[index]
+            tick = self._agent_next_tick(rec, floor)
+            if tick != floor:
+                self._candidates.discard(index)
+                if tick is not None:
+                    rec.wake_at = tick
+                    heapq.heappush(self._timers, (tick, index))
+        if self._candidates or any(self._may_terminate(self._records[i]) for i in self._maybe_done):
+            return floor
+        due = [queue[0][0] for queue in (self._heap, self._arrivals) if queue]
+        timer = self._next_timer()
+        if timer is not None:
+            due.append(timer)
+        return max(min(due), floor) if due else None
+
+    def _next_timer(self) -> Optional[Ticks]:
+        """Tick of the earliest live timer-heap entry, dropping stale ones."""
+        while self._timers:
+            tick, index = self._timers[0]
+            if self._records[index].wake_at == tick:
+                return tick
+            heapq.heappop(self._timers)
+        return None
+
+    def _make_candidate(self, rec: _AgentRecord) -> None:
+        rec.wake_at = None
+        self._candidates.add(rec.index)
+
+    def _agent_next_tick(self, rec: _AgentRecord, floor: Ticks) -> Optional[Ticks]:
+        best: Optional[Ticks] = None
+        for slot in rec.slots:
+            tick = self._slot_next_tick(rec, slot, floor)
+            if tick == floor:
+                return floor
+            if tick is not None and (best is None or tick < best):
+                best = tick
+        return best
+
+    @staticmethod
+    def _may_terminate(rec: _AgentRecord) -> bool:
+        return rec.status == _ACTIVE and all(slot.behavior.finished for slot in rec.slots)
 
     def _slot_next_tick(self, rec: _AgentRecord, slot: _Slot, floor: Ticks) -> Optional[Ticks]:
         if slot.behavior.finished:
@@ -379,6 +453,7 @@ class SimPlatform:
 
     def _process_tick(self, tick: Ticks) -> None:
         self._clock = tick
+        self._wake_due_timers(tick)
         self._finish_due_arrivals(tick, steppable=True)
         self._deliver_due(tick)
         self._step_phase(tick)
@@ -388,15 +463,20 @@ class SimPlatform:
 
     # Phase helpers ---------------------------------------------------------
 
+    def _wake_due_timers(self, tick: Ticks) -> None:
+        while self._timers and self._timers[0][0] <= tick:
+            due, index = heapq.heappop(self._timers)
+            rec = self._records[index]
+            if rec.wake_at == due:
+                self._make_candidate(rec)
+
     def _finish_due_arrivals(self, tick: Ticks, steppable: bool) -> bool:
-        due = [
-            (rec.arrive_tick, agent_id)
-            for agent_id, rec in self._agents.items()
-            if rec.status == _MIGRATING and rec.arrive_tick <= tick
-        ]
-        for _, agent_id in sorted(due):
+        arrived = False
+        while self._arrivals and self._arrivals[0][0] <= tick:
+            _, _, agent_id = heapq.heappop(self._arrivals)
             self._finish_arrival(agent_id, tick, steppable)
-        return bool(due)
+            arrived = True
+        return arrived
 
     def _finish_arrival(self, agent_id: AgentId, tick: Ticks, steppable: bool) -> None:
         rec = self._agents[agent_id]
@@ -413,6 +493,8 @@ class SimPlatform:
             rec.slots.append(_Slot(behavior, attach_tick=tick))
         rec.pending_attach = []
         rec.last_migration = MigrationReport(src, dest, latency, tick)
+        self._make_candidate(rec)
+        self._maybe_done.add(rec.index)
         self._log.emit(
             tick,
             EventKind.MIGRATE_END,
@@ -444,15 +526,15 @@ class SimPlatform:
                 continue
             else:
                 rec.shell.inbox.append(msg)
+                self._make_candidate(rec)
                 self._log.emit(tick, EventKind.DELIVER, msg.receiver, base)
             progressed = True
         return progressed
 
     def _step_phase(self, tick: Ticks) -> None:
-        for agent_id in list(self._agents):
-            rec = self._agents[agent_id]
-            if rec.status != _ACTIVE:
-                continue
+        for spawn_index in sorted(self._candidates):
+            rec = self._records[spawn_index]
+            agent_id = rec.shell.id
             for index, slot in enumerate(list(rec.slots)):
                 if rec.status != _ACTIVE:
                     break  # the agent migrated mid-tick
@@ -471,6 +553,7 @@ class SimPlatform:
                 slot.last_step = tick
                 self._apply_effects(agent_id, ctx.effects, tick)
                 if isinstance(outcome, Done):
+                    self._maybe_done.add(spawn_index)
                     self._log.emit(
                         tick,
                         EventKind.BEHAVIOR_DONE,
@@ -479,14 +562,7 @@ class SimPlatform:
                     )
 
     def _slot_runnable(self, rec: _AgentRecord, slot: _Slot, tick: Ticks) -> bool:
-        if slot.behavior.finished or slot.attach_tick >= tick or slot.last_step >= tick:
-            return False
-        out = slot.outcome
-        if out is None or isinstance(out, Running):
-            return True
-        if isinstance(out, Blocked):
-            return wake_satisfied(out.wake, now=tick, shell=rec.shell, in_transit=False)
-        return False
+        return slot.last_step < tick and self._slot_next_tick(rec, slot, tick) == tick
 
     def _apply_effects(self, agent_id: AgentId, effects: list[Any], tick: Ticks) -> None:
         for effect in effects:
@@ -513,9 +589,13 @@ class SimPlatform:
                 break
 
     def _termination_sweep(self, tick: Ticks) -> None:
-        for agent_id, rec in self._agents.items():
-            if rec.status != _ACTIVE:
-                continue
-            if all(slot.behavior.finished for slot in rec.slots):
+        for index in sorted(self._maybe_done):
+            rec = self._records[index]
+            if self._may_terminate(rec):
                 rec.status = _TERMINATED
-                self._log.emit(tick, EventKind.TERMINATE, agent_id, {})
+                # Nothing can step or read these again; only the state and
+                # location stay observable.
+                rec.slots = []
+                rec.shell.behaviors = []
+                self._log.emit(tick, EventKind.TERMINATE, rec.shell.id, {})
+        self._maybe_done.clear()

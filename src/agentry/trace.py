@@ -39,7 +39,7 @@ def _sorted_jsonable(value: Any) -> Any:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     tick: Ticks
     seq: int

@@ -26,6 +26,12 @@ def _spawn_child(ctx, params, message):
     ctx.state["child"] = child.value
 
 
+@builtin_action("t.sim.attach_to")
+def _attach_to(ctx, params, message):
+    task = ag.Task(ag.ActionDescriptor("trace", {"attached_by": ctx.agent_id.value}))
+    ctx.attach_behavior(ag.AgentId(params["to"]), task)
+
+
 @builtin_action("t.beh.mark")
 def _mark(ctx, params, message):
     ctx.state.setdefault("marks", []).append([params["tag"], ctx.now])

@@ -451,6 +451,9 @@ def cli(*args, cwd, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    # The child runs in cwd, so import agentry from where this process did.
+    package_root = str(Path(ag.__file__).parents[1])
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, full_env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "agentry.cli", *args],
         cwd=str(cwd),

@@ -5,6 +5,7 @@ import random
 import pytest
 
 import agentry as ag
+from agentry import simulator
 from agentry.model import location_to_jsonable
 
 from conftest import make_mock, make_sim
@@ -295,6 +296,19 @@ def test_quiescence_with_blocked_listener(platform_factory):
     assert p.is_alive(a)
 
 
+def test_agent_without_behaviors_terminates(platform_factory):
+    p = platform_factory()
+    loc = p.create_location("l")
+    first = p.spawn_agent(loc, [])
+    p.run(None)
+    p.run(until=7)
+    second = p.spawn_agent(loc, [])
+    p.run(None)
+    terms = [(e.agent, e.tick) for e in p.trace() if e.kind == ag.EventKind.TERMINATE]
+    assert terms == [(first, 0), (second, 8)]
+    assert not p.is_alive(first) and not p.is_alive(second)
+
+
 def test_tick_budget_exceeded(platform_factory):
     p = platform_factory(max_ticks=40)
     loc = p.create_location("l")
@@ -380,3 +394,104 @@ def test_both_platforms_agree_with_fixed_latencies():
         p.run(None)
         traces.append(p.trace().to_jsonl())
     assert traces[0] == traces[1]
+
+
+def _generated_world(factory, seed):
+    """Run a seeded world to quiescence, pausing once on the way, and return
+    its trace and final clock reading (the last tick with work).
+
+    Every seeded agent keeps a cyclic listener, so it lives to the end and can
+    always be attached to; some listeners filter for a type that is rarely or
+    never sent. Around it: sends (some to a never-spawned id), timers, AnyOf
+    wakes (a Parallel of a listener and an observer), migrations, runtime
+    spawns and attaches. Latencies may be zero. After ``run(until=pause)``
+    the outside world spawns one more agent (possibly with no behavior at
+    all), sends a message and runs to quiescence.
+    """
+    rng = random.Random(seed)
+    p = factory(message=rng.randint(0, 2), migration=rng.randint(0, 2))
+    locs = [p.create_location(f"loc{i}") for i in range(rng.randint(1, 3))]
+    ids = [p.reserve_agent_id() for _ in range(rng.randint(2, 6))]
+    targets = ids + [p.reserve_agent_id()]  # the last id is never spawned
+    types = ["A", "B", "C"]
+
+    def send():
+        return ag.Task(ag.ActionDescriptor("send", {"to": rng.choice(targets).value, "type": rng.choice(types)}))
+
+    def observer(action):
+        trigger = ag.ActionDescriptor("clock_at_least", {"tick": rng.randint(0, 8)})
+        return ag.Observer(rng.randint(1, 4), trigger, action)
+
+    def extra():
+        pick = rng.randrange(6)
+        if pick == 0:
+            return ag.Sequential([send() for _ in range(rng.randint(1, 3))])
+        if pick == 1:
+            go = ag.ActionDescriptor("t.sim.go", {"dest": location_to_jsonable(rng.choice(locs))})
+            return ag.Sequential([observer(ag.ActionDescriptor("noop")), ag.Task(go)])
+        if pick == 2:
+            return ag.Task(ag.ActionDescriptor("t.sim.spawn_child"))
+        if pick == 3:
+            return ag.Task(ag.ActionDescriptor("t.sim.attach_to", {"to": rng.choice(ids).value}))
+        if pick == 4:
+            hearer = ag.Listener(rng.choice(types), [ag.ActionDescriptor("noop")], mode=ag.ONE_SHOT)
+            return ag.Parallel([hearer, observer(ag.ActionDescriptor("trace", {"fired": True}))], completion=ag.ANY)
+        return observer(ag.ActionDescriptor("trace", {"checked": True}))
+
+    for agent_id in ids:
+        listener = ag.Listener(rng.choice(["*", "*", "A", "Z"]), [ag.ActionDescriptor("noop")], mode=ag.CYCLIC)
+        behaviors = [listener] + [extra() for _ in range(rng.randint(0, 3))]
+        p.spawn_agent(rng.choice(locs), behaviors, agent_id=agent_id)
+    p.run(until=rng.randint(0, 6))
+    late = p.spawn_agent(rng.choice(locs), rng.choice([[], [send()], [extra()]]))
+    p.send(ag.make_message(late, rng.choice(targets), rng.choice(types), "outside", sent_at=p.now()))
+    p.run(None)
+    return p.trace().to_jsonl(), p.now()
+
+
+@pytest.mark.parametrize("seed", range(120))
+def test_generated_worlds_agree_on_both_platforms(seed):
+    assert _generated_world(make_sim, seed) == _generated_world(make_mock, seed)
+
+
+# ---------------------------------------------------------------------------
+# Scheduler cost
+# ---------------------------------------------------------------------------
+
+
+class _Sleeper(ag.Behavior):
+    """Blocks forever on its first step."""
+
+    kind = "t.sim.sleeper"
+
+    def _step(self, ctx):
+        return ag.Blocked(ag.Never())
+
+
+def test_idle_agents_cost_no_wake_checks(monkeypatch):
+    """Wake checks grow with steps and agents, not with ticks x agents: an
+    agent blocked on a far timer or on nothing is not looked at again."""
+    counts = {"wake": 0, "step": 0}
+    real_wake, real_step = simulator.wake_satisfied, ag.Behavior.step
+
+    def wake(*args, **kwargs):
+        counts["wake"] += 1
+        return real_wake(*args, **kwargs)
+
+    def step(behavior, ctx):
+        counts["step"] += 1
+        return real_step(behavior, ctx)
+
+    monkeypatch.setattr(simulator, "wake_satisfied", wake)
+    monkeypatch.setattr(ag.Behavior, "step", step)
+    p = make_sim()
+    loc = p.create_location("l")
+    agents = 500
+    for i in range(agents):
+        far = ag.Observer(1_000_000, ag.ActionDescriptor("always"), ag.ActionDescriptor("noop"))
+        p.spawn_agent(loc, [far if i % 2 else _Sleeper()])
+    clock = p.spawn_agent(loc, [ticker()])
+    p.run(until=100)
+    assert p.agent_state(clock)["ticks"] == list(range(1, 101))
+    assert counts["step"] == agents + 101
+    assert counts["wake"] < 3 * counts["step"] + 2 * agents
