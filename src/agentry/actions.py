@@ -64,23 +64,13 @@ def builtin_predicate(name: str) -> Callable[[PredicateFn], PredicateFn]:
 class ActionRegistry:
     """Name -> callable tables for actions and predicates.
 
-    Each registry starts with the builtin tables; callers may add their own
-    entries, but a name can only be bound once.
+    Each registry starts with the builtin tables as they stand when it is
+    created; register new names with ``builtin_action``/``builtin_predicate``.
     """
 
     def __init__(self) -> None:
         self._actions: dict[str, ActionFn] = dict(_BUILTIN_ACTIONS)
         self._predicates: dict[str, PredicateFn] = dict(_BUILTIN_PREDICATES)
-
-    def register_action(self, name: str, fn: ActionFn) -> None:
-        if name in self._actions:
-            raise DuplicateAction(f"action {name!r} already registered")
-        self._actions[name] = fn
-
-    def register_predicate(self, name: str, fn: PredicateFn) -> None:
-        if name in self._predicates:
-            raise DuplicateAction(f"predicate {name!r} already registered")
-        self._predicates[name] = fn
 
     def resolve_action(self, name: str) -> ActionFn:
         try:
@@ -93,12 +83,6 @@ class ActionRegistry:
             return self._predicates[name]
         except KeyError:
             raise UnknownAction(f"no predicate registered under {name!r}") from None
-
-    def action_names(self) -> list[str]:
-        return sorted(self._actions)
-
-    def predicate_names(self) -> list[str]:
-        return sorted(self._predicates)
 
 
 @builtin_action("noop")

@@ -18,11 +18,23 @@ from .trace import TraceLog
 class PlatformAdapter(Protocol):
     """Minimal hosting contract for mobile agents.
 
-    Time is a monotonic integer tick counter. Agents spawned before the first
-    ``run`` call are stepped from tick 0; agents spawned at tick T by another
-    agent are stepped from tick T + 1. At each processed tick the runtime
-    finishes due migrations, delivers due messages, then steps runnable
-    behaviors in agent spawn order and behavior list order.
+    Time is a monotonic integer tick counter. At each processed tick the
+    runtime finishes due migrations, delivers due messages, then steps
+    runnable behaviors in agent spawn order and behavior list order.
+
+    Every behavior has one first tick at which it may step, fixed when it
+    joins an agent:
+
+    * spawned from outside: the first tick not yet processed (tick 0 if
+      ``run`` has processed none);
+    * spawned or attached by a behavior stepping at tick T, or attached from
+      outside while ``now()`` is T: T + 1;
+    * carried by a migration that arrives at tick T: T if the arrival is
+      finished before that tick's step phase, T + 1 if it lands in the
+      zero-latency sweep after it;
+    * attached while its agent is in transit: the arrival tick + 1.
+
+    From then on it steps at each processed tick at which it is runnable.
     """
 
     @property
@@ -61,8 +73,9 @@ class PlatformAdapter(Protocol):
         ...
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
-        """Append a behavior to ``target``'s list; it is stepped from the
-        next tick."""
+        """Append a behavior to ``target``'s list; it first steps at
+        ``now() + 1``, or at the tick after arrival if ``target`` is in
+        transit."""
         ...
 
     def agent_location(self, agent: AgentId) -> Optional[LocationId]:

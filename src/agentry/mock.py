@@ -5,6 +5,11 @@ delays instead of latency models, plain lists instead of priority queues, and
 a clock that walks every tick instead of skipping idle stretches. Behaviors
 cannot tell the two apart; the test suite runs against both to prove they
 only depend on the adapter contract.
+
+Each behavior records the first tick it may step, and one rule,
+``_next_step``, says when it may step next: a tick steps exactly the
+behaviors whose next step is that tick, and a run to quiescence stops at the
+first tick from which no behavior will ever step again.
 """
 
 from __future__ import annotations
@@ -56,8 +61,7 @@ class _Mail:
 class _Entry:
     shell: AgentShell
     outcomes: list[Any]
-    attach_ticks: list[Ticks]
-    last_steps: list[Ticks]
+    first_steps: list[Ticks]
     alive: bool = True
     in_transit: bool = False
     blob: bytes = b""
@@ -94,7 +98,6 @@ class MockPlatform:
         self._clock: Ticks = 0
         self._first_unprocessed: Ticks = 0
         self._conversations = 0
-        self._started = False
 
     @property
     def registry(self) -> ActionRegistry:
@@ -135,8 +138,7 @@ class MockPlatform:
         behaviors: list[Behavior],
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
-        first = self._clock + 1 if self._started else 0
-        return self._admit(at, behaviors, agent_id, self._clock, first)
+        return self._admit(at, behaviors, agent_id, self._clock, self._first_unprocessed)
 
     def _admit(
         self,
@@ -155,8 +157,7 @@ class MockPlatform:
         self._entries[agent_id] = _Entry(
             shell=shell,
             outcomes=[None] * len(shell.behaviors),
-            attach_ticks=[first_step - 1] * len(shell.behaviors),
-            last_steps=[-1] * len(shell.behaviors),
+            first_steps=[first_step] * len(shell.behaviors),
         )
         self._log.emit(tick, EventKind.SPAWN, agent_id, {"at": at.name})
         return agent_id
@@ -216,8 +217,10 @@ class MockPlatform:
         if not entry.alive:
             raise UnknownAgent(f"agent {agent!r} has terminated")
         src = entry.shell.current
-        self._log.emit(tick, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
+        # Serialize first: state that will not serialize must not leave a
+        # migrate_start behind.
         entry.blob = serialize_shell(entry.shell)
+        self._log.emit(tick, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
         entry.in_transit = True
         entry.came_from = src
         entry.going_to = dest
@@ -236,8 +239,7 @@ class MockPlatform:
             return
         entry.shell.behaviors.append(behavior)
         entry.outcomes.append(None)
-        entry.attach_ticks.append(tick)
-        entry.last_steps.append(-1)
+        entry.first_steps.append(tick + 1)
 
     # Clock and run loop ----------------------------------------------------
 
@@ -252,7 +254,6 @@ class MockPlatform:
         return f"c{self._conversations}"
 
     def run(self, until: Optional[Ticks] = None) -> TraceLog:
-        self._started = True
         tick = self._first_unprocessed
         while True:
             if until is not None and tick > until:
@@ -263,7 +264,6 @@ class MockPlatform:
                 raise TickBudgetExceeded(f"no quiescence by tick {self.max_ticks}")
             self._one_tick(tick)
             tick += 1
-        self._first_unprocessed = tick
         if until is not None and until > self._clock:
             self._clock = until
         return self._log
@@ -279,34 +279,25 @@ class MockPlatform:
                 continue
             if all(b.finished for b in entry.shell.behaviors):
                 return False  # buried at from_tick
-            for i, behavior in enumerate(entry.shell.behaviors):
-                if behavior.finished:
-                    continue
-                out = entry.outcomes[i]
-                if out is None or isinstance(out, Running):
+            for i in range(len(entry.shell.behaviors)):
+                if self._next_step(entry, i, from_tick) is not None:
                     return False
-                if isinstance(out, Blocked):
-                    if wake_satisfied(
-                        out.wake, now=from_tick, shell=entry.shell, in_transit=False
-                    ):
-                        return False
-                    if next_wake_time(out.wake) is not None:
-                        return False
         return True
 
     def _one_tick(self, tick: Ticks) -> None:
         self._clock = tick
-        self._land_travelers(tick, resume_today=True)
+        self._land_travelers(tick, first_step=tick)
         self._deliver(tick)
         self._step_all(tick)
         while True:
-            moved = self._land_travelers(tick, resume_today=False)
+            moved = self._land_travelers(tick, first_step=tick + 1)
             moved = self._deliver(tick) or moved
             if not moved:
                 break
         self._bury_finished(tick)
+        self._first_unprocessed = tick + 1
 
-    def _land_travelers(self, tick: Ticks, resume_today: bool) -> bool:
+    def _land_travelers(self, tick: Ticks, first_step: Ticks) -> bool:
         landed = False
         arrivals = []
         for agent_id, entry in self._entries.items():
@@ -320,15 +311,12 @@ class MockPlatform:
             entry.shell = shell
             entry.in_transit = False
             entry.blob = b""
-            first = tick if resume_today else tick + 1
             entry.outcomes = [None] * len(shell.behaviors)
-            entry.attach_ticks = [first - 1] * len(shell.behaviors)
-            entry.last_steps = [-1] * len(shell.behaviors)
+            entry.first_steps = [first_step] * len(shell.behaviors)
             for behavior in entry.deferred_attach:
                 shell.behaviors.append(behavior)
                 entry.outcomes.append(None)
-                entry.attach_ticks.append(tick)
-                entry.last_steps.append(-1)
+                entry.first_steps.append(tick + 1)
             entry.deferred_attach = []
             entry.last_trip = MigrationReport(src, dest, took, tick)
             self._log.emit(
@@ -388,7 +376,7 @@ class MockPlatform:
                 if not entry.alive or entry.in_transit:
                     break
                 behavior = entry.shell.behaviors[i]
-                if not self._may_step(entry, i, tick):
+                if self._next_step(entry, i, tick) != tick:
                     continue
                 ctx = AgentContext(
                     now=tick,
@@ -400,7 +388,6 @@ class MockPlatform:
                 )
                 outcome = behavior.step(ctx)
                 entry.outcomes[i] = outcome
-                entry.last_steps[i] = tick
                 self._realize(agent_id, ctx.effects, tick)
                 if isinstance(outcome, Done):
                     self._log.emit(
@@ -410,17 +397,23 @@ class MockPlatform:
                         {"kind": behavior.kind, "slot": i},
                     )
 
-    def _may_step(self, entry: _Entry, i: int, tick: Ticks) -> bool:
+    def _next_step(self, entry: _Entry, i: int, from_tick: Ticks) -> Optional[Ticks]:
+        """The first tick at or after ``from_tick`` at which behavior ``i``
+        may step as things stand, or None if only a delivery or an arrival
+        can wake it."""
         if entry.shell.behaviors[i].finished:
-            return False
-        if entry.attach_ticks[i] >= tick or entry.last_steps[i] >= tick:
-            return False
+            return None
+        tick = max(entry.first_steps[i], from_tick)
         out = entry.outcomes[i]
         if out is None or isinstance(out, Running):
-            return True
+            return tick
         if isinstance(out, Blocked):
-            return wake_satisfied(out.wake, now=tick, shell=entry.shell, in_transit=False)
-        return False
+            if wake_satisfied(out.wake, now=tick, shell=entry.shell, in_transit=False):
+                return tick
+            wake_at = next_wake_time(out.wake)
+            if wake_at is not None:
+                return max(wake_at, tick)
+        return None
 
     def _realize(self, agent_id: AgentId, effects: list[Any], tick: Ticks) -> None:
         for effect in effects:
@@ -433,7 +426,7 @@ class MockPlatform:
             elif isinstance(effect, AttachEffect):
                 self._append_behavior(effect.target, effect.behavior, tick)
             elif isinstance(effect, TraceEffect):
-                self._log.emit(tick, EventKind(effect.kind), agent_id, effect.detail)
+                self._log.emit(tick, effect.kind, agent_id, effect.detail)
             else:
                 raise TypeError(f"unknown effect {effect!r}")
 

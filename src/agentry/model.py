@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable, Optional
 
 from .errors import EmptyTypeTag, SteppingDone
+from .trace import EventKind
 
 # Simulation time is a dimensionless non-negative integer tick count.
 Ticks = int
@@ -391,7 +392,7 @@ class AttachEffect:
 
 @dataclass
 class TraceEffect:
-    kind: str
+    kind: EventKind
     detail: dict[str, Any]
 
 
@@ -443,12 +444,6 @@ class AgentContext:
     def state(self) -> dict[str, Any]:
         return self._shell.state
 
-    def peek_message(self, type_filter: str = WILDCARD, conversation: str | None = None) -> Message | None:
-        for msg in self._shell.inbox:
-            if message_matches(msg, type_filter, conversation):
-                return msg
-        return None
-
     def take_message(self, type_filter: str = WILDCARD, conversation: str | None = None) -> Message | None:
         """Remove and return the oldest matching message; non-matching
         messages stay queued for other behaviors."""
@@ -474,11 +469,15 @@ class AgentContext:
         self.effects.append(MigrateEffect(dest))
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
-        """Append a behavior to ``target``'s list; it starts next tick."""
+        """Append a behavior to ``target``'s list; it first steps at the tick
+        after this one (or, if ``target`` is in transit, at the tick after
+        it arrives)."""
         self.effects.append(AttachEffect(target, behavior))
 
     def trace(self, detail: dict[str, Any], kind: str = "custom") -> None:
-        self.effects.append(TraceEffect(kind, dict(detail)))
+        """Record a trace event. Raises ValueError for a ``kind`` that is not
+        an EventKind value, before any effect of the step is applied."""
+        self.effects.append(TraceEffect(EventKind(kind), dict(detail)))
 
     def new_conversation_id(self) -> str:
         return self._new_conversation_id()

@@ -30,12 +30,14 @@ as a full scan would give:
   next tick, so even one spawned from outside with none terminates. A
   terminated agent drops its behaviors; its state and location stay.
 
-Before the clock moves, every candidate is re-checked with the one
-runnability rule (``_slot_next_tick``). Those that cannot step at the next
-tick move to the timer heap or, with no time-based wake, leave the indexes
-until a delivery, attach or arrival brings them back. So the next tick
-processed is exactly the earliest one with work, and a tick with nothing to
-do is never processed.
+Each slot records the first tick it may step (``first_step``), and one rule,
+``_slot_next_tick``, says when a slot may step next: the step phase steps a
+slot exactly when that is the current tick. Before the clock moves, every
+candidate is re-checked with the same rule. Those that cannot step at the
+next tick move to the timer heap or, with no time-based wake, leave the
+indexes until a delivery, attach or arrival brings them back. So the next
+tick processed is exactly the earliest one with work, and a tick with
+nothing to do is never processed.
 
 All randomness (latency draws) comes from one seeded generator, so a given
 config and scenario always yields a byte-identical trace.
@@ -135,12 +137,11 @@ class SimConfig:
 
 @dataclass
 class _Slot:
-    """Per-behavior bookkeeping: last outcome and when it became steppable."""
+    """Per-behavior bookkeeping: last outcome and the first tick it may step."""
 
     behavior: Behavior
+    first_step: Ticks
     outcome: Any = None
-    attach_tick: Ticks = -1
-    last_step: Ticks = -1
 
 
 _ACTIVE = "active"
@@ -188,7 +189,6 @@ class SimPlatform:
         self._clock: Ticks = 0
         self._next_tick: Ticks = 0
         self._conv_counter = 0
-        self._ran = False
 
     # Config and registry ---------------------------------------------------
 
@@ -236,8 +236,7 @@ class SimPlatform:
         behaviors: list[Behavior],
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
-        attach_tick = self._clock if self._ran else -1
-        return self._do_spawn(at, behaviors, agent_id, self._clock, attach_tick)
+        return self._do_spawn(at, behaviors, agent_id, self._clock, self._next_tick)
 
     def _do_spawn(
         self,
@@ -245,7 +244,7 @@ class SimPlatform:
         behaviors: list[Behavior],
         agent_id: Optional[AgentId],
         tick: Ticks,
-        attach_tick: Ticks,
+        first_step: Ticks,
     ) -> AgentId:
         self._check_location(at)
         if agent_id is None:
@@ -253,7 +252,7 @@ class SimPlatform:
         elif agent_id in self._agents:
             raise ValueError(f"agent id {agent_id!r} already in use")
         shell = AgentShell(id=agent_id, home=at, current=at, behaviors=list(behaviors))
-        slots = [_Slot(b, attach_tick=attach_tick) for b in shell.behaviors]
+        slots = [_Slot(b, first_step) for b in shell.behaviors]
         rec = _AgentRecord(shell=shell, slots=slots, index=len(self._records))
         self._agents[agent_id] = rec
         self._records.append(rec)
@@ -333,9 +332,11 @@ class SimPlatform:
         if rec.status == _TERMINATED:
             raise UnknownAgent(f"agent {agent!r} has terminated")
         src = rec.shell.current
+        # Serialize first: state that will not serialize must neither draw a
+        # latency nor leave a migrate_start behind.
+        rec.blob = serialize_shell(rec.shell)
         latency = self._config.migration_latency.sample(self._rng, src, dest)
         self._log.emit(tick, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
-        rec.blob = serialize_shell(rec.shell)
         rec.status = _MIGRATING
         rec.transit_from = src
         rec.dest = dest
@@ -356,7 +357,7 @@ class SimPlatform:
             rec.pending_attach.append(behavior)
             return
         rec.shell.behaviors.append(behavior)
-        rec.slots.append(_Slot(behavior, attach_tick=tick))
+        rec.slots.append(_Slot(behavior, tick + 1))
         self._make_candidate(rec)
 
     # Clock and run loop ----------------------------------------------------
@@ -372,7 +373,6 @@ class SimPlatform:
         return f"c{self._conv_counter}"
 
     def run(self, until: Optional[Ticks] = None) -> TraceLog:
-        self._ran = True
         while True:
             work = self._next_work_tick()
             if work is None:
@@ -439,7 +439,7 @@ class SimPlatform:
     def _slot_next_tick(self, rec: _AgentRecord, slot: _Slot, floor: Ticks) -> Optional[Ticks]:
         if slot.behavior.finished:
             return None
-        base = max(slot.attach_tick + 1, floor)
+        base = max(slot.first_step, floor)
         out = slot.outcome
         if out is None or isinstance(out, Running):
             return base
@@ -454,7 +454,7 @@ class SimPlatform:
     def _process_tick(self, tick: Ticks) -> None:
         self._clock = tick
         self._wake_due_timers(tick)
-        self._finish_due_arrivals(tick, steppable=True)
+        self._finish_due_arrivals(tick, first_step=tick)
         self._deliver_due(tick)
         self._step_phase(tick)
         self._end_of_tick_sweep(tick)
@@ -470,15 +470,15 @@ class SimPlatform:
             if rec.wake_at == due:
                 self._make_candidate(rec)
 
-    def _finish_due_arrivals(self, tick: Ticks, steppable: bool) -> bool:
+    def _finish_due_arrivals(self, tick: Ticks, first_step: Ticks) -> bool:
         arrived = False
         while self._arrivals and self._arrivals[0][0] <= tick:
             _, _, agent_id = heapq.heappop(self._arrivals)
-            self._finish_arrival(agent_id, tick, steppable)
+            self._finish_arrival(agent_id, tick, first_step)
             arrived = True
         return arrived
 
-    def _finish_arrival(self, agent_id: AgentId, tick: Ticks, steppable: bool) -> None:
+    def _finish_arrival(self, agent_id: AgentId, tick: Ticks, first_step: Ticks) -> None:
         rec = self._agents[agent_id]
         src, dest, latency = rec.transit_from, rec.dest, rec.transit_latency
         shell = deserialize_shell(rec.blob)
@@ -486,11 +486,10 @@ class SimPlatform:
         rec.shell = shell
         rec.status = _ACTIVE
         rec.blob = b""
-        attach = tick - 1 if steppable else tick
-        rec.slots = [_Slot(b, attach_tick=attach) for b in shell.behaviors]
+        rec.slots = [_Slot(b, first_step) for b in shell.behaviors]
         for behavior in rec.pending_attach:
             shell.behaviors.append(behavior)
-            rec.slots.append(_Slot(behavior, attach_tick=tick))
+            rec.slots.append(_Slot(behavior, tick + 1))
         rec.pending_attach = []
         rec.last_migration = MigrationReport(src, dest, latency, tick)
         self._make_candidate(rec)
@@ -538,7 +537,7 @@ class SimPlatform:
             for index, slot in enumerate(list(rec.slots)):
                 if rec.status != _ACTIVE:
                     break  # the agent migrated mid-tick
-                if not self._slot_runnable(rec, slot, tick):
+                if self._slot_next_tick(rec, slot, tick) != tick:
                     continue
                 ctx = AgentContext(
                     now=tick,
@@ -550,7 +549,6 @@ class SimPlatform:
                 )
                 outcome = slot.behavior.step(ctx)
                 slot.outcome = outcome
-                slot.last_step = tick
                 self._apply_effects(agent_id, ctx.effects, tick)
                 if isinstance(outcome, Done):
                     self._maybe_done.add(spawn_index)
@@ -561,29 +559,26 @@ class SimPlatform:
                         {"kind": slot.behavior.kind, "slot": index},
                     )
 
-    def _slot_runnable(self, rec: _AgentRecord, slot: _Slot, tick: Ticks) -> bool:
-        return slot.last_step < tick and self._slot_next_tick(rec, slot, tick) == tick
-
     def _apply_effects(self, agent_id: AgentId, effects: list[Any], tick: Ticks) -> None:
         for effect in effects:
             if isinstance(effect, SendEffect):
                 self._do_send(effect.message, tick)
             elif isinstance(effect, SpawnEffect):
-                self._do_spawn(effect.at, effect.behaviors, effect.agent_id, tick, tick)
+                self._do_spawn(effect.at, effect.behaviors, effect.agent_id, tick, tick + 1)
             elif isinstance(effect, MigrateEffect):
                 self._do_migrate(agent_id, effect.dest, tick)
             elif isinstance(effect, AttachEffect):
                 self._do_attach(effect.target, effect.behavior, tick)
             elif isinstance(effect, TraceEffect):
-                self._log.emit(tick, EventKind(effect.kind), agent_id, effect.detail)
+                self._log.emit(tick, effect.kind, agent_id, effect.detail)
             else:
                 raise TypeError(f"unknown effect {effect!r}")
 
     def _end_of_tick_sweep(self, tick: Ticks) -> None:
         # Zero-latency sends and migrations land within the same tick; their
-        # targets become steppable next tick.
+        # targets step from the next tick.
         while True:
-            progressed = self._finish_due_arrivals(tick, steppable=False)
+            progressed = self._finish_due_arrivals(tick, first_step=tick + 1)
             progressed = self._deliver_due(tick) or progressed
             if not progressed:
                 break

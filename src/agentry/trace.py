@@ -11,10 +11,10 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from .model import AgentId, Ticks
+if TYPE_CHECKING:  # model imports EventKind from here at run time
+    from .model import AgentId, Ticks
 
 
 class EventKind(str, enum.Enum):
@@ -62,14 +62,14 @@ class TraceEvent:
 
 
 class TraceLog:
-    """Append-only event list with JSONL rendering and simple filters.
+    """Append-only event list with JSONL rendering.
 
     ``emit`` assigns sequence numbers, so events are totally ordered even
     when many share a tick.
     """
 
-    def __init__(self, events: Iterable[TraceEvent] = ()) -> None:
-        self._events: list[TraceEvent] = list(events)
+    def __init__(self) -> None:
+        self._events: list[TraceEvent] = []
 
     def emit(self, tick: Ticks, kind: EventKind, agent: AgentId, detail: dict[str, Any]) -> TraceEvent:
         event = TraceEvent(tick=tick, seq=len(self._events), kind=kind, agent=agent, detail=detail)
@@ -82,35 +82,6 @@ class TraceLog:
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
 
-    def __getitem__(self, index: int) -> TraceEvent:
-        return self._events[index]
-
-    @property
-    def events(self) -> list[TraceEvent]:
-        return list(self._events)
-
-    def of_kind(self, *kinds: EventKind) -> list[TraceEvent]:
-        wanted = set(kinds)
-        return [e for e in self._events if e.kind in wanted]
-
-    def for_agent(self, agent: AgentId) -> list[TraceEvent]:
-        return [e for e in self._events if e.agent == agent]
-
     def to_jsonl(self) -> str:
         """One event per line, trailing newline after the last event."""
         return "".join(e.to_json_line() + "\n" for e in self._events)
-
-    def write_jsonl(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl())
-
-
-def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a trace file back into plain dicts (for inspection, not replay).
-
-    A leading ``format_version`` header line, if present, is skipped.
-    """
-    lines = Path(path).read_text().splitlines()
-    rows = [json.loads(line) for line in lines if line]
-    if rows and "format_version" in rows[0]:
-        rows = rows[1:]
-    return rows

@@ -32,6 +32,18 @@ def _attach_to(ctx, params, message):
     ctx.attach_behavior(ag.AgentId(params["to"]), task)
 
 
+@builtin_action("t.sim.hoard_then_go")
+def _hoard_then_go(ctx, params, message):
+    ctx.state["hoard"] = {1, 2}  # a set does not serialize
+    ctx.request_migration(location_from_jsonable(params["dest"]))
+
+
+@builtin_action("t.sim.send_then_bad_trace")
+def _send_then_bad_trace(ctx, params, message):
+    ctx.send(ag.make_message(ctx.agent_id, ctx.agent_id, "PING", "c", sent_at=ctx.now))
+    ctx.trace({}, kind="nonsense")
+
+
 @builtin_action("t.beh.mark")
 def _mark(ctx, params, message):
     ctx.state.setdefault("marks", []).append([params["tag"], ctx.now])

@@ -54,6 +54,41 @@ def test_attach_steps_from_next_tick(platform_factory):
     assert p.agent_state(a)["ticks"] == [4]
 
 
+def test_first_step_ticks(platform_factory):
+    def tagged(who):
+        return ag.Task(ag.ActionDescriptor("trace", {"who": who}))
+
+    def steps(p):
+        return [(e.detail["who"], e.tick) for e in p.trace() if e.kind == ag.EventKind.CUSTOM]
+
+    # an outside spawn after run(until=k) first steps at k + 1
+    p = platform_factory()
+    loc = p.create_location("l")
+    p.run(until=3)
+    p.spawn_agent(loc, [tagged("late")])
+    p.run(None)
+    assert steps(p) == [("late", 4)]
+
+    # a run that processed no tick leaves tick 0 unprocessed
+    p = platform_factory()
+    loc = p.create_location("l")
+    p.run(None)
+    p.spawn_agent(loc, [tagged("late")])
+    p.run(None)
+    assert steps(p) == [("late", 0)]
+
+    # arriving at 3, the carried behavior steps at 3, one attached in transit at 4
+    p = platform_factory(migration=3)
+    a_loc = p.create_location("a")
+    b_loc = p.create_location("b")
+    agent = p.spawn_agent(a_loc, [mover(b_loc, after=[]), tagged("carried")])
+    p.run(until=1)
+    assert p.agent_location(agent) is None
+    p.attach_behavior(agent, tagged("attached"))
+    p.run(None)
+    assert steps(p) == [("carried", 3), ("attached", 4)]
+
+
 def test_slot_order_is_spawn_then_list_order(platform_factory):
     p = platform_factory()
     loc = p.create_location("l")
@@ -251,6 +286,18 @@ def test_migration_round_trips_state(platform_factory):
     assert state["ticks"] == [3]  # arrival at 3 (requested at 1), stepped on the arrival tick
 
 
+def test_unserializable_state_fails_migration_before_it_starts(platform_factory):
+    p = platform_factory()
+    a_loc = p.create_location("a")
+    b_loc = p.create_location("b")
+    go = ag.ActionDescriptor("t.sim.hoard_then_go", {"dest": location_to_jsonable(b_loc)})
+    agent = p.spawn_agent(a_loc, [ag.Task(go)])
+    with pytest.raises(TypeError):
+        p.run(None)
+    assert not [e for e in p.trace() if e.kind == ag.EventKind.MIGRATE_START]
+    assert p.agent_location(agent) == a_loc
+
+
 def test_already_migrating_rejected(platform_factory):
     p = platform_factory(migration=9)
     a_loc = p.create_location("a")
@@ -274,6 +321,36 @@ def test_platform_errors(platform_factory):
     assert p.location_named("here") == loc
     with pytest.raises(ag.UnknownLocation):
         p.location_named("nowhere")
+
+
+class _SendThenBadTrace(ag.Behavior):
+    """Sends, then asks for a trace event of a kind that does not exist."""
+
+    kind = "t.sim.send_then_bad_trace"
+
+    def _step(self, ctx):
+        ctx.send(ag.make_message(ctx.agent_id, ctx.agent_id, "PING", "c", sent_at=ctx.now))
+        ctx.trace({}, kind="nonsense")
+        return ag.DONE
+
+
+def test_bad_trace_kind_fails_the_step_before_its_effects(platform_factory):
+    # unguarded: the step raises and its earlier send is never applied
+    p = platform_factory()
+    loc = p.create_location("l")
+    p.spawn_agent(loc, [_SendThenBadTrace()])
+    with pytest.raises(ValueError):
+        p.run(None)
+    assert [e.kind for e in p.trace()] == [ag.EventKind.SPAWN]
+
+    # guarded: a Task traces the error and finishes
+    p = platform_factory()
+    loc = p.create_location("l")
+    a = p.spawn_agent(loc, [ag.Task(ag.ActionDescriptor("t.sim.send_then_bad_trace"))])
+    p.run(None)
+    errors = [e.detail for e in p.trace() if e.kind == ag.EventKind.CUSTOM]
+    assert errors == [{"error": "'nonsense' is not a valid EventKind", "action": "t.sim.send_then_bad_trace"}]
+    assert not p.is_alive(a)
 
 
 # ---------------------------------------------------------------------------
