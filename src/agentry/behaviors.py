@@ -88,13 +88,17 @@ def resolve_agent_ref(ctx: AgentContext, ref: Any) -> AgentId:
 def _run_guarded(ctx: AgentContext, descriptor: ActionDescriptor, message: Optional[Message]) -> bool:
     """Run an action; trace failures instead of propagating them.
 
-    Returns False when the action raised CancelBehavior.
+    A failed action is not half-applied: the effects it buffered before
+    raising are dropped and only the error is traced. Returns False when the
+    action raised CancelBehavior.
     """
+    mark = len(ctx.effects)
     try:
         ctx.run_action(descriptor, message)
     except CancelBehavior:
         return False
     except Exception as exc:
+        del ctx.effects[mark:]
         ctx.trace({"error": str(exc), "action": descriptor.name})
     return True
 

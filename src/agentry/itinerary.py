@@ -9,6 +9,7 @@ policy, or halting for good when there is none.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -52,7 +53,8 @@ class Objective:
     stop_tasks: tuple[ActionDescriptor, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stop_tasks", tuple(self.stop_tasks))
+        if not isinstance(self.stop_tasks, tuple):
+            object.__setattr__(self, "stop_tasks", tuple(self.stop_tasks))
         if self.earliest_offset < 0:
             raise ValueError("earliest_offset must be non-negative")
         if self.latest_offset is not None and self.latest_offset < self.earliest_offset:
@@ -68,11 +70,13 @@ class Objective:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Objective":
+        tasks = d.get("tasks", [])
         return cls(
             location=location_from_jsonable(d["location"]),
             earliest_offset=int(d.get("earliest", 0)),
             latest_offset=None if d.get("latest") is None else int(d["latest"]),
-            stop_tasks=tuple(ActionDescriptor.from_jsonable(t) for t in d.get("tasks", [])),
+            # most stops have no tasks; skip building a generator for them
+            stop_tasks=() if tasks == [] else tuple(ActionDescriptor.from_jsonable(t) for t in tasks),
         )
 
 
@@ -157,8 +161,14 @@ def _fraction_to_jsonable(value: Fraction) -> list[int]:
     return [value.numerator, value.denominator]
 
 
+@functools.lru_cache(maxsize=4096)
+def _fraction(numerator: int, denominator: int) -> Fraction:
+    return Fraction(numerator, denominator)
+
+
 def _fraction_from_jsonable(pair: Sequence[int]) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
+    # Fraction is immutable, so every decode of the same pair may share one.
+    return _fraction(int(pair[0]), int(pair[1]))
 
 
 @dataclass(frozen=True)
@@ -176,8 +186,10 @@ class DelayEstimator:
     links: dict[Link, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "default_estimate", Fraction(self.default_estimate))
+        if not isinstance(self.alpha, Fraction):
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
+        if not isinstance(self.default_estimate, Fraction):
+            object.__setattr__(self, "default_estimate", Fraction(self.default_estimate))
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha must lie in [0, 1]")
         if self.default_estimate < 0:

@@ -9,13 +9,14 @@ can be detached, serialized, moved, and resumed at another location.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterable, Optional
 
 from .errors import EmptyTypeTag, SteppingDone
-from .trace import EventKind
+from .trace import CANONICAL_ENCODER, EventKind
 
 # Simulation time is a dimensionless non-negative integer tick count.
 Ticks = int
@@ -268,7 +269,7 @@ def clone_behavior(behavior: Behavior) -> Behavior:
 
 def canonical_json(value: Any) -> bytes:
     """Deterministic JSON encoding: sorted keys, no whitespace, ASCII only."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
+    return CANONICAL_ENCODER.encode(value).encode()
 
 
 def encode_payload(data: bytes) -> str:
@@ -283,8 +284,14 @@ def location_to_jsonable(loc: LocationId) -> dict[str, Any]:
     return {"value": loc.value, "name": loc.name}
 
 
+@functools.lru_cache(maxsize=1024)
+def _location(value: int, name: str) -> LocationId:
+    return LocationId(value, name)
+
+
 def location_from_jsonable(d: dict[str, Any]) -> LocationId:
-    return LocationId(int(d["value"]), str(d["name"]))
+    # LocationId is immutable, so every decode of the same pair may share one.
+    return _location(int(d["value"]), str(d["name"]))
 
 
 def message_to_jsonable(msg: Message) -> dict[str, Any]:
@@ -351,7 +358,7 @@ def serialize_shell(shell: AgentShell) -> bytes:
 
 
 def deserialize_shell(data: bytes) -> AgentShell:
-    d = json.loads(data.decode())
+    d = json.loads(data)
     return AgentShell(
         id=AgentId(int(d["id"])),
         home=location_from_jsonable(d["home"]),

@@ -380,14 +380,22 @@ class SimPlatform:
             if until is not None and work > until:
                 break
             if until is None and work > self._config.max_ticks:
+                self._pass_idle_ticks(self._config.max_ticks)
                 raise TickBudgetExceeded(
                     f"no quiescence by tick {self._config.max_ticks} (next work at {work})"
                 )
             self._process_tick(work)
-        if until is not None and until > self._clock:
-            self._clock = until
-            self._next_tick = max(self._next_tick, until + 1)
+        if until is not None:
+            self._pass_idle_ticks(until)
         return self._log
+
+    def _pass_idle_ticks(self, last: Ticks) -> None:
+        """Pass the ticks up to ``last``, none of which holds work: the clock
+        reads ``last`` and no later spawn steps at or before it. The mock
+        gets to the same place by processing each of those ticks."""
+        if last > self._clock:
+            self._clock = last
+            self._next_tick = max(self._next_tick, last + 1)
 
     def _next_work_tick(self) -> Optional[Ticks]:
         """The earliest tick with work, re-filing candidates that have none

@@ -30,13 +30,11 @@ class EventKind(str, enum.Enum):
     CUSTOM = "custom"
 
 
-def _sorted_jsonable(value: Any) -> Any:
-    """Recursively order dict keys so the rendering is deterministic."""
-    if isinstance(value, dict):
-        return {k: _sorted_jsonable(value[k]) for k in sorted(value)}
-    if isinstance(value, (list, tuple)):
-        return [_sorted_jsonable(v) for v in value]
-    return value
+# The package's one canonical JSON encoder (sorted keys, no whitespace, ASCII
+# only), reused by every call: ``json.dumps`` with these options builds a
+# fresh JSONEncoder each time. It encodes event details here and, through
+# ``model.canonical_json``, migration blobs and message payloads.
+CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,18 +45,13 @@ class TraceEvent:
     agent: AgentId
     detail: dict[str, Any] = field(default_factory=dict)
 
-    def to_jsonable(self) -> dict[str, Any]:
-        # Field order is part of the format; do not reorder.
-        return {
-            "tick": self.tick,
-            "seq": self.seq,
-            "kind": self.kind.value,
-            "agent": self.agent.value,
-            "detail": _sorted_jsonable(self.detail),
-        }
-
     def to_json_line(self) -> str:
-        return json.dumps(self.to_jsonable(), separators=(",", ":"), ensure_ascii=True)
+        # Field order is part of the format; do not reorder. Kind values are
+        # plain ASCII words, so they need no escaping.
+        return (
+            f'{{"tick":{self.tick},"seq":{self.seq},"kind":"{self.kind.value}",'
+            f'"agent":{self.agent.value},"detail":{CANONICAL_ENCODER.encode(self.detail)}}}'
+        )
 
 
 class TraceLog:

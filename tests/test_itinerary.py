@@ -1,12 +1,14 @@
 """Routes, arrival windows, delay estimation, and the itinerary behavior."""
 
 import dataclasses
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 import agentry as ag
+from agentry.model import AgentShell, deserialize_shell, serialize_shell
 from agentry.trace import EventKind
 
 from conftest import events_of
@@ -259,6 +261,67 @@ def test_itinerary_round_trips():
     assert isinstance(rebuilt, ag.Itinerary)
     assert rebuilt == itin
     assert rebuilt.estimator == itin.estimator
+
+
+def _traveling_shell():
+    a, b, c = loc(1, "a"), loc(2, "b"), loc(3, "c")
+    recover = ag.Task(act("t.beh.mark", {"tag": "recover", "seen": {"ticks": [1, 2]}}))
+    cfg = ag.ItineraryConfig(
+        route=ag.Route(
+            objectives=(
+                ag.Objective(b, 2, 6, stop_tasks=(act("t.beh.mark", {"tag": "b", "extra": {"n": [1]}}),)),
+                ag.Objective(c, 0, None),
+                ag.Objective(a, 1, 9, stop_tasks=(mark("a"), act("noop"))),
+            ),
+            base_time=None,
+        ),
+        reached_listeners=(act("t.beh.mark", {"tag": "seen"}),),
+        missed_behavior=recover,
+    )
+    estimator = ag.DelayEstimator(alpha=Fraction(1, 3)).updated(("a", "b"), 4).updated(("b", "c"), 7)
+    itin = ag.Itinerary(
+        cfg,
+        planned_departures=True,
+        estimator=estimator,
+        _base=5,
+        _index=1,
+        _phase="missed",
+        _arrival=12,
+        _missed_clone=ag.clone_behavior(recover),
+    )
+    return AgentShell(
+        id=ag.AgentId(9),
+        home=a,
+        current=c,
+        behaviors=[itin, ag.Itinerary(ag.ItineraryConfig(route=cfg.route))],
+        state={"log": [{"at": 3}], "visits": 2},
+        inbox=deque([ag.make_message(ag.AgentId(1), ag.AgentId(9), "PING", "c1", b"\x00hi", sent_at=4)]),
+    )
+
+
+def test_itinerary_shell_round_trips_to_identical_bytes():
+    blob = serialize_shell(_traveling_shell())
+    again = deserialize_shell(blob)
+    assert serialize_shell(again) == blob
+    itin = again.behaviors[0]
+    assert itin.estimator.estimate(("a", "b")) == Fraction(4, 3)
+    assert itin._missed_clone == itin.config.missed_behavior
+
+
+def test_two_decodes_of_one_blob_share_no_mutable_data():
+    blob = serialize_shell(_traveling_shell())
+    one, two = deserialize_shell(blob), deserialize_shell(blob)
+    one.state["log"][0]["at"] = 99
+    one.state["visits"] = 0
+    itin = one.behaviors[0]
+    itin.config.route.objectives[0].stop_tasks[0].params["extra"]["n"].append(2)
+    itin.config.reached_listeners[0].params["tag"] = "changed"
+    itin.config.missed_behavior.action.params["seen"]["ticks"].clear()
+    itin._missed_clone.action.params["tag"] = "changed"
+    one.behaviors[1].config.route.objectives[0].stop_tasks[0].params["tag"] = "changed"
+    assert serialize_shell(one) != blob
+    assert serialize_shell(two) == blob
+    assert serialize_shell(deserialize_shell(blob)) == blob
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,24 @@ def test_shell_round_trip_preserves_everything():
     assert serialize_shell(again) == serialize_shell(shell)
 
 
+def test_trace_line_bytes_are_pinned():
+    detail = {
+        "z": {"b": 1, "a": [None, True, False]},
+        "a": (1, 2.5, "x"),
+        "\u00e9": "na\u00efve \u2603",
+        "n": None,
+        "f": -0.1,
+        "t": True,
+    }
+    event = ag.TraceEvent(tick=3, seq=7, kind=ag.EventKind.CUSTOM, agent=ag.AgentId(12), detail=detail)
+    assert event.to_json_line() == (
+        '{"tick":3,"seq":7,"kind":"custom","agent":12,"detail":'
+        '{"a":[1,2.5,"x"],"f":-0.1,"n":null,"t":true,"z":{"a":[null,true,false],"b":1},'
+        '"\\u00e9":"na\\u00efve \\u2603"}}'
+    )
+    assert json.loads(event.to_json_line())["detail"]["\u00e9"] == "na\u00efve \u2603"
+
+
 def test_location_jsonable_round_trip():
     loc = ag.LocationId(4, "lab")
     assert location_from_jsonable(location_to_jsonable(loc)) == loc

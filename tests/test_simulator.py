@@ -353,6 +353,21 @@ def test_bad_trace_kind_fails_the_step_before_its_effects(platform_factory):
     assert not p.is_alive(a)
 
 
+def test_failed_guarded_action_drops_its_buffered_effects(platform_factory):
+    # the action sends, then raises: only the error is traced, no send or deliver
+    p = platform_factory()
+    loc = p.create_location("l")
+    a = p.spawn_agent(loc, [ag.Task(ag.ActionDescriptor("t.sim.send_then_bad_trace"))])
+    p.run(None)
+    assert [(e.tick, e.kind) for e in p.trace()] == [
+        (0, ag.EventKind.SPAWN),
+        (0, ag.EventKind.CUSTOM),
+        (0, ag.EventKind.BEHAVIOR_DONE),
+        (0, ag.EventKind.TERMINATE),
+    ]
+    assert not p.is_alive(a)
+
+
 # ---------------------------------------------------------------------------
 # Clock, quiescence, budget
 # ---------------------------------------------------------------------------
@@ -393,6 +408,19 @@ def test_tick_budget_exceeded(platform_factory):
     p.run(until=30)  # bounded runs never trip the budget
     with pytest.raises(ag.TickBudgetExceeded):
         p.run(None)
+
+
+def test_tick_budget_exceeded_leaves_the_clock_at_the_budget(platform_factory):
+    p = platform_factory(max_ticks=40)
+    loc = p.create_location("l")
+    p.spawn_agent(loc, [ag.Observer(7, ag.ActionDescriptor("never"), ag.ActionDescriptor("noop"), mode=ag.CYCLIC)])
+    with pytest.raises(ag.TickBudgetExceeded):
+        p.run(None)
+    assert p.now() == 40  # the last check ran at 35; 36-40 passed without work
+    # the budget's ticks are spent: an outside spawn first steps at 41
+    late = p.spawn_agent(loc, [ag.Task(ag.ActionDescriptor("noop"))])
+    p.run(until=45)
+    assert [e.tick for e in p.trace() if e.agent == late and e.kind == ag.EventKind.BEHAVIOR_DONE] == [41]
 
 
 def test_trace_ticks_and_seqs_are_monotonic(platform_factory):
