@@ -6,8 +6,11 @@ callbacks. The Client/Server pair speaks a REQUEST/ACK/RESULT protocol with
 per-request worker agents. The role factory attaches registry-built
 behaviors to agents that never name the concrete role.
 
-Cyclic behaviors run until cancelled: a callback raises CancelBehavior and
-the owning behavior finishes cleanly after the current firing.
+User code fails the same way everywhere: an action, callback or predicate
+that raises is traced as an error and the effects it buffered are dropped
+(``AgentContext.attempt``). Cyclic behaviors run until cancelled: whichever
+action raises CancelBehavior, the behavior being stepped finishes, and the
+effects buffered before the cancel stay.
 """
 
 from __future__ import annotations
@@ -44,14 +47,6 @@ ACK = "ACK"
 RESULT = "RESULT"
 
 
-class CancelBehavior(BaseException):
-    """Raised inside a callback to end the enclosing cyclic behavior.
-
-    Derives from BaseException so ordinary error handling (which traces the
-    failure and carries on) does not swallow it.
-    """
-
-
 def _check_mode(mode: str) -> str:
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
@@ -85,24 +80,6 @@ def resolve_agent_ref(ctx: AgentContext, ref: Any) -> AgentId:
     return AgentId(int(resolved))
 
 
-def _run_guarded(ctx: AgentContext, descriptor: ActionDescriptor, message: Optional[Message]) -> bool:
-    """Run an action; trace failures instead of propagating them.
-
-    A failed action is not half-applied: the effects it buffered before
-    raising are dropped and only the error is traced. Returns False when the
-    action raised CancelBehavior.
-    """
-    mark = len(ctx.effects)
-    try:
-        ctx.run_action(descriptor, message)
-    except CancelBehavior:
-        return False
-    except Exception as exc:
-        del ctx.effects[mark:]
-        ctx.trace({"error": str(exc), "action": descriptor.name})
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Task
 # ---------------------------------------------------------------------------
@@ -122,7 +99,7 @@ class Task(Behavior):
         self.action = action
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
-        _run_guarded(ctx, self.action, None)
+        ctx.attempt(ctx.run_action, self.action, None, action=self.action.name)
         return DONE
 
     def _to_dict_body(self) -> dict[str, Any]:
@@ -181,14 +158,9 @@ class Observer(Behavior):
             self._next_check = ctx.now + self.period - behind
             return Blocked(AtTime(self._next_check))
         self._next_check = ctx.now + self.period
-        try:
-            triggered = ctx.run_predicate(self.trigger)
-        except Exception as exc:
-            ctx.trace({"error": str(exc), "predicate": self.trigger.name})
-            triggered = False
-        if triggered:
-            if not _run_guarded(ctx, self.handler, None):
-                return DONE
+        ok, triggered = ctx.attempt(ctx.run_predicate, self.trigger, predicate=self.trigger.name)
+        if ok and triggered:
+            ctx.attempt(ctx.run_action, self.handler, None, action=self.handler.name)
             if self.mode == ONE_SHOT:
                 return DONE
         return Blocked(AtTime(self._next_check))
@@ -243,8 +215,7 @@ class Listener(Behavior):
         if msg is None:
             return Blocked(OnMessage(self.type_filter))
         for callback in self.callbacks:
-            if not _run_guarded(ctx, callback, msg):
-                return DONE
+            ctx.attempt(ctx.run_action, callback, msg, action=callback.name)
         if self.mode == ONE_SHOT:
             return DONE
         return Blocked(OnMessage(self.type_filter))
@@ -389,7 +360,7 @@ class Client(Behavior):
 
     def _finish(self, ctx: AgentContext, callback: Optional[ActionDescriptor], message: Optional[Message]) -> StepOutcome:
         if callback is not None:
-            _run_guarded(ctx, callback, message)
+            ctx.attempt(ctx.run_action, callback, message, action=callback.name)
         return DONE
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
@@ -508,12 +479,9 @@ def _worker(ctx: AgentContext, params: Any, message: Optional[Message]) -> None:
     task = ActionDescriptor.from_jsonable(params["task"])
     request = message_from_jsonable(params["request"])
     ctx.send(make_message(ctx.agent_id, requester, ACK, conversation, b"", sent_at=ctx.now))
-    try:
-        result = ctx.run_action(task, request) or b""
-    except Exception as exc:
-        # The client still deserves a reply; errors ride the data channel.
-        ctx.trace({"error": str(exc), "action": task.name, "conversation": conversation})
-        result = canonical_json({"error": str(exc)})
+    ok, result = ctx.attempt(ctx.run_action, task, request, action=task.name, conversation=conversation)
+    # The client still deserves a reply; errors ride the data channel.
+    result = (result or b"") if ok else canonical_json({"error": result})
     ctx.send(make_message(ctx.agent_id, requester, RESULT, conversation, result, sent_at=ctx.now))
 
 

@@ -197,6 +197,12 @@ class FsmDefinition:
         )
 
 
+def _run_activity(ctx: AgentContext, action: ActionDescriptor) -> Optional[str]:
+    """Run a state's activity; its output bytes, if any, are the next label."""
+    output = ctx.run_action(action, None)
+    return output.decode() if output else None
+
+
 class Fsm(Behavior):
     """Walk a state machine: run each entered state's activity once, then
     transition on event labels.
@@ -231,15 +237,9 @@ class Fsm(Behavior):
         if not self._entered:
             ctx.trace({"fsm_state": self._current})
             action = self.definition.states[self._current]
-            label: Optional[str] = None
-            try:
-                output = ctx.run_action(action, None)
-                if output:
-                    label = output.decode()
-            except Exception as exc:
-                ctx.trace({"error": str(exc), "state": self._current, "action": action.name})
+            ok, label = ctx.attempt(_run_activity, ctx, action, state=self._current, action=action.name)
             self._entered = True
-            self._pending_label = label
+            self._pending_label = label if ok else None
             if self._current in self.definition.terminals:
                 return DONE
             return RUNNING

@@ -17,7 +17,7 @@ from typing import Any, Mapping, Optional
 
 from .actions import ActionDescriptor, builtin_action
 from .adapter import PlatformAdapter
-from .behaviors import CYCLIC, ONE_SHOT, CancelBehavior, Listener, Observer, Task
+from .behaviors import CYCLIC, ONE_SHOT, Listener, Observer, Task
 from .composites import Sequential
 from .errors import UnknownLocation
 from .grading import Exam, ExamReport, Submission, Test, grade
@@ -25,6 +25,7 @@ from .itinerary import Itinerary, ItineraryConfig, Objective, Route
 from .model import (
     AgentContext,
     AgentId,
+    CancelBehavior,
     LocationId,
     Message,
     Ticks,

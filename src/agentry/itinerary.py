@@ -421,18 +421,9 @@ class Itinerary(Behavior):
             },
             kind="objective_reached",
         )
-        for descriptor in self.config.reached_listeners:
-            self._run_quietly(ctx, descriptor)
-        for descriptor in obj.stop_tasks:
-            self._run_quietly(ctx, descriptor)
+        for descriptor in (*self.config.reached_listeners, *obj.stop_tasks):
+            ctx.attempt(ctx.run_action, descriptor, None, action=descriptor.name)
         return self._advance(ctx)
-
-    @staticmethod
-    def _run_quietly(ctx: AgentContext, descriptor: ActionDescriptor) -> None:
-        try:
-            ctx.run_action(descriptor, None)
-        except Exception as exc:
-            ctx.trace({"error": str(exc), "action": descriptor.name})
 
     def _run_missed(self, ctx: AgentContext) -> StepOutcome:
         outcome = self._missed_clone.step(ctx)

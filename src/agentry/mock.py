@@ -258,31 +258,35 @@ class MockPlatform:
         while True:
             if until is not None and tick > until:
                 break
-            if until is None and self._quiet(tick):
-                break
-            if until is None and tick > self.max_ticks:
-                raise TickBudgetExceeded(f"no quiescence by tick {self.max_ticks}")
+            if until is None:
+                work = self._next_work(tick)
+                if work is None:
+                    break
+                if tick > self.max_ticks:
+                    raise TickBudgetExceeded(
+                        f"no quiescence by tick {self.max_ticks} (next work at {work})"
+                    )
             self._one_tick(tick)
             tick += 1
         if until is not None and until > self._clock:
             self._clock = until
         return self._log
 
-    def _quiet(self, from_tick: Ticks) -> bool:
-        """True when nothing will ever happen at from_tick or later."""
-        if self._mail:
-            return False
+    def _next_work(self, from_tick: Ticks) -> Optional[Ticks]:
+        """The first tick at or after from_tick at which something happens,
+        or None when nothing ever will."""
+        ticks = [mail.due for mail in self._mail]
         for entry in self._entries.values():
             if entry.in_transit:
-                return False
-            if not entry.alive:
-                continue
-            if all(b.finished for b in entry.shell.behaviors):
-                return False  # buried at from_tick
-            for i in range(len(entry.shell.behaviors)):
-                if self._next_step(entry, i, from_tick) is not None:
-                    return False
-        return True
+                ticks.append(entry.arrives)
+            elif entry.alive:
+                if all(b.finished for b in entry.shell.behaviors):
+                    ticks.append(from_tick)  # buried at from_tick
+                for i in range(len(entry.shell.behaviors)):
+                    tick = self._next_step(entry, i, from_tick)
+                    if tick is not None:
+                        ticks.append(tick)
+        return max(min(ticks), from_tick) if ticks else None
 
     def _one_tick(self, tick: Ticks) -> None:
         self._clock = tick
@@ -388,14 +392,16 @@ class MockPlatform:
                 )
                 outcome = behavior.step(ctx)
                 entry.outcomes[i] = outcome
-                self._realize(agent_id, ctx.effects, tick)
-                if isinstance(outcome, Done):
-                    self._log.emit(
-                        tick,
-                        EventKind.BEHAVIOR_DONE,
-                        agent_id,
-                        {"kind": behavior.kind, "slot": i},
-                    )
+                try:
+                    self._realize(agent_id, ctx.effects, tick)
+                finally:
+                    if isinstance(outcome, Done):
+                        self._log.emit(
+                            tick,
+                            EventKind.BEHAVIOR_DONE,
+                            agent_id,
+                            {"kind": behavior.kind, "slot": i},
+                        )
 
     def _next_step(self, entry: _Entry, i: int, from_tick: Ticks) -> Optional[Ticks]:
         """The first tick at or after ``from_tick`` at which behavior ``i``

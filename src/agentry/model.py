@@ -169,6 +169,17 @@ RUNNING = Running()
 DONE = Done()
 
 
+class CancelBehavior(BaseException):
+    """Raised by user code to end the behavior being stepped.
+
+    Whichever action, callback, activity or predicate raises it, the
+    behavior whose step is running finishes (``Behavior.step`` turns the
+    cancel into ``Done``); effects buffered before the cancel are kept.
+    Derives from BaseException so ``AgentContext.attempt``, which traces
+    ordinary errors and carries on, does not swallow it.
+    """
+
+
 # ---------------------------------------------------------------------------
 # Behavior contract
 # ---------------------------------------------------------------------------
@@ -210,10 +221,15 @@ class Behavior:
         return self._finished
 
     def step(self, ctx: "AgentContext") -> StepOutcome:
-        """Advance exactly one quantum. Raises SteppingDone after Done."""
+        """Advance exactly one quantum. Raises SteppingDone after Done.
+
+        A CancelBehavior raised during the step finishes this behavior."""
         if self._finished:
             raise SteppingDone(f"behavior {self.kind!r} stepped after completion")
-        outcome = self._step(ctx)
+        try:
+            outcome = self._step(ctx)
+        except CancelBehavior:
+            outcome = DONE
         if isinstance(outcome, Done):
             self._finished = True
         return outcome
@@ -489,12 +505,24 @@ class AgentContext:
     def new_conversation_id(self) -> str:
         return self._new_conversation_id()
 
-    def wake_satisfied(self, wake: WakeCondition) -> bool:
-        """Evaluate a wake condition right now (used by composites to decide
-        whether a blocked child may be stepped)."""
-        return wake_satisfied(wake, now=self.now, shell=self._shell, in_transit=False)
-
     # Action dispatch -------------------------------------------------------
+
+    def attempt(self, fn: Callable[..., Any], /, *args: Any, **detail: Any) -> tuple[bool, Any]:
+        """Run user code without letting its failure escape the step.
+
+        Returns ``(True, fn(*args))``. If ``fn`` raises an Exception, the
+        effects it buffered are dropped, so a failed action is never
+        half-applied, the error is traced as ``{"error": message, **detail}``
+        and ``(False, message)`` is returned. CancelBehavior passes through.
+        """
+        mark = len(self.effects)
+        try:
+            return True, fn(*args)
+        except Exception as exc:
+            del self.effects[mark:]
+            error = str(exc)
+            self.trace({"error": error, **detail})
+            return False, error
 
     def run_action(self, descriptor: Any, message: Message | None = None) -> bytes | None:
         fn = self.registry.resolve_action(descriptor.name)

@@ -23,7 +23,6 @@ from .actions import ActionDescriptor, builtin_action
 from .adapter import PlatformAdapter
 from .behaviors import (
     CYCLIC,
-    CancelBehavior,
     Client,
     Listener,
     RequestEnvelope,
@@ -32,7 +31,7 @@ from .behaviors import (
 )
 from .composites import ANY, Parallel, Sequential
 from .grading import ProgressRecord, Test, grade, parse_weight, weight_to_jsonable
-from .model import AgentContext, AgentId, Behavior, LocationId, Message, canonical_json
+from .model import AgentContext, AgentId, Behavior, CancelBehavior, LocationId, Message, canonical_json
 from .repository import PathLike, find_test, load_tests, store_progress
 
 CMD = "CMD"

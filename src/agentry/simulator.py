@@ -557,15 +557,19 @@ class SimPlatform:
                 )
                 outcome = slot.behavior.step(ctx)
                 slot.outcome = outcome
-                self._apply_effects(agent_id, ctx.effects, tick)
-                if isinstance(outcome, Done):
-                    self._maybe_done.add(spawn_index)
-                    self._log.emit(
-                        tick,
-                        EventKind.BEHAVIOR_DONE,
-                        agent_id,
-                        {"kind": slot.behavior.kind, "slot": index},
-                    )
+                try:
+                    self._apply_effects(agent_id, ctx.effects, tick)
+                finally:
+                    # A finished behavior is traced as such even when one of
+                    # its effects raises.
+                    if isinstance(outcome, Done):
+                        self._maybe_done.add(spawn_index)
+                        self._log.emit(
+                            tick,
+                            EventKind.BEHAVIOR_DONE,
+                            agent_id,
+                            {"kind": slot.behavior.kind, "slot": index},
+                        )
 
     def _apply_effects(self, agent_id: AgentId, effects: list[Any], tick: Ticks) -> None:
         for effect in effects:

@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 import agentry as ag
-from agentry.actions import builtin_action
+from agentry.actions import builtin_action, builtin_predicate
 from agentry.model import location_from_jsonable
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,29 @@ def _cancel(ctx, params, message):
 @builtin_action("t.beh.boom")
 def _boom(ctx, params, message):
     raise RuntimeError("boom")
+
+
+# Predicates that do what the actions of the same name do.
+
+
+@builtin_predicate("t.sim.send_then_bad_trace")
+def _send_then_bad_trace_predicate(ctx, params):
+    return _send_then_bad_trace(ctx, params, None)
+
+
+@builtin_predicate("t.beh.cancel")
+def _cancel_predicate(ctx, params):
+    return _cancel(ctx, params, None)
+
+
+@builtin_action("t.beh.keep_payload")
+def _keep_payload(ctx, params, message):
+    ctx.state["payload"] = json.loads(message.payload)
+
+
+@builtin_action("t.beh.bad_label")
+def _bad_label(ctx, params, message):
+    return b"\xff"  # not UTF-8
 
 
 def make_sim(message=1, migration=1, seed=0, max_ticks=10_000):

@@ -1,0 +1,174 @@
+"""One failure rule for user code, on both platforms.
+
+An action, callback, activity or predicate that raises is traced as an error
+and the effects it buffered before raising are dropped. CancelBehavior ends
+the behavior being stepped, whichever of its actions raised it. Effects that
+raise while they are applied still leave the step's ``behavior_done``.
+"""
+
+import pytest
+
+import agentry as ag
+from agentry.model import location_to_jsonable
+
+from conftest import make_mock, make_sim
+
+K = ag.EventKind
+
+
+def act(name, params=None):
+    return ag.ActionDescriptor(name, params)
+
+
+def fsm(states, transitions=(), terminals=()):
+    return ag.Fsm(
+        ag.FsmDefinition(
+            states={name: act(action) for name, action in states.items()},
+            transitions=dict(transitions),
+            start=next(iter(states)),
+            terminals=frozenset(terminals),
+        )
+    )
+
+
+def itinerary(objectives, listeners=()):
+    route = ag.Route(tuple(objectives), 0)
+    return ag.Itinerary(ag.ItineraryConfig(route=route, reached_listeners=tuple(listeners)))
+
+
+def errors(platform):
+    return [e.detail for e in platform.trace() if e.kind == K.CUSTOM and "error" in e.detail]
+
+
+def kinds(platform):
+    return {e.kind for e in platform.trace()}
+
+
+# ---------------------------------------------------------------------------
+# A raising action is traced and its buffered effects are dropped
+# ---------------------------------------------------------------------------
+
+# An action and a predicate that send a PING to their agent, then raise.
+SEND_THEN_RAISE = "t.sim.send_then_bad_trace"
+ERROR = "'nonsense' is not a valid EventKind"
+
+RAISING_SITES = {
+    "fsm_activity": (
+        lambda here: fsm({"s": SEND_THEN_RAISE}, terminals={"s"}),
+        {"error": ERROR, "state": "s", "action": SEND_THEN_RAISE},
+    ),
+    "itinerary_stop_task": (
+        lambda here: itinerary([ag.Objective(here, stop_tasks=(act(SEND_THEN_RAISE),))]),
+        {"error": ERROR, "action": SEND_THEN_RAISE},
+    ),
+    "itinerary_reached_listener": (
+        lambda here: itinerary([ag.Objective(here)], listeners=(act(SEND_THEN_RAISE),)),
+        {"error": ERROR, "action": SEND_THEN_RAISE},
+    ),
+    "observer_predicate": (
+        lambda here: ag.Observer(1, act(SEND_THEN_RAISE), act("noop"), mode=ag.CYCLIC),
+        {"error": ERROR, "predicate": SEND_THEN_RAISE},
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISING_SITES))
+def test_raising_user_code_drops_its_buffered_effects(platform_factory, site):
+    build, error = RAISING_SITES[site]
+    p = platform_factory()
+    here = p.create_location("here")
+    p.spawn_agent(here, [build(here)])
+    p.run(until=1)  # the observer checks once, at tick 1
+    assert errors(p) == [error]
+    assert not kinds(p) & {K.SEND, K.DELIVER}
+
+
+def test_failed_worker_task_drops_its_effects_and_still_answers(platform_factory):
+    p = platform_factory()
+    loc = p.create_location("srv")
+    server = p.spawn_agent(loc, [ag.Server()])
+    request = ag.RequestEnvelope(act(SEND_THEN_RAISE), "conv")
+    client = p.spawn_agent(loc, [ag.Client(server.value, request, on_result=act("t.beh.keep_payload"))])
+    p.run(None)
+    assert errors(p) == [{"error": ERROR, "action": SEND_THEN_RAISE, "conversation": "conv"}]
+    sent = [(e.tick, e.detail["type"]) for e in p.trace() if e.kind == K.SEND]
+    assert sent == [(0, ag.REQUEST), (2, ag.ACK), (2, ag.RESULT)]
+    assert p.agent_state(client) == {"payload": {"error": ERROR}}
+
+
+def test_non_utf8_activity_output_is_traced_not_raised(platform_factory):
+    p = platform_factory()
+    loc = p.create_location("l")
+    a = p.spawn_agent(loc, [fsm({"s": "t.beh.bad_label"}, terminals={"s"})])
+    p.run(None)
+    (error,) = errors(p)
+    assert error["state"] == "s" and error["action"] == "t.beh.bad_label"
+    assert "can't decode" in error["error"]
+    assert not p.is_alive(a)
+
+
+# ---------------------------------------------------------------------------
+# CancelBehavior ends the behavior being stepped
+# ---------------------------------------------------------------------------
+
+CANCEL = "t.beh.cancel"  # an action and a predicate that raise CancelBehavior
+
+CANCEL_SITES = {
+    # Without the cancel the machine would wait for a "go" event forever.
+    "fsm_activity": (
+        lambda here, there: fsm({"a": CANCEL, "b": "noop"}, transitions={"a": {"go": "b"}}),
+        [(0, K.SPAWN), (0, K.CUSTOM), (0, K.BEHAVIOR_DONE), (0, K.TERMINATE)],
+    ),
+    # Without the cancel the agent would go on to the second objective.
+    "itinerary_stop_task": (
+        lambda here, there: itinerary([ag.Objective(here, stop_tasks=(act(CANCEL),)), ag.Objective(there)]),
+        [(0, K.SPAWN), (0, K.OBJECTIVE_REACHED), (0, K.BEHAVIOR_DONE), (0, K.TERMINATE)],
+    ),
+    # Without the cancel the observer would check every tick forever.
+    "observer_predicate": (
+        lambda here, there: ag.Observer(1, act(CANCEL), act("noop"), mode=ag.CYCLIC),
+        [(0, K.SPAWN), (1, K.BEHAVIOR_DONE), (1, K.TERMINATE)],
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(CANCEL_SITES))
+def test_cancel_ends_the_behavior_being_stepped(platform_factory, site):
+    build, expected = CANCEL_SITES[site]
+    p = platform_factory()
+    here, there = p.create_location("here"), p.create_location("there")
+    a = p.spawn_agent(here, [build(here, there)])
+    p.run(None)
+    assert [(e.tick, e.kind) for e in p.trace()] == expected
+    assert not p.is_alive(a)
+
+
+# ---------------------------------------------------------------------------
+# The runtime is never left half-applied
+# ---------------------------------------------------------------------------
+
+
+def test_behavior_done_is_traced_when_applying_its_effects_raises(platform_factory):
+    p = platform_factory()
+    a_loc = p.create_location("a")
+    b_loc = p.create_location("b")
+    go = act("t.sim.hoard_then_go", {"dest": location_to_jsonable(b_loc)})
+    agent = p.spawn_agent(a_loc, [ag.Sequential([ag.Task(act("noop")), ag.Task(go)])])
+    with pytest.raises(TypeError):
+        p.run(None)
+    assert [(e.tick, e.kind) for e in p.trace()] == [(0, K.SPAWN), (1, K.BEHAVIOR_DONE)]
+    p.run(None)  # the finished agent still terminates
+    assert [(e.tick, e.kind) for e in p.trace()][2:] == [(1, K.TERMINATE)]
+    assert not p.is_alive(agent)
+
+
+def test_tick_budget_message_names_the_next_work_tick_on_both_platforms():
+    messages = []
+    for make in (make_sim, make_mock):
+        p = make(max_ticks=40)
+        loc = p.create_location("l")
+        p.spawn_agent(loc, [ag.Observer(7, act("never"), act("noop"), mode=ag.CYCLIC)])
+        with pytest.raises(ag.TickBudgetExceeded) as exc:
+            p.run(None)
+        messages.append(str(exc.value))
+    assert messages == ["no quiescence by tick 40 (next work at 42)"] * 2
