@@ -8,7 +8,6 @@ latency draws, so comparing would only measure the override.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from pathlib import Path
@@ -16,11 +15,13 @@ from typing import Optional, Union
 
 import click
 
-from .errors import TickBudgetExceeded
+from .errors import ScenarioError, TickBudgetExceeded
 from .scenario import (
+    _resolve,
     build_platform,
     effective_seed,
     first_divergence,
+    load_scenario,
     render_trace,
     validate_scenario,
 )
@@ -47,12 +48,12 @@ def run_scenario(
     golden on the first verified run.
     """
     path = Path(path)
-    problems = validate_scenario(path)
-    if problems:
-        for problem in problems:
+    try:
+        doc = load_scenario(path)
+    except ScenarioError as exc:
+        for problem in exc.problems:
             print(problem, file=sys.stderr)
         return EXIT_INVALID
-    doc = json.loads(path.read_text())
     platform = build_platform(doc, seed=seed, base_dir=path.parent)
     code = EXIT_OK
     try:
@@ -67,9 +68,7 @@ def run_scenario(
         out.write_text(text)
     same_seed = effective_seed(doc, seed) == effective_seed(doc)
     if code == EXIT_OK and doc.get("expected") and same_seed:
-        golden_path = Path(doc["expected"])
-        if not golden_path.is_absolute():
-            golden_path = path.parent / golden_path
+        golden_path = _resolve(doc["expected"], path.parent)
         golden = golden_path.read_text() if golden_path.exists() else ""
         report = first_divergence(text, golden)
         if report is not None:

@@ -7,8 +7,10 @@ serialization format plus three late-bound markers the loader substitutes:
 
 * ``{"$location": "name"}`` - the location object created for that name
 * ``{"$agent": i}`` - the id value assigned to the i-th agent entry
-* ``{"$tests": true}`` - the scenario's test repository path
+* ``{"$tests": true}`` - the scenario's test repository path (``tests``,
+  which a scenario using this marker must give)
 
+Validation reports a bad marker at its own path and does not build its tree.
 Relative paths (``tests``, ``expected``) resolve against the scenario
 file's own directory so scenario bundles stay portable.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import difflib
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -34,6 +37,43 @@ _LATENCY_KINDS = ("fixed", "uniform", "per_link")
 def _suggest(name: str, known: list[str]) -> str:
     close = difflib.get_close_matches(name, known, n=1)
     return f" (did you mean {close[0]!r}?)" if close else ""
+
+
+@dataclass
+class _Binder:
+    """Replaces the markers in one document's behavior trees in one walk and
+    records whether ``$tests`` was used. With a problem list (validation) it
+    reports an undeclared location or out-of-range agent at the marker's
+    JSON-pointer path; the build passes no list and an empty path."""
+
+    locations: dict[str, LocationId]
+    agents: list[AgentId]
+    tests: str
+    problems: Optional[list[str]] = None
+    uses_tests: bool = False
+
+    def bind(self, value: Any, path: str = "") -> Any:
+        if isinstance(value, list):
+            return [self.bind(v, path and f"{path}/{i}") for i, v in enumerate(value)]
+        if not isinstance(value, dict):
+            return value
+        if len(value) == 1:
+            ((key, arg),) = value.items()
+            if key == "$location":
+                if self.problems is None or (isinstance(arg, str) and arg in self.locations):
+                    return location_to_jsonable(self.locations[arg])
+                self.problems.append(f"{path}: unknown location {arg!r}{_suggest(str(arg), list(self.locations))}")
+                return value
+            if key == "$agent":
+                n = len(self.agents)
+                if self.problems is None or (isinstance(arg, int) and not isinstance(arg, bool) and 0 <= arg < n):
+                    return self.agents[arg].value
+                self.problems.append(f"{path}: $agent index {arg!r} out of range (have {n} agents)")
+                return value
+            if key == "$tests":
+                self.uses_tests = True
+                return self.tests
+        return {k: self.bind(v, path and f"{path}/{k}") for k, v in value.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -55,15 +95,9 @@ def _validate_latency(spec: Any, path: str, problems: list[str]) -> None:
         problems.append(f"{path}: {exc}")
 
 
-def _validate_behavior(
-    spec: Any,
-    path: str,
-    dummy_locations: dict[str, LocationId],
-    dummy_agents: list[AgentId],
-    problems: list[str],
-) -> None:
-    """Check one behavior tree by building it, with stand-in locations and
-    agent ids (built once per document) for its markers."""
+def _validate_behavior(spec: Any, path: str, binder: _Binder, problems: list[str]) -> None:
+    """Check one behavior tree by building it with the document's binder for
+    its markers; a tree with a bad marker is reported there, not built."""
     if not isinstance(spec, dict):
         problems.append(f"{path}: behavior spec must be an object")
         return
@@ -72,31 +106,14 @@ def _validate_behavior(
     if not isinstance(kind, str) or kind not in known:
         problems.append(f"{path}/kind: unknown behavior kind {kind!r}{_suggest(str(kind), known)}")
         return
-    # Markers must point at things the scenario actually declares.
-    _validate_markers(spec, path, list(dummy_locations), len(dummy_agents), problems)
+    n_problems = len(problems)
+    bound = binder.bind(spec, path)
+    if len(problems) > n_problems:
+        return
     try:
-        behavior_from_dict(_substitute(spec, dummy_locations, dummy_agents, "tests"))
+        behavior_from_dict(bound)
     except Exception as exc:
         problems.append(f"{path}: {exc}")
-
-
-def _validate_markers(value: Any, path: str, locations: list[str], n_agents: int, problems: list[str]) -> None:
-    if isinstance(value, dict):
-        if set(value) == {"$location"}:
-            name = value["$location"]
-            if name not in locations:
-                problems.append(f"{path}: unknown location {name!r}{_suggest(str(name), locations)}")
-            return
-        if set(value) == {"$agent"}:
-            idx = value["$agent"]
-            if not isinstance(idx, int) or isinstance(idx, bool) or not 0 <= idx < n_agents:
-                problems.append(f"{path}: $agent index {idx!r} out of range (have {n_agents} agents)")
-            return
-        for key, item in value.items():
-            _validate_markers(item, f"{path}/{key}", locations, n_agents, problems)
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _validate_markers(item, f"{path}/{i}", locations, n_agents, problems)
 
 
 def _agent_behavior_specs(entry: dict, path: str, problems: list[str]) -> list[Any]:
@@ -171,8 +188,8 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
     if not isinstance(agents, list):
         problems.append("/agents: must be a list")
         agents = []
-    dummy_locations = {name: LocationId(i, name) for i, name in enumerate(names)}
-    dummy_agents = [AgentId(i + 1) for i in range(len(agents))]
+    stand_ins = {name: LocationId(i, name) for i, name in enumerate(names)}
+    binder = _Binder(stand_ins, [AgentId(i + 1) for i in range(len(agents))], "tests", problems)
     for i, entry in enumerate(agents):
         path = f"/agents/{i}"
         if not isinstance(entry, dict):
@@ -182,7 +199,7 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
         if not isinstance(where, str) or (names and where not in names):
             problems.append(f"{path}/location: unknown location {where!r}{_suggest(str(where), names)}")
         for j, spec in enumerate(_agent_behavior_specs(entry, path, problems)):
-            _validate_behavior(spec, f"{path}/behaviors/{j}", dummy_locations, dummy_agents, problems)
+            _validate_behavior(spec, f"{path}/behaviors/{j}", binder, problems)
 
     tests = doc.get("tests")
     if tests is not None:
@@ -197,7 +214,7 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
                     load_tests(repo)
                 except MalformedRepository as exc:
                     problems.append(f"/tests: {exc}")
-    elif _uses_tests_marker(doc.get("agents", [])):
+    elif binder.uses_tests:
         problems.append("/tests: required, a behavior uses the $tests marker")
 
     expected = doc.get("expected")
@@ -206,34 +223,30 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
     return problems
 
 
-def _uses_tests_marker(value: Any) -> bool:
-    if isinstance(value, dict):
-        if set(value) == {"$tests"}:
-            return True
-        return any(_uses_tests_marker(v) for v in value.values())
-    if isinstance(value, list):
-        return any(_uses_tests_marker(v) for v in value)
-    return False
-
-
 def validate_scenario(path: Union[str, Path]) -> list[str]:
     """Validate a scenario file; parse errors come back as diagnostics."""
-    path = Path(path)
-    if not path.exists():
-        return [f"/: scenario file not found: {path}"]
     try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:
-        return [f"/: not valid JSON: {exc}"]
-    return validate_scenario_doc(doc, path.parent)
+        load_scenario(path)
+    except ScenarioError as exc:
+        return exc.problems
+    return []
 
 
 def load_scenario(path: Union[str, Path]) -> dict:
-    """Parse and validate, raising ScenarioError listing every problem."""
-    problems = validate_scenario(path)
+    """Read, parse and validate a scenario file once; raise ScenarioError
+    listing every problem, a missing file and bad JSON included."""
+    file = Path(path)
+    try:
+        doc = json.loads(file.read_text())
+    except FileNotFoundError:
+        problems = [f"/: scenario file not found: {file}"]
+    except ValueError as exc:
+        problems = [f"/: not valid JSON: {exc}"]
+    else:
+        problems = validate_scenario_doc(doc, file.parent)
     if problems:
         raise ScenarioError(f"invalid scenario {path}", problems)
-    return json.loads(Path(path).read_text())
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +255,8 @@ def load_scenario(path: Union[str, Path]) -> dict:
 
 
 def _resolve(path: str, base_dir: Optional[Path]) -> Path:
-    p = Path(path)
-    if not p.is_absolute() and base_dir is not None:
-        p = base_dir / p
-    return p
+    # Joining an absolute path onto base_dir yields that path unchanged.
+    return Path(path) if base_dir is None else base_dir / path
 
 
 def _parse_latency(spec: dict) -> LatencyModel:
@@ -256,20 +267,6 @@ def _parse_latency(spec: dict) -> LatencyModel:
         return UniformRange(int(spec["lo"]), int(spec["hi"]))
     table = {(str(src), str(dst)): int(ticks) for src, dst, ticks in spec.get("links", [])}
     return PerLink(table, default=int(spec.get("default", 1)))
-
-
-def _substitute(value: Any, locations: dict[str, LocationId], agents: list[AgentId], tests: str) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"$location"}:
-            return location_to_jsonable(locations[value["$location"]])
-        if set(value) == {"$agent"}:
-            return agents[value["$agent"]].value
-        if set(value) == {"$tests"}:
-            return tests
-        return {k: _substitute(v, locations, agents, tests) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_substitute(v, locations, agents, tests) for v in value]
-    return value
 
 
 def effective_seed(doc: dict, override: Optional[int] = None) -> int:
@@ -305,11 +302,10 @@ def build_platform(
     entries = doc.get("agents", [])
     ids = [platform.reserve_agent_id() for _ in entries]
     tests = str(_resolve(doc["tests"], base_dir)) if doc.get("tests") else ""
+    binder = _Binder(locations, ids, tests)
     for entry, agent_id in zip(entries, ids):
         specs = [entry["behavior"]] if "behavior" in entry else entry["behaviors"]
-        behaviors: list[Behavior] = [
-            behavior_from_dict(_substitute(spec, locations, ids, tests)) for spec in specs
-        ]
+        behaviors: list[Behavior] = [behavior_from_dict(binder.bind(spec)) for spec in specs]
         platform.spawn_agent(locations[entry["location"]], behaviors, agent_id=agent_id)
     return platform
 

@@ -123,6 +123,10 @@ class PerLink:
     table: dict[tuple[str, str], Ticks]
     default: Ticks = 1
 
+    def __post_init__(self) -> None:
+        if self.default < 0 or any(ticks < 0 for ticks in self.table.values()):
+            raise ValueError("latency must be non-negative")
+
     def sample(self, rng: random.Random, src: LocationId, dst: LocationId) -> Ticks:
         return self.table.get((src.name, dst.name), self.default)
 

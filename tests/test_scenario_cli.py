@@ -176,6 +176,50 @@ def test_marker_problems():
     assert any("$agent index 4 out of range" in p for p in problems)
 
 
+def test_a_bad_marker_is_reported_once_and_its_tree_not_built():
+    def problems_for(marker):
+        params = {"dest": marker, "to": [marker]}
+        return validate_scenario_doc(
+            base_doc(agents=[{"location": "home", "behavior": task_spec("t.sim.go", params)}])
+        )
+
+    at = "/agents/0/behaviors/0/action/params"
+    assert problems_for({"$location": "awy"}) == [
+        f"{at}/dest: unknown location 'awy' (did you mean 'away'?)",
+        f"{at}/to/0: unknown location 'awy' (did you mean 'away'?)",
+    ]
+    assert problems_for({"$agent": 4}) == [
+        f"{at}/dest: $agent index 4 out of range (have 1 agents)",
+        f"{at}/to/0: $agent index 4 out of range (have 1 agents)",
+    ]
+    assert problems_for({"$agent": True}) == [
+        f"{at}/dest: $agent index True out of range (have 1 agents)",
+        f"{at}/to/0: $agent index True out of range (have 1 agents)",
+    ]
+
+
+def test_tests_marker_needs_the_tests_field_reported_in_document_order():
+    doc = base_doc(
+        agents=[
+            {
+                "location": "hom",
+                "behavior": task_spec("t.scn.count_tests", {"repo": {"$tests": True}}),
+            }
+        ],
+        expected=7,
+    )
+    assert validate_scenario_doc(doc) == [
+        "/agents/0/location: unknown location 'hom' (did you mean 'home'?)",
+        "/tests: required, a behavior uses the $tests marker",
+        "/expected: must be a path string, got 7",
+    ]
+
+
+def test_per_link_negative_latency_is_a_config_problem():
+    doc = base_doc(config={"migration_latency": {"kind": "per_link", "links": [["home", "lab", -3]]}})
+    assert validate_scenario_doc(doc) == ["/config/migration_latency: latency must be non-negative"]
+
+
 def test_tests_field_problems(tmp_path):
     problems = validate_scenario_doc(base_doc(tests="missing.json"), tmp_path)
     assert any("test repository not found" in p for p in problems)
@@ -218,6 +262,34 @@ def test_load_scenario_raises_with_every_problem(tmp_path):
         ag.load_scenario(path)
     assert len(err.value.problems) == 2
     assert "/seed" in str(err.value) and "/locations" in str(err.value)
+
+
+def count_reads(monkeypatch, path):
+    """Count Path.read_text calls on one file."""
+    reads = []
+    read_text = Path.read_text
+
+    def counting(self, *args, **kwargs):
+        if self == path:
+            reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting)
+    return reads
+
+
+def test_load_scenario_reads_the_file_once(tmp_path, monkeypatch):
+    path = write_scenario(tmp_path, base_doc())
+    reads = count_reads(monkeypatch, path)
+    assert ag.load_scenario(path) == base_doc()
+    assert len(reads) == 1
+
+
+def test_run_scenario_reads_the_file_once(tmp_path, monkeypatch):
+    path = write_scenario(tmp_path, base_doc())
+    reads = count_reads(monkeypatch, path)
+    assert run_scenario(path) == EXIT_OK
+    assert len(reads) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -271,6 +271,14 @@ def test_zero_latency_migration(platform_factory):
     assert p.agent_location(agent) == b_loc
 
 
+@pytest.mark.parametrize(
+    "table, default", [({("a", "b"): -3}, 1), ({}, -1)], ids=["link", "default"]
+)
+def test_per_link_latency_rejects_negative_ticks(table, default):
+    with pytest.raises(ValueError, match="non-negative"):
+        ag.PerLink(table, default=default)
+
+
 def test_migration_round_trips_state(platform_factory):
     p = platform_factory(migration=2)
     a_loc = p.create_location("a")
