@@ -22,13 +22,20 @@ class PlatformAdapter(Protocol):
     runtime finishes due migrations, delivers due messages, then steps
     runnable behaviors in agent spawn order and behavior list order.
 
+    A tick counts as processed once its processing starts, even if a step
+    at it raises out of ``run``; the next ``run`` resumes at the tick after.
+    A step's buffered effects are calls to this surface (``send``,
+    ``spawn_agent``, ``migrate``, ``attach_behavior``, ``trace().emit``),
+    made at the step's tick.
+
     Every behavior has one first tick at which it may step, fixed when it
     joins an agent:
 
-    * spawned from outside: the first tick not yet processed (tick 0 if
-      ``run`` has processed none);
-    * spawned or attached by a behavior stepping at tick T, or attached from
-      outside while ``now()`` is T: T + 1;
+    * spawned, from outside or by a behavior: the first tick whose
+      processing has not started. That is T + 1 for a spawn by a behavior
+      stepping at tick T, and tick 0 before any ``run``;
+    * attached by a behavior stepping at tick T, or attached from outside
+      while ``now()`` is T: T + 1;
     * carried by a migration that arrives at tick T: T if the arrival is
       finished before that tick's step phase, T + 1 if it lands in the
       zero-latency sweep after it;

@@ -207,10 +207,10 @@ class Fsm(Behavior):
     """Walk a state machine: run each entered state's activity once, then
     transition on event labels.
 
-    Labels come from FSM_EVENT messages (payload is the label) or from the
-    label the previous activity returned; an event with no matching
-    transition is traced and discarded, the state is kept. Entering a
-    terminal state runs its activity and finishes.
+    Labels come from FSM_EVENT messages (payload is the UTF-8 label) or from
+    the label the previous activity returned; an event that does not decode
+    or has no matching transition is traced and discarded, the state is
+    kept. Entering a terminal state runs its activity and finishes.
     """
 
     kind = "fsm"
@@ -249,7 +249,9 @@ class Fsm(Behavior):
             msg = ctx.take_message(FSM_EVENT)
             if msg is None:
                 return Blocked(OnMessage(FSM_EVENT))
-            label = msg.payload.decode()
+            ok, label = ctx.attempt(msg.payload.decode, state=self._current)
+            if not ok:
+                return Blocked(OnMessage(FSM_EVENT))
         target = self.definition.transitions.get(self._current, {}).get(label)
         if target is None:
             ctx.trace({"error": "undefined transition", "state": self._current, "event": label})

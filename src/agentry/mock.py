@@ -10,6 +10,12 @@ Each behavior records the first tick it may step, and one rule,
 ``_next_step``, says when it may step next: a tick steps exactly the
 behaviors whose next step is that tick, and a run to quiescence stops at the
 first tick from which no behavior will ever step again.
+
+A step's effects call this platform's own public methods at the step's tick.
+A tick is committed when it starts: ``_first_unprocessed`` becomes
+``tick + 1`` before anything happens at it, so every spawn first steps at
+``_first_unprocessed``, and a ``run()`` after a step or effect raised resumes
+at the next tick.
 """
 
 from __future__ import annotations
@@ -29,19 +35,14 @@ from .model import (
     AgentContext,
     AgentId,
     AgentShell,
-    AttachEffect,
     Behavior,
     Blocked,
     Done,
     LocationId,
     Message,
-    MigrateEffect,
     MigrationReport,
     Running,
-    SendEffect,
-    SpawnEffect,
     Ticks,
-    TraceEffect,
     deserialize_shell,
     next_wake_time,
     serialize_shell,
@@ -138,16 +139,6 @@ class MockPlatform:
         behaviors: list[Behavior],
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
-        return self._admit(at, behaviors, agent_id, self._clock, self._first_unprocessed)
-
-    def _admit(
-        self,
-        at: LocationId,
-        behaviors: list[Behavior],
-        agent_id: Optional[AgentId],
-        tick: Ticks,
-        first_step: Ticks,
-    ) -> AgentId:
         self._require_location(at)
         if agent_id is None:
             agent_id = self.reserve_agent_id()
@@ -157,9 +148,9 @@ class MockPlatform:
         self._entries[agent_id] = _Entry(
             shell=shell,
             outcomes=[None] * len(shell.behaviors),
-            first_steps=[first_step] * len(shell.behaviors),
+            first_steps=[self._first_unprocessed] * len(shell.behaviors),
         )
-        self._log.emit(tick, EventKind.SPAWN, agent_id, {"at": at.name})
+        self._log.emit(self._clock, EventKind.SPAWN, agent_id, {"at": at.name})
         return agent_id
 
     def _entry(self, agent: AgentId) -> _Entry:
@@ -194,22 +185,16 @@ class MockPlatform:
     # Messaging and migration ----------------------------------------------
 
     def send(self, msg: Message) -> None:
-        self._post(msg, self._clock)
-
-    def _post(self, msg: Message, tick: Ticks) -> None:
-        self._mail.append(_Mail(tick + self.message_delay, self._seq, msg))
+        self._mail.append(_Mail(self._clock + self.message_delay, self._seq, msg))
         self._seq += 1
         self._log.emit(
-            tick,
+            self._clock,
             EventKind.SEND,
             msg.sender,
             {"type": msg.type_tag, "to": msg.receiver.value, "conversation": msg.conversation_id},
         )
 
     def migrate(self, agent: AgentId, dest: LocationId) -> None:
-        self._depart(agent, dest, self._clock)
-
-    def _depart(self, agent: AgentId, dest: LocationId, tick: Ticks) -> None:
         self._require_location(dest)
         entry = self._entry(agent)
         if entry.in_transit:
@@ -220,17 +205,14 @@ class MockPlatform:
         # Serialize first: state that will not serialize must not leave a
         # migrate_start behind.
         entry.blob = serialize_shell(entry.shell)
-        self._log.emit(tick, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
+        self._log.emit(self._clock, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
         entry.in_transit = True
         entry.came_from = src
         entry.going_to = dest
-        entry.arrives = tick + self.migration_delay
+        entry.arrives = self._clock + self.migration_delay
         entry.travel_time = self.migration_delay
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
-        self._append_behavior(target, behavior, self._clock)
-
-    def _append_behavior(self, target: AgentId, behavior: Behavior, tick: Ticks) -> None:
         entry = self._entry(target)
         if not entry.alive:
             raise UnknownAgent(f"agent {target!r} has terminated")
@@ -239,7 +221,7 @@ class MockPlatform:
             return
         entry.shell.behaviors.append(behavior)
         entry.outcomes.append(None)
-        entry.first_steps.append(tick + 1)
+        entry.first_steps.append(self._clock + 1)
 
     # Clock and run loop ----------------------------------------------------
 
@@ -290,6 +272,7 @@ class MockPlatform:
 
     def _one_tick(self, tick: Ticks) -> None:
         self._clock = tick
+        self._first_unprocessed = tick + 1
         self._land_travelers(tick, first_step=tick)
         self._deliver(tick)
         self._step_all(tick)
@@ -299,7 +282,6 @@ class MockPlatform:
             if not moved:
                 break
         self._bury_finished(tick)
-        self._first_unprocessed = tick + 1
 
     def _land_travelers(self, tick: Ticks, first_step: Ticks) -> bool:
         landed = False
@@ -393,7 +375,8 @@ class MockPlatform:
                 outcome = behavior.step(ctx)
                 entry.outcomes[i] = outcome
                 try:
-                    self._realize(agent_id, ctx.effects, tick)
+                    for effect in ctx.effects:
+                        effect.apply(self, agent_id)
                 finally:
                     if isinstance(outcome, Done):
                         self._log.emit(
@@ -420,21 +403,6 @@ class MockPlatform:
             if wake_at is not None:
                 return max(wake_at, tick)
         return None
-
-    def _realize(self, agent_id: AgentId, effects: list[Any], tick: Ticks) -> None:
-        for effect in effects:
-            if isinstance(effect, SendEffect):
-                self._post(effect.message, tick)
-            elif isinstance(effect, SpawnEffect):
-                self._admit(effect.at, effect.behaviors, effect.agent_id, tick, tick + 1)
-            elif isinstance(effect, MigrateEffect):
-                self._depart(agent_id, effect.dest, tick)
-            elif isinstance(effect, AttachEffect):
-                self._append_behavior(effect.target, effect.behavior, tick)
-            elif isinstance(effect, TraceEffect):
-                self._log.emit(tick, effect.kind, agent_id, effect.detail)
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
 
     def _bury_finished(self, tick: Ticks) -> None:
         for agent_id, entry in self._entries.items():

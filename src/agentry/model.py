@@ -13,10 +13,13 @@ import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional
 
 from .errors import EmptyTypeTag, SteppingDone
 from .trace import CANONICAL_ENCODER, EventKind
+
+if TYPE_CHECKING:
+    from .adapter import PlatformAdapter
 
 # Simulation time is a dimensionless non-negative integer tick count.
 Ticks = int
@@ -394,6 +397,9 @@ def deserialize_shell(data: bytes) -> AgentShell:
 class SendEffect:
     message: Message
 
+    def apply(self, platform: PlatformAdapter, agent: AgentId) -> None:
+        platform.send(self.message)
+
 
 @dataclass
 class SpawnEffect:
@@ -401,10 +407,16 @@ class SpawnEffect:
     at: LocationId
     behaviors: list[Behavior]
 
+    def apply(self, platform: PlatformAdapter, agent: AgentId) -> None:
+        platform.spawn_agent(self.at, self.behaviors, self.agent_id)
+
 
 @dataclass
 class MigrateEffect:
     dest: LocationId
+
+    def apply(self, platform: PlatformAdapter, agent: AgentId) -> None:
+        platform.migrate(agent, self.dest)
 
 
 @dataclass
@@ -412,14 +424,20 @@ class AttachEffect:
     target: AgentId
     behavior: Behavior
 
+    def apply(self, platform: PlatformAdapter, agent: AgentId) -> None:
+        platform.attach_behavior(self.target, self.behavior)
+
 
 @dataclass
 class TraceEffect:
     kind: EventKind
     detail: dict[str, Any]
 
+    def apply(self, platform: PlatformAdapter, agent: AgentId) -> None:
+        platform.trace().emit(platform.now(), self.kind, agent, self.detail)
 
-Effect = Any  # one of the effect dataclasses above
+
+Effect = SendEffect | SpawnEffect | MigrateEffect | AttachEffect | TraceEffect
 
 
 class AgentContext:
@@ -427,8 +445,12 @@ class AgentContext:
 
     Reads (clock, inbox, state) act on the live shell; writes that touch the
     wider world (sends, spawns, migrations, attachments, trace events) are
-    buffered in ``effects`` and applied atomically by the runtime when the
-    step returns.
+    buffered in ``effects``. Each effect is a deferred call to one of the
+    platform's own public methods (``send``, ``spawn_agent``, ``migrate``,
+    ``attach_behavior``, ``trace().emit``), so an effect does exactly what
+    the same call from outside would do at the step's tick. The runtime
+    makes the calls, in order, when the step returns and before any other
+    behavior steps.
     """
 
     def __init__(

@@ -43,8 +43,9 @@ def _suggest(name: str, known: list[str]) -> str:
 class _Binder:
     """Replaces the markers in one document's behavior trees in one walk and
     records whether ``$tests`` was used. With a problem list (validation) it
-    reports an undeclared location or out-of-range agent at the marker's
-    JSON-pointer path; the build passes no list and an empty path."""
+    reports an undeclared location, an out-of-range agent or a ``$tests``
+    argument other than ``true`` at the marker's JSON-pointer path; the
+    build passes no list and an empty path."""
 
     locations: dict[str, LocationId]
     agents: list[AgentId]
@@ -71,6 +72,9 @@ class _Binder:
                 self.problems.append(f"{path}: $agent index {arg!r} out of range (have {n} agents)")
                 return value
             if key == "$tests":
+                if self.problems is not None and arg is not True:
+                    self.problems.append(f"{path}: $tests marker takes true, got {arg!r}")
+                    return value
                 self.uses_tests = True
                 return self.tests
         return {k: self.bind(v, path and f"{path}/{k}") for k, v in value.items()}
@@ -234,12 +238,14 @@ def validate_scenario(path: Union[str, Path]) -> list[str]:
 
 def load_scenario(path: Union[str, Path]) -> dict:
     """Read, parse and validate a scenario file once; raise ScenarioError
-    listing every problem, a missing file and bad JSON included."""
+    listing every problem, an unreadable file and bad JSON included."""
     file = Path(path)
     try:
         doc = json.loads(file.read_text())
     except FileNotFoundError:
         problems = [f"/: scenario file not found: {file}"]
+    except OSError as exc:
+        problems = [f"/: cannot read scenario file: {exc}"]
     except ValueError as exc:
         problems = [f"/: not valid JSON: {exc}"]
     else:

@@ -11,6 +11,14 @@ skipped) in a fixed phase order:
 4. sweep zero-latency arrivals and deliveries produced during phase 3,
 5. terminate agents whose behaviors have all finished.
 
+A step's effects are applied by calling this platform's own public methods
+(``send``, ``spawn_agent``, ``migrate``, ``attach_behavior``) at the step's
+tick. A tick is committed when it starts: before phase 1, ``_next_tick``
+becomes ``tick + 1``, the first tick whose processing has not started. Every
+spawn, from outside or from an effect, first steps at ``_next_tick``, and a
+``run()`` after a step or effect raised resumes at the next tick instead of
+processing the raising tick again.
+
 The phases read indexes instead of scanning every agent ever spawned, so the
 cost of a tick follows the work due at it. Phase and step order are the same
 as a full scan would give:
@@ -62,19 +70,14 @@ from .model import (
     AgentContext,
     AgentId,
     AgentShell,
-    AttachEffect,
     Behavior,
     Blocked,
     Done,
     LocationId,
     Message,
-    MigrateEffect,
     MigrationReport,
     Running,
-    SendEffect,
-    SpawnEffect,
     Ticks,
-    TraceEffect,
     deserialize_shell,
     next_wake_time,
     serialize_shell,
@@ -240,29 +243,19 @@ class SimPlatform:
         behaviors: list[Behavior],
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
-        return self._do_spawn(at, behaviors, agent_id, self._clock, self._next_tick)
-
-    def _do_spawn(
-        self,
-        at: LocationId,
-        behaviors: list[Behavior],
-        agent_id: Optional[AgentId],
-        tick: Ticks,
-        first_step: Ticks,
-    ) -> AgentId:
         self._check_location(at)
         if agent_id is None:
             agent_id = self.reserve_agent_id()
         elif agent_id in self._agents:
             raise ValueError(f"agent id {agent_id!r} already in use")
         shell = AgentShell(id=agent_id, home=at, current=at, behaviors=list(behaviors))
-        slots = [_Slot(b, first_step) for b in shell.behaviors]
+        slots = [_Slot(b, self._next_tick) for b in shell.behaviors]
         rec = _AgentRecord(shell=shell, slots=slots, index=len(self._records))
         self._agents[agent_id] = rec
         self._records.append(rec)
         self._make_candidate(rec)
         self._maybe_done.add(rec.index)
-        self._log.emit(tick, EventKind.SPAWN, agent_id, {"at": at.name})
+        self._log.emit(self._clock, EventKind.SPAWN, agent_id, {"at": at.name})
         return agent_id
 
     def _record(self, agent: AgentId) -> _AgentRecord:
@@ -299,14 +292,11 @@ class SimPlatform:
     # Messaging and migration ----------------------------------------------
 
     def send(self, msg: Message) -> None:
-        self._do_send(msg, self._clock)
-
-    def _do_send(self, msg: Message, tick: Ticks) -> None:
         latency = self._latency(self._config.message_latency, msg)
-        heapq.heappush(self._heap, (tick + latency, self._send_seq, msg))
+        heapq.heappush(self._heap, (self._clock + latency, self._send_seq, msg))
         self._send_seq += 1
         self._log.emit(
-            tick,
+            self._clock,
             EventKind.SEND,
             msg.sender,
             {"type": msg.type_tag, "to": msg.receiver.value, "conversation": msg.conversation_id},
@@ -326,9 +316,6 @@ class SimPlatform:
         return rec.shell.current
 
     def migrate(self, agent: AgentId, dest: LocationId) -> None:
-        self._do_migrate(agent, dest, self._clock)
-
-    def _do_migrate(self, agent: AgentId, dest: LocationId, tick: Ticks) -> None:
         self._check_location(dest)
         rec = self._record(agent)
         if rec.status == _MIGRATING:
@@ -340,20 +327,17 @@ class SimPlatform:
         # latency nor leave a migrate_start behind.
         rec.blob = serialize_shell(rec.shell)
         latency = self._config.migration_latency.sample(self._rng, src, dest)
-        self._log.emit(tick, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
+        self._log.emit(self._clock, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
         rec.status = _MIGRATING
         rec.transit_from = src
         rec.dest = dest
-        rec.arrive_tick = tick + latency
+        rec.arrive_tick = self._clock + latency
         rec.transit_latency = latency
         rec.wake_at = None
         self._candidates.discard(rec.index)
         heapq.heappush(self._arrivals, (rec.arrive_tick, agent.value, agent))
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
-        self._do_attach(target, behavior, self._clock)
-
-    def _do_attach(self, target: AgentId, behavior: Behavior, tick: Ticks) -> None:
         rec = self._record(target)
         if rec.status == _TERMINATED:
             raise UnknownAgent(f"agent {target!r} has terminated")
@@ -361,7 +345,7 @@ class SimPlatform:
             rec.pending_attach.append(behavior)
             return
         rec.shell.behaviors.append(behavior)
-        rec.slots.append(_Slot(behavior, tick + 1))
+        rec.slots.append(_Slot(behavior, self._clock + 1))
         self._make_candidate(rec)
 
     # Clock and run loop ----------------------------------------------------
@@ -465,13 +449,13 @@ class SimPlatform:
 
     def _process_tick(self, tick: Ticks) -> None:
         self._clock = tick
+        self._next_tick = tick + 1
         self._wake_due_timers(tick)
         self._finish_due_arrivals(tick, first_step=tick)
         self._deliver_due(tick)
         self._step_phase(tick)
         self._end_of_tick_sweep(tick)
         self._termination_sweep(tick)
-        self._next_tick = tick + 1
 
     # Phase helpers ---------------------------------------------------------
 
@@ -562,7 +546,8 @@ class SimPlatform:
                 outcome = slot.behavior.step(ctx)
                 slot.outcome = outcome
                 try:
-                    self._apply_effects(agent_id, ctx.effects, tick)
+                    for effect in ctx.effects:
+                        effect.apply(self, agent_id)
                 finally:
                     # A finished behavior is traced as such even when one of
                     # its effects raises.
@@ -574,21 +559,6 @@ class SimPlatform:
                             agent_id,
                             {"kind": slot.behavior.kind, "slot": index},
                         )
-
-    def _apply_effects(self, agent_id: AgentId, effects: list[Any], tick: Ticks) -> None:
-        for effect in effects:
-            if isinstance(effect, SendEffect):
-                self._do_send(effect.message, tick)
-            elif isinstance(effect, SpawnEffect):
-                self._do_spawn(effect.at, effect.behaviors, effect.agent_id, tick, tick + 1)
-            elif isinstance(effect, MigrateEffect):
-                self._do_migrate(agent_id, effect.dest, tick)
-            elif isinstance(effect, AttachEffect):
-                self._do_attach(effect.target, effect.behavior, tick)
-            elif isinstance(effect, TraceEffect):
-                self._log.emit(tick, effect.kind, agent_id, effect.detail)
-            else:
-                raise TypeError(f"unknown effect {effect!r}")
 
     def _end_of_tick_sweep(self, tick: Ticks) -> None:
         # Zero-latency sends and migrations land within the same tick; their

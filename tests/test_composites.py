@@ -391,6 +391,31 @@ def test_fsm_traces_and_discards_undefined_transitions(platform_factory):
     assert fsm_states(p)[-1][0] == "work"
 
 
+def test_fsm_traces_and_discards_an_event_that_is_not_utf8(platform_factory):
+    defn = ag.FsmDefinition(
+        states={"idle": act("noop"), "work": act("t.fsm.emit", {"tag": "work"})},
+        transitions={"idle": {"start": "work"}},
+        start="idle",
+        terminals=frozenset({"work"}),
+    )
+    p = platform_factory(message=1)
+    home = p.create_location("home")
+    runner = p.spawn_agent(home, [ag.Fsm(defn)])
+    p.send(make_message(runner, runner, FSM_EVENT, "", b"\xff", sent_at=p.now()))
+    p.run()  # quiesces: the bad event is consumed, not retried
+    with pytest.raises(UnicodeDecodeError) as bad:
+        b"\xff".decode()
+    errors = [e.detail for e in p.trace() if e.kind == EventKind.CUSTOM and "error" in e.detail]
+    assert errors == [{"error": str(bad.value), "state": "idle"}]
+    assert fsm_states(p) == [("idle", 0)]
+    # The machine kept its state and blocks on the next FSM_EVENT.
+    assert p.is_alive(runner)
+    p.send(make_message(runner, runner, FSM_EVENT, "", b"start", sent_at=p.now()))
+    p.run()
+    assert fsm_states(p)[-1][0] == "work"
+    assert not p.is_alive(runner)
+
+
 def test_fsm_activity_error_is_traced_and_machine_continues(platform_factory):
     defn = ag.FsmDefinition(
         states={"a": act("t.beh.boom"), "b": act("t.fsm.emit", {"tag": "b"})},

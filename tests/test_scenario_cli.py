@@ -215,6 +215,28 @@ def test_tests_marker_needs_the_tests_field_reported_in_document_order():
     ]
 
 
+def test_a_tests_marker_argument_other_than_true_is_reported_at_the_marker(tmp_path):
+    ag.save_tests(
+        tmp_path / "repo.json",
+        [ag.Test("t1", "x", (ag.Question("q", "true_false", "?", True, 1),))],
+    )
+
+    def problems_for(marker):
+        spec = task_spec("t.scn.count_tests", {"repo": marker})
+        return validate_scenario_doc(
+            base_doc(tests="repo.json", agents=[{"location": "home", "behavior": spec}]),
+            tmp_path,
+        )
+
+    at = "/agents/0/behaviors/0/action/params/repo"
+    assert problems_for({"$tests": False}) == [f"{at}: $tests marker takes true, got False"]
+    assert problems_for({"$tests": 0}) == [f"{at}: $tests marker takes true, got 0"]
+    assert problems_for({"$tests": {"$agent": 9}}) == [
+        f"{at}: $tests marker takes true, got {{'$agent': 9}}"
+    ]
+    assert problems_for({"$tests": True}) == []
+
+
 def test_per_link_negative_latency_is_a_config_problem():
     doc = base_doc(config={"migration_latency": {"kind": "per_link", "links": [["home", "lab", -3]]}})
     assert validate_scenario_doc(doc) == ["/config/migration_latency: latency must be non-negative"]
@@ -543,6 +565,16 @@ def test_cli_validate(tmp_path):
     broken = cli("validate", str(bad), cwd=tmp_path)
     assert broken.returncode == EXIT_INVALID
     assert "/locations" in broken.stderr
+
+
+def test_cli_reports_a_scenario_path_that_names_a_directory(tmp_path):
+    folder = tmp_path / "not_a_file"
+    folder.mkdir()
+    for command in ("validate", "run"):
+        res = cli(command, str(folder), cwd=tmp_path)
+        assert res.returncode == EXIT_INVALID, res.stderr
+        assert res.stderr.startswith("/: cannot read scenario file: ")
+        assert "Traceback" not in res.stderr
 
 
 def test_cli_run_with_flags(tmp_path):

@@ -3,7 +3,8 @@
 An action, callback, activity or predicate that raises is traced as an error
 and the effects it buffered before raising are dropped. CancelBehavior ends
 the behavior being stepped, whichever of its actions raised it. Effects that
-raise while they are applied still leave the step's ``behavior_done``.
+raise while they are applied still leave the step's ``behavior_done``, and
+the next ``run()`` resumes at the tick after the one that raised.
 """
 
 import pytest
@@ -157,9 +158,26 @@ def test_behavior_done_is_traced_when_applying_its_effects_raises(platform_facto
     with pytest.raises(TypeError):
         p.run(None)
     assert [(e.tick, e.kind) for e in p.trace()] == [(0, K.SPAWN), (1, K.BEHAVIOR_DONE)]
-    p.run(None)  # the finished agent still terminates
-    assert [(e.tick, e.kind) for e in p.trace()][2:] == [(1, K.TERMINATE)]
+    p.run(None)  # the finished agent still terminates, at the first unprocessed tick
+    assert [(e.tick, e.kind) for e in p.trace()][2:] == [(2, K.TERMINATE)]
     assert not p.is_alive(agent)
+
+
+def test_a_run_after_a_raise_resumes_at_the_next_tick_on_both_platforms():
+    runs = []
+    for make in (make_sim, make_mock):
+        p = make()
+        a_loc = p.create_location("a")
+        b_loc = p.create_location("b")
+        logger = p.spawn_agent(a_loc, [ag.Sequential([ag.Task(act("t.sim.tick_log")) for _ in range(4)])])
+        p.spawn_agent(a_loc, [ag.Task(act("t.sim.hoard_then_go", {"dest": location_to_jsonable(b_loc)}))])
+        with pytest.raises(TypeError):
+            p.run(None)
+        p.run(None)
+        # The raising tick 0 is not processed again, so no task steps twice at it.
+        assert p.agent_state(logger)["ticks"] == [0, 1, 2, 3]
+        runs.append((p.trace().to_jsonl(), p.now()))
+    assert runs[0] == runs[1]
 
 
 def test_tick_budget_message_names_the_next_work_tick_on_both_platforms():
