@@ -71,13 +71,22 @@ class Objective:
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Objective":
         tasks = d.get("tasks", [])
-        return cls(
-            location=location_from_jsonable(d["location"]),
-            earliest_offset=int(d.get("earliest", 0)),
-            latest_offset=None if d.get("latest") is None else int(d["latest"]),
-            # most stops have no tasks; skip building a generator for them
-            stop_tasks=() if tasks == [] else tuple(ActionDescriptor.from_jsonable(t) for t in tasks),
-        )
+        location = location_from_jsonable(d["location"])
+        earliest = int(d.get("earliest", 0))
+        latest = None if d.get("latest") is None else int(d["latest"])
+        if tasks == []:
+            return _task_free_objective(location.value, location.name, earliest, latest)
+        return cls(location, earliest, latest, tuple(ActionDescriptor.from_jsonable(t) for t in tasks))
+
+
+# An objective without stop tasks holds only a frozen LocationId, ints and an
+# empty tuple, so every decode of the same values may share one instance. The
+# key carries the name because LocationId equality ignores it. A miss goes
+# through the constructor, so a tampered window is still rejected. Stop tasks
+# carry mutable params and are never shared.
+@functools.lru_cache(maxsize=4096)
+def _task_free_objective(value: int, name: str, earliest: Ticks, latest: Optional[Ticks]) -> Objective:
+    return Objective(LocationId(value, name), earliest, latest)
 
 
 @dataclass(frozen=True)
@@ -190,10 +199,14 @@ class DelayEstimator:
             object.__setattr__(self, "alpha", Fraction(self.alpha))
         if not isinstance(self.default_estimate, Fraction):
             object.__setattr__(self, "default_estimate", Fraction(self.default_estimate))
-        if not 0 <= self.alpha <= 1:
+        # A Fraction's denominator is always positive, so integer comparisons
+        # of its parts decide these bounds without Fraction arithmetic.
+        if not 0 <= self.alpha.numerator <= self.alpha.denominator:
             raise ValueError("alpha must lie in [0, 1]")
-        if self.default_estimate < 0:
+        if self.default_estimate.numerator < 0:
             raise ValueError("default_estimate must be non-negative")
+        if any(value.numerator < 0 for value in self.links.values()):
+            raise ValueError("link estimates must be non-negative")
 
     def estimate(self, link: Link) -> Fraction:
         return self.links.get(link, self.default_estimate)
@@ -202,9 +215,12 @@ class DelayEstimator:
         if observed < 0:
             raise ValueError("observed latency must be non-negative")
         prior = self.estimate(link)
-        fresh = self.alpha * observed + (1 - self.alpha) * prior
+        an, ad = self.alpha.numerator, self.alpha.denominator
+        en, ed = prior.numerator, prior.denominator
+        # alpha*observed + (1-alpha)*prior over the common denominator ad*ed:
+        # one exact Fraction instead of four Fraction operations.
         links = dict(self.links)
-        links[link] = fresh
+        links[link] = Fraction(an * observed * ed + (ad - an) * en, ad * ed)
         return DelayEstimator(self.alpha, self.default_estimate, links)
 
     def to_jsonable(self) -> dict[str, Any]:
@@ -288,6 +304,7 @@ _TRAVELING = "traveling"
 _WINDOW_WAIT = "window_wait"
 _MISSED = "missed"
 _HALTED = "halted"
+_PHASES = (_START, _DEPART, _TRAVELING, _WINDOW_WAIT, _MISSED, _HALTED)
 
 
 class Itinerary(Behavior):
@@ -458,15 +475,31 @@ class Itinerary(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Itinerary":
+        config = ItineraryConfig.from_jsonable(d["config"])
+        estimator = DelayEstimator.from_jsonable(d["estimator"])
+        base, index, phase = d.get("base"), int(d.get("index", 0)), d.get("phase", _START)
         clone = d.get("missed_clone")
+        missed_clone = behavior_from_dict(clone) if clone else None
+        # Reject any progress _step could not resume from. A finished
+        # itinerary never steps again; it may rest one past the last objective.
+        done = bool(d.get("done", False))
+        stops = len(config.route.objectives)
+        if phase not in _PHASES:
+            raise ValueError(f"itinerary phase must be one of {_PHASES}, got {phase!r}")
+        if not (0 <= index < stops or (done and index == stops)):
+            raise ValueError(f"itinerary index {index} out of range for {stops} objectives")
+        if phase != _START and not isinstance(base, int):
+            raise ValueError(f"itinerary base must be an integer past {_START!r}, got {base!r}")
+        if phase == _MISSED and not done and missed_clone is None:
+            raise ValueError(f"itinerary phase {_MISSED!r} needs a missed_clone")
         return cls(
-            ItineraryConfig.from_jsonable(d["config"]),
+            config,
             planned_departures=bool(d.get("planned", False)),
-            estimator=DelayEstimator.from_jsonable(d["estimator"]),
-            _base=d.get("base"),
-            _index=int(d.get("index", 0)),
-            _phase=d.get("phase", _START),
+            estimator=estimator,
+            _base=base,
+            _index=index,
+            _phase=phase,
             _arrival=d.get("arrival"),
             _arrival_class=d.get("arrival_class", ""),
-            _missed_clone=behavior_from_dict(clone) if clone else None,
+            _missed_clone=missed_clone,
         )

@@ -1,6 +1,9 @@
 """Routes, arrival windows, delay estimation, and the itinerary behavior."""
 
 import dataclasses
+import hashlib
+import json
+import random
 from collections import deque
 from fractions import Fraction
 
@@ -8,7 +11,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import agentry as ag
+from agentry import simulator
 from agentry.model import AgentShell, deserialize_shell, serialize_shell
+from agentry.scenario import build_platform, render_trace, validate_scenario_doc
 from agentry.trace import EventKind
 
 from conftest import events_of
@@ -138,6 +143,51 @@ def test_ema_matches_its_closed_form(alpha, default, observations):
         decay ** (n - 1 - i) * d for i, d in enumerate(observations)
     )
     assert est.estimate(("a", "b")) == expected
+
+
+unit_fractions = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
+non_negative_fractions = st.fractions(min_value=0, max_value=10**6, max_denominator=10**6)
+
+
+@given(
+    alpha=unit_fractions,
+    default=non_negative_fractions,
+    prior=st.one_of(st.none(), non_negative_fractions),
+    observations=st.lists(st.integers(min_value=0, max_value=10**9), min_size=1, max_size=6),
+)
+def test_an_update_equals_the_textbook_formula_exactly(alpha, default, prior, observations):
+    link = ("a", "b")
+    est = ag.DelayEstimator(alpha, default, {} if prior is None else {link: prior})
+    for d in observations:
+        expected = alpha * d + (1 - alpha) * est.estimate(link)
+        est = est.updated(link, d)
+        got = est.estimate(link)
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+        assert est.to_jsonable() == ag.DelayEstimator(alpha, default, {link: expected}).to_jsonable()
+
+
+bounds_probes = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 10**6), Fraction(10**6 + 1, 10**6), 0, 1, -1, 2]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=1000),
+    st.integers(min_value=-3, max_value=3),
+)
+
+
+@given(value=bounds_probes)
+def test_integer_validation_accepts_what_fraction_comparisons_accepted(value):
+    def accepted(**kw):
+        try:
+            ag.DelayEstimator(**kw)
+        except ValueError:
+            return False
+        return True
+
+    assert accepted(alpha=value) == (0 <= Fraction(value) <= 1)
+    assert accepted(default_estimate=value) == (Fraction(value) >= 0)
+    assert accepted(links={("a", "b"): Fraction(value)}) == (value >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +372,176 @@ def test_two_decodes_of_one_blob_share_no_mutable_data():
     assert serialize_shell(one) != blob
     assert serialize_shell(two) == blob
     assert serialize_shell(deserialize_shell(blob)) == blob
+
+
+def _shell_with_task_free_stops():
+    a, b = loc(1, "a"), loc(2, "b")
+    stops = (ag.Objective(b, 2, 6), ag.Objective(a, 1, None), ag.Objective(b, 3, 3, (mark("b"),)))
+    itinerary = ag.Itinerary(ag.ItineraryConfig(route=ag.Route(objectives=stops)))
+    return AgentShell(id=ag.AgentId(3), home=a, current=a, behaviors=[itinerary])
+
+
+def test_a_tampered_window_is_rejected_after_its_valid_twin_decoded():
+    blob = serialize_shell(_shell_with_task_free_stops())
+    deserialize_shell(blob)
+    tampered = json.loads(blob)
+    tampered["behaviors"][0]["config"]["route"]["objectives"][0]["latest"] = 1
+    with pytest.raises(ValueError, match="latest_offset must be >= earliest_offset"):
+        deserialize_shell(json.dumps(tampered).encode())
+
+
+def test_two_decodes_share_only_task_free_objectives():
+    blob = serialize_shell(_shell_with_task_free_stops())
+    one, two = (deserialize_shell(blob).behaviors[0].config.route.objectives for _ in range(2))
+    assert one[0] is two[0] and one[1] is two[1]
+    assert one[2] is not two[2] and one[2].stop_tasks[0] is not two[2].stop_tasks[0]
+
+
+# ---------------------------------------------------------------------------
+# Decoded progress the behavior cannot resume from
+# ---------------------------------------------------------------------------
+
+STOPS = [f"loc{i}" for i in range(1, 9)]
+AT = "/agents/0/behaviors/0"
+NOOP_TASK = {"kind": "task", "done": False, "action": {"name": "noop", "params": None}}
+
+
+def edited_itinerary_doc(**edits):
+    """A one-agent scenario holding a fleet-style itinerary with ``edits``
+    applied to its serialized fields."""
+    objectives = [
+        {"location": {"$location": name}, "earliest": 10 * k, "latest": 10 * k + 3, "tasks": []}
+        for k, name in enumerate(STOPS, start=1)
+    ]
+    behavior = {
+        "kind": "itinerary",
+        "config": {
+            "route": {"objectives": objectives, "base_time": 0},
+            "listeners": [],
+            "missed_behavior": {"kind": "task", "action": {"name": "noop", "params": None}},
+        },
+        "planned": False,
+        "estimator": {"alpha": [1, 2], "default": [0, 1], "links": []},
+        **edits,
+    }
+    return {
+        "format_version": 1,
+        "seed": 0,
+        "config": {"migration_latency": {"kind": "fixed", "ticks": 2}, "max_ticks": 200},
+        "locations": ["loc0", *STOPS],
+        "agents": [{"location": "loc0", "behavior": behavior}],
+    }
+
+
+def assert_runs(**edits):
+    doc = edited_itinerary_doc(**edits)
+    assert validate_scenario_doc(doc) == []
+    build_platform(doc).run()
+
+
+def test_an_unknown_phase_is_reported():
+    assert validate_scenario_doc(edited_itinerary_doc(phase="bogus")) == [
+        f"{AT}: itinerary phase must be one of "
+        "('start', 'depart', 'traveling', 'window_wait', 'missed', 'halted'), got 'bogus'"
+    ]
+
+
+def test_an_index_off_the_route_is_reported():
+    for index, done in ((99, False), (8, False), (-1, False), (9, True), (-1, True)):
+        assert validate_scenario_doc(edited_itinerary_doc(index=index, done=done)) == [
+            f"{AT}: itinerary index {index} out of range for 8 objectives"
+        ]
+    assert_runs(index=8, done=True, phase="depart", base=0)
+    assert_runs(index=7, phase="depart", base=0)
+
+
+def test_the_missed_phase_without_its_clone_is_reported():
+    assert validate_scenario_doc(edited_itinerary_doc(phase="missed", base=0, missed_clone=None)) == [
+        f"{AT}: itinerary phase 'missed' needs a missed_clone"
+    ]
+    assert_runs(phase="missed", base=0, missed_clone=NOOP_TASK)
+    # A clone that finished on the last objective leaves exactly this state.
+    assert_runs(phase="missed", base=0, index=8, done=True, missed_clone=None)
+
+
+def test_a_phase_past_start_without_an_integer_base_is_reported():
+    for phase in ("depart", "traveling", "window_wait", "halted"):
+        for base in (None, "x"):
+            assert validate_scenario_doc(edited_itinerary_doc(phase=phase, base=base)) == [
+                f"{AT}: itinerary base must be an integer past 'start', got {base!r}"
+            ]
+    assert_runs(phase="start", base=None)
+
+
+def test_a_negative_link_estimate_is_reported():
+    estimator = {"alpha": [1, 2], "default": [0, 1], "links": [["loc1", "loc2", [-50, 1]]]}
+    assert validate_scenario_doc(edited_itinerary_doc(estimator=estimator)) == [
+        f"{AT}: link estimates must be non-negative"
+    ]
+    with pytest.raises(ValueError, match="link estimates must be non-negative"):
+        ag.DelayEstimator(links={("a", "b"): Fraction(-1, 3)})
+
+
+# ---------------------------------------------------------------------------
+# Migration blob bytes
+# ---------------------------------------------------------------------------
+
+
+def fleet_like_doc(seed):
+    """20 itineraries of 4 windowed objectives over 6 sites with uniform
+    migration latency; odd agents plan their departures, one stop runs a
+    task with dict params and one agent recovers from misses."""
+    rng = random.Random(seed)
+    names = [f"site{i}" for i in range(6)]
+    agents = []
+    for i in range(20):
+        here = start = rng.choice(names)
+        objectives = []
+        for k in range(1, 5):
+            here = rng.choice([n for n in names if n != here])
+            earliest = 8 * k + rng.randint(-2, 2)
+            objectives.append(
+                {"location": {"$location": here}, "earliest": earliest, "latest": earliest + 2, "tasks": []}
+            )
+        if i == 2:
+            objectives[1]["tasks"] = [{"name": "trace", "params": {"stop": {"agent": i, "marks": [1, 2]}}}]
+        recover = {"kind": "task", "action": {"name": "trace", "params": {"recovered": i}}} if i == 3 else None
+        itinerary = {
+            "kind": "itinerary",
+            "config": {
+                "route": {"objectives": objectives, "base_time": 0},
+                "listeners": [],
+                "missed_behavior": recover,
+            },
+            "planned": i % 2 == 1,
+            "estimator": {"alpha": [1, 3], "default": [2, 1], "links": []},
+        }
+        agents.append({"location": start, "behavior": itinerary})
+    config = {"migration_latency": {"kind": "uniform", "lo": 1, "hi": 8}, "max_ticks": 400}
+    return {"format_version": 1, "seed": seed, "config": config, "locations": names, "agents": agents}
+
+
+def test_migration_blobs_and_trace_bytes_are_pinned(monkeypatch):
+    blobs = []
+    encode = simulator.serialize_shell
+
+    def recording(shell):
+        blobs.append(encode(shell))
+        return blobs[-1]
+
+    monkeypatch.setattr(simulator, "serialize_shell", recording)
+    doc = fleet_like_doc(seed=7)
+    assert validate_scenario_doc(doc) == []
+    platform = build_platform(doc)
+    platform.run()
+    trace = render_trace(platform)
+    kinds = [json.loads(line).get("kind") for line in trace.splitlines()[1:]]
+    assert {"objective_missed", "objective_reached"} <= set(kinds)
+    assert '"recovered":3' in trace and '"marks":[1,2]' in trace and '"halted":true' in trace
+    # Every hop's blob and the trace are pinned: a change that only makes the
+    # codec or the estimator faster keeps every byte.
+    digest = hashlib.sha256(b"".join(blobs) + trace.encode()).hexdigest()
+    assert (len(blobs), digest) == (61, "ab00f37e4c7a94422b1f5080e2c8a827a81d433f78377192ff257807f3512a45")
 
 
 # ---------------------------------------------------------------------------
