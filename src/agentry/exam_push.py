@@ -117,11 +117,14 @@ def run_exam_push(
     server_location: LocationId,
     store: PathLike,
 ) -> ExamReport:
-    """Run the push choreography to quiescence and return the persisted
-    report. Missed clients are reported, never raised."""
+    """Run the push choreography to quiescence and return the report it
+    persisted. Missed clients are reported, never raised; a run that stored
+    no report for the test raises, even when the store holds an earlier
+    run's."""
+    earlier = len(load_reports(store))
     build_push_courier(platform, test, plan, server_location, store)
     platform.run(None)
-    for report in reversed(load_reports(store)):
+    for report in reversed(load_reports(store)[earlier:]):
         if report.test_id == test.id:
             return report
     raise RuntimeError(f"push run finished without storing a report for {test.id!r}")

@@ -327,17 +327,36 @@ def render_trace(platform: SimPlatform) -> str:
     return header + "\n" + platform.trace().to_jsonl()
 
 
+def _lines(text: str) -> list[str]:
+    # Split after "\n" only, keeping it, so a "\r" or a missing final
+    # newline stays part of the line it belongs to.
+    lines = [line + "\n" for line in text.split("\n")]
+    last = lines.pop()[:-1]
+    return lines + [last] if last else lines
+
+
+def _shown(line: Optional[str], exact: bool) -> str:
+    if line is None:
+        return "(end of trace)"
+    return repr(line) if exact else line.rstrip("\n")
+
+
 def first_divergence(actual: str, golden: str) -> Optional[str]:
-    """None when identical; otherwise a short first-divergence report."""
+    """None when identical; otherwise a short first-divergence report.
+
+    Lines show without their newline, unless that would hide the difference
+    (a carriage return, a missing final newline, an empty line): then both
+    show as Python string literals.
+    """
     if actual == golden:
         return None
-    actual_lines = actual.splitlines()
-    golden_lines = golden.splitlines()
-    for i, (got, want) in enumerate(zip(actual_lines, golden_lines)):
-        if got != want:
-            return f"trace mismatch at line {i + 1}\nexpected: {want}\nactual:   {got}"
-    n, m = len(actual_lines), len(golden_lines)
-    i = min(n, m)
-    got = actual_lines[i] if i < n else "(end of trace)"
-    want = golden_lines[i] if i < m else "(end of trace)"
-    return f"trace mismatch at line {i + 1}\nexpected: {want}\nactual:   {got}"
+    actual_lines = _lines(actual)
+    golden_lines = _lines(golden)
+    i = 0
+    while i < min(len(actual_lines), len(golden_lines)) and actual_lines[i] == golden_lines[i]:
+        i += 1
+    want = golden_lines[i] if i < len(golden_lines) else None
+    got = actual_lines[i] if i < len(actual_lines) else None
+    plain = {_shown(want, False), _shown(got, False)}
+    exact = len(plain) == 1 or "" in plain or "\r" in (want or "") + (got or "")
+    return f"trace mismatch at line {i + 1}\nexpected: {_shown(want, exact)}\nactual:   {_shown(got, exact)}"

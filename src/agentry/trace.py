@@ -1,9 +1,12 @@
 """Structured event trace.
 
-Every observable runtime event is recorded as a TraceEvent. A trace is the
-runtime's testable output: two runs are equivalent exactly when their JSONL
-renderings are byte-identical, so the encoding here is deliberately rigid
-(fixed field order, sorted detail keys, compact separators).
+Every observable runtime event is recorded as one row of a TraceLog: the
+plain tuple ``(tick, seq, kind, agent, detail)``. A TraceEvent is a view of a
+row, built only when the trace is read. A trace is the runtime's testable
+output: two runs are equivalent exactly when their JSONL renderings are
+byte-identical, so the encoding here is deliberately rigid (fixed field
+order, sorted detail keys, compact separators) and defined once, in
+``_json_line``.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import TYPE_CHECKING, Any, Iterator
 
 if TYPE_CHECKING:  # model imports EventKind from here at run time
@@ -37,6 +41,16 @@ class EventKind(str, enum.Enum):
 CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
+def _json_line(tick: Ticks, seq: int, kind: EventKind, agent: AgentId, detail: dict[str, Any]) -> str:
+    """The one JSONL rendering of an event, without its newline."""
+    # Field order is part of the format; do not reorder. Kind values are
+    # plain ASCII words, so they need no escaping.
+    return (
+        f'{{"tick":{tick},"seq":{seq},"kind":"{kind.value}",'
+        f'"agent":{agent.value},"detail":{CANONICAL_ENCODER.encode(detail)}}}'
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class TraceEvent:
     tick: Ticks
@@ -46,35 +60,31 @@ class TraceEvent:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def to_json_line(self) -> str:
-        # Field order is part of the format; do not reorder. Kind values are
-        # plain ASCII words, so they need no escaping.
-        return (
-            f'{{"tick":{self.tick},"seq":{self.seq},"kind":"{self.kind.value}",'
-            f'"agent":{self.agent.value},"detail":{CANONICAL_ENCODER.encode(self.detail)}}}'
-        )
+        return _json_line(self.tick, self.seq, self.kind, self.agent, self.detail)
 
 
 class TraceLog:
-    """Append-only event list with JSONL rendering.
+    """Append-only event log with JSONL rendering.
 
-    ``emit`` assigns sequence numbers, so events are totally ordered even
-    when many share a tick.
+    The log holds rows, tuples in TraceEvent field order; iterating it builds
+    a TraceEvent per row, so a run pays for no event object until someone
+    reads the trace. ``emit`` is the only writer. It assigns sequence
+    numbers, so events are totally ordered even when many share a tick.
     """
 
     def __init__(self) -> None:
-        self._events: list[TraceEvent] = []
+        self._rows: list[tuple[Ticks, int, EventKind, AgentId, dict[str, Any]]] = []
 
-    def emit(self, tick: Ticks, kind: EventKind, agent: AgentId, detail: dict[str, Any]) -> TraceEvent:
-        event = TraceEvent(tick=tick, seq=len(self._events), kind=kind, agent=agent, detail=detail)
-        self._events.append(event)
-        return event
+    def emit(self, tick: Ticks, kind: EventKind, agent: AgentId, detail: dict[str, Any]) -> None:
+        rows = self._rows
+        rows.append((tick, len(rows), kind, agent, detail))
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
+        return starmap(TraceEvent, self._rows)
 
     def to_jsonl(self) -> str:
         """One event per line, trailing newline after the last event."""
-        return "".join(e.to_json_line() + "\n" for e in self._events)
+        return "".join(line + "\n" for line in starmap(_json_line, self._rows))

@@ -121,6 +121,26 @@ def test_push_with_every_window_missed_still_reports(platform_factory, tmp_path)
     assert all(not p.is_alive(a) for a in spawned_agents(p))
 
 
+def test_push_returns_only_a_report_this_run_stored(platform_factory, tmp_path, monkeypatch):
+    store = tmp_path / "reports.jsonl"
+
+    def one_run(answers):
+        p = platform_factory(message=1, migration=2)
+        campus = p.create_location("campus")
+        north = p.create_location("north")
+        plan = [ag.PushClientPlan(north, 0, 30, answers)]
+        return ag.run_exam_push(p, exam_test(), plan, campus, store)
+
+    first = one_run({"q1": 1, "q2": "mars"})
+    second = one_run({"q1": 0})
+    assert [s.score for s in first.submissions + second.submissions] == [Fraction(5, 2), Fraction(0)]
+    assert ag.load_reports(store) == [first, second]
+    # A run that stores nothing must not hand back an earlier run's report.
+    monkeypatch.setattr("agentry.exam_push.store_report", lambda report, store: None)
+    with pytest.raises(RuntimeError, match="without storing a report for 'exam-1'"):
+        one_run({"q1": 1, "q2": "mars"})
+
+
 def test_push_rejects_bad_setups(platform_factory, tmp_path):
     p = platform_factory()
     campus = p.create_location("campus")

@@ -402,6 +402,22 @@ def test_first_divergence_reports():
     assert "line 2" in report and "(end of trace)" in report
 
 
+def test_first_divergence_shows_line_ending_differences():
+    # A difference the plain line would hide shows as Python literals.
+    report = first_divergence("a\r\nb\r\n", "a\nb\n")
+    assert report.splitlines() == ["trace mismatch at line 1", r"expected: 'a\n'", r"actual:   'a\r\n'"]
+    report = first_divergence("a\nb", "a\nb\n")
+    assert report.splitlines() == ["trace mismatch at line 2", r"expected: 'b\n'", "actual:   'b'"]
+    report = first_divergence("a\nb\n\n", "a\nb\n")
+    assert report.splitlines() == ["trace mismatch at line 3", "expected: (end of trace)", r"actual:   '\n'"]
+    # A visible difference still shows plainly, with the old exact wording.
+    assert first_divergence("a\n", "a\nb\n").splitlines() == [
+        "trace mismatch at line 2",
+        "expected: b",
+        "actual:   (end of trace)",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # run_scenario exit codes
 # ---------------------------------------------------------------------------

@@ -1,14 +1,18 @@
 """Runtime semantics, exercised against both platform implementations."""
 
 import random
+from pathlib import Path
 
 import pytest
 
 import agentry as ag
 from agentry import simulator
 from agentry.model import location_to_jsonable
+from agentry.scenario import _Binder, build_platform, load_scenario
 
 from conftest import make_mock, make_sim
+
+SHIPPED = Path(__file__).parent.parent / "scenarios" / "push_exam.json"
 
 
 def ticker(period=1):
@@ -509,9 +513,9 @@ def test_both_platforms_agree_with_fixed_latencies():
     assert traces[0] == traces[1]
 
 
-def _generated_world(factory, seed):
+def _generated_platform(factory, seed):
     """Run a seeded world to quiescence, pausing once on the way, and return
-    its trace and final clock reading (the last tick with work).
+    the platform.
 
     Every seeded agent keeps a cyclic listener, so it lives to the end and can
     always be attached to; some listeners filter for a type that is rarely or
@@ -559,12 +563,79 @@ def _generated_world(factory, seed):
     late = p.spawn_agent(rng.choice(locs), rng.choice([[], [send()], [extra()]]))
     p.send(ag.make_message(late, rng.choice(targets), rng.choice(types), "outside", sent_at=p.now()))
     p.run(None)
+    return p
+
+
+def _generated_world(factory, seed):
+    """A seeded world's trace and final clock reading (the last tick with work)."""
+    p = _generated_platform(factory, seed)
     return p.trace().to_jsonl(), p.now()
 
 
 @pytest.mark.parametrize("seed", range(120))
 def test_generated_worlds_agree_on_both_platforms(seed):
     assert _generated_world(make_sim, seed) == _generated_world(make_mock, seed)
+
+
+# ---------------------------------------------------------------------------
+# The trace log: rows written, events read
+# ---------------------------------------------------------------------------
+
+
+def _push_exam_platform(factory):
+    """The shipped push-exam world, run to quiescence. On the sim it is the
+    scenario's own build, whose trace is the golden one; the mock gets the
+    same agents under its fixed delays."""
+    doc = load_scenario(SHIPPED)
+    if factory is make_sim:
+        p = build_platform(doc, base_dir=SHIPPED.parent)
+    else:
+        p = factory(message=1, migration=2)
+        locations = {name: p.create_location(name) for name in doc["locations"]}
+        binder = _Binder(locations, [p.reserve_agent_id() for _ in doc["agents"]], "")
+        for entry, agent_id in zip(doc["agents"], binder.agents):
+            behaviors = [ag.behavior_from_dict(binder.bind(spec)) for spec in entry["behaviors"]]
+            p.spawn_agent(locations[entry["location"]], behaviors, agent_id=agent_id)
+    p.run(None)
+    return p
+
+
+def _seed_2_platform(factory):
+    return _generated_platform(factory, 2)
+
+
+@pytest.fixture(
+    params=[
+        pytest.param((world, factory), id=f"{label}-{name}")
+        for label, world in (("push_exam", _push_exam_platform), ("generated", _seed_2_platform))
+        for name, factory in (("sim", make_sim), ("mock", make_mock))
+    ]
+)
+def finished_platform(request, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the push-exam courier writes its report store here
+    world, factory = request.param
+    return world(factory)
+
+
+def test_reading_the_log_yields_its_rows_as_events_in_order(finished_platform):
+    log = finished_platform.trace()
+    events = list(log)
+    assert events and all(type(e) is ag.TraceEvent for e in events)
+    assert [e.seq for e in events] == list(range(len(events)))
+    assert len(log) == len(events)
+    # The line format has one definition: the log renders what its events do.
+    assert log.to_jsonl() == "".join(e.to_json_line() + "\n" for e in log)
+
+
+def test_an_event_emitted_after_a_read_shows_in_the_next_read(finished_platform):
+    p = finished_platform
+    log = p.trace()
+    before = list(log)
+    assert log.emit(p.now(), ag.EventKind.CUSTOM, before[0].agent, {"late": True}) is None
+    late = ag.TraceEvent(p.now(), len(before), ag.EventKind.CUSTOM, before[0].agent, {"late": True})
+    assert list(log) == before + [late]
+    assert len(log) == len(before) + 1
+    assert log.to_jsonl().endswith("\n" + late.to_json_line() + "\n")
 
 
 # ---------------------------------------------------------------------------
