@@ -46,6 +46,9 @@ REQUEST = "REQUEST"
 ACK = "ACK"
 RESULT = "RESULT"
 
+# Outcomes are immutable, so every blocked Server step returns this one.
+_AWAIT_REQUEST = Blocked(OnMessage(REQUEST))
+
 
 def _check_mode(mode: str) -> str:
     if mode not in _MODES:
@@ -442,13 +445,13 @@ class Server(Behavior):
     def _step(self, ctx: AgentContext) -> StepOutcome:
         msg = ctx.take_message(REQUEST)
         if msg is None:
-            return Blocked(OnMessage(REQUEST))
+            return _AWAIT_REQUEST
         try:
             envelope = json.loads(msg.payload.decode())
             task = ActionDescriptor.from_jsonable(envelope["task"])
         except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
             ctx.trace({"error": f"malformed request: {exc}", "conversation": msg.conversation_id})
-            return Blocked(OnMessage(REQUEST))
+            return _AWAIT_REQUEST
         effective = self.handler if self.handler is not None else task
         worker_action = ActionDescriptor(
             "client_server.worker",
@@ -460,7 +463,7 @@ class Server(Behavior):
             },
         )
         ctx.spawn(ctx.location, [Task(worker_action)])
-        return Blocked(OnMessage(REQUEST))
+        return _AWAIT_REQUEST
 
     def _to_dict_body(self) -> dict[str, Any]:
         return {"handler": self.handler.to_jsonable() if self.handler else None}

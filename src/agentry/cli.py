@@ -65,11 +65,15 @@ def run_scenario(
     if trace_out is not None:
         out = Path(trace_out)
         out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        out.write_bytes(text.encode())  # no newline translation on any OS
     same_seed = effective_seed(doc, seed) == effective_seed(doc)
     if code == EXIT_OK and doc.get("expected") and same_seed:
         golden_path = _resolve(doc["expected"], path.parent)
-        golden = golden_path.read_text() if golden_path.exists() else ""
+        golden = ""
+        if golden_path.exists():
+            # Bytes, not read_text(): universal newlines would read a CRLF
+            # golden as the LF trace it is not.
+            golden = golden_path.read_bytes().decode("utf-8", errors="replace")
         report = first_divergence(text, golden)
         if report is not None:
             if not golden_path.exists():
@@ -93,10 +97,13 @@ def run(scenario: str, seed: Optional[int], trace_out: Optional[str], until: str
     """Build the scenario's world and run it."""
     if until != "quiescent":
         try:
-            until = int(until)  # type: ignore[assignment]
+            tick = int(until)
         except ValueError:
-            click.echo(f"--until must be a tick count or 'quiescent', got {until!r}", err=True)
+            tick = -1
+        if tick < 0:
+            click.echo(f"--until must be a non-negative tick count or 'quiescent', got {until!r}", err=True)
             sys.exit(EXIT_INVALID)
+        until = tick  # type: ignore[assignment]
     if trace_out is None and os.environ.get(TRACE_DIR_ENV):
         trace_out = str(Path(os.environ[TRACE_DIR_ENV]) / (Path(scenario).stem + ".trace.jsonl"))
     sys.exit(run_scenario(scenario, seed=seed, trace_out=trace_out, until=until))

@@ -31,6 +31,9 @@ ANY = "any"
 
 FSM_EVENT = "FSM_EVENT"
 
+# Outcomes are immutable, so every Fsm step waiting for an event returns this one.
+_AWAIT_EVENT = Blocked(OnMessage(FSM_EVENT))
+
 
 class Sequential(Behavior):
     """Run children one at a time, in order; finished after the last one.
@@ -248,14 +251,14 @@ class Fsm(Behavior):
         if label is None:
             msg = ctx.take_message(FSM_EVENT)
             if msg is None:
-                return Blocked(OnMessage(FSM_EVENT))
+                return _AWAIT_EVENT
             ok, label = ctx.attempt(msg.payload.decode, state=self._current)
             if not ok:
-                return Blocked(OnMessage(FSM_EVENT))
+                return _AWAIT_EVENT
         target = self.definition.transitions.get(self._current, {}).get(label)
         if target is None:
             ctx.trace({"error": "undefined transition", "state": self._current, "event": label})
-            return Blocked(OnMessage(FSM_EVENT))
+            return _AWAIT_EVENT
         self._current = target
         self._entered = False
         return RUNNING

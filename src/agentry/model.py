@@ -99,7 +99,24 @@ def message_matches(msg: Message, type_filter: str, conversation: str | None = N
 
 
 class WakeCondition:
-    """Marker base for the conditions a blocked behavior waits on."""
+    """Base for the conditions a blocked behavior waits on.
+
+    Each condition evaluates itself: ``satisfied`` says whether it holds for
+    an agent's current situation and ``next_tick`` names the earliest tick
+    at which time alone could make it hold (None when no tick can). A
+    subclass that does not define ``satisfied`` is rejected when it is first
+    checked.
+
+    Wake conditions are immutable values. A behavior may return the same
+    instance from many steps, and many behaviors may share one; the runtimes
+    never mutate a wake or compare wakes by identity.
+    """
+
+    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+        raise TypeError(f"unknown wake condition {self!r}")
+
+    def next_tick(self) -> Ticks | None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -108,6 +125,12 @@ class AtTime(WakeCondition):
 
     tick: Ticks
 
+    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+        return now >= self.tick
+
+    def next_tick(self) -> Ticks | None:
+        return self.tick
+
 
 @dataclass(frozen=True)
 class OnMessage(WakeCondition):
@@ -115,12 +138,24 @@ class OnMessage(WakeCondition):
 
     type_filter: str = WILDCARD
 
+    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+        type_filter = self.type_filter
+        if type_filter == WILDCARD:
+            return bool(shell.inbox)
+        for msg in shell.inbox:
+            if msg.type_tag == type_filter:
+                return True
+        return False
+
 
 @dataclass(frozen=True)
 class OnArrival(WakeCondition):
     """Wake once the agent is present (not in transit) at ``location``."""
 
     location: LocationId
+
+    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+        return not in_transit and shell.current == self.location
 
 
 @dataclass(frozen=True)
@@ -136,15 +171,40 @@ class AnyOf(WakeCondition):
     def __init__(self, members: Iterable[WakeCondition]):
         object.__setattr__(self, "members", tuple(members))
 
+    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+        for member in self.members:
+            if member.satisfied(now, shell, in_transit):
+                return True
+        return False
+
+    def next_tick(self) -> Ticks | None:
+        earliest = None
+        for member in self.members:
+            tick = member.next_tick()
+            if tick is not None and (earliest is None or tick < earliest):
+                earliest = tick
+        return earliest
+
 
 @dataclass(frozen=True)
 class Never(WakeCondition):
     """A condition that is never satisfied; blocks the behavior permanently
     without keeping the runtime busy."""
 
+    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+        return False
+
 
 class StepOutcome:
-    """Marker base for what a behavior reports after one step."""
+    """Base for what a behavior reports after one step.
+
+    Outcomes are immutable values, like the wakes they carry: a behavior may
+    return one shared instance (``RUNNING``, ``DONE`` or a module constant
+    such as ``Blocked(OnMessage(REQUEST))``) from every step. The runtimes
+    never mutate an outcome or compare outcomes by identity; they tell them
+    apart with ``isinstance``, so subclasses of ``Running``, ``Blocked`` and
+    ``Done`` behave as their bases.
+    """
 
 
 @dataclass(frozen=True)
@@ -162,7 +222,9 @@ class Blocked(StepOutcome):
     """The behavior is waiting; step it again once ``wake`` is satisfied.
 
     Runtimes may also step a blocked behavior early (for example right after
-    a migration); behaviors must treat such spurious steps as no-ops.
+    a migration); behaviors must treat such spurious steps as no-ops. A
+    Blocked is an immutable value that may be shared across steps and
+    behaviors (see StepOutcome).
     """
 
     wake: WakeCondition
@@ -440,6 +502,25 @@ class TraceEffect:
 Effect = SendEffect | SpawnEffect | MigrateEffect | AttachEffect | TraceEffect
 
 
+# Value -> member, so a step's trace skips the Enum call machinery; a miss
+# (or an unhashable kind) still goes through EventKind(kind) for its
+# ValueError.
+_EVENT_KINDS = {kind.value: kind for kind in EventKind}
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _copied(value: Any) -> Any:
+    """A copy of a detail value that shares no dict or list with it."""
+    if isinstance(value, dict):
+        return {key: _copied(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copied(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_copied(item) for item in value)
+    return value
+
+
 class AgentContext:
     """What a behavior sees and may do during one step.
 
@@ -451,11 +532,26 @@ class AgentContext:
     the same call from outside would do at the step's tick. The runtime
     makes the calls, in order, when the step returns and before any other
     behavior steps.
+
+    A context lives for one step and is slotted: it takes no attributes
+    beyond its own. Data a behavior keeps between steps belongs on the
+    behavior (serialized with it) or in ``ctx.state``. The outcome a step
+    returns and the wakes it carries are immutable values, which the
+    runtimes never mutate (see StepOutcome and WakeCondition).
     """
+
+    __slots__ = (
+        "now",
+        "_shell",
+        "registry",
+        "_reserve_agent_id",
+        "_new_conversation_id",
+        "last_migration",
+        "effects",
+    )
 
     def __init__(
         self,
-        *,
         now: Ticks,
         shell: AgentShell,
         registry: Any,
@@ -521,8 +617,19 @@ class AgentContext:
 
     def trace(self, detail: dict[str, Any], kind: str = "custom") -> None:
         """Record a trace event. Raises ValueError for a ``kind`` that is not
-        an EventKind value, before any effect of the step is applied."""
-        self.effects.append(TraceEffect(EventKind(kind), dict(detail)))
+        an EventKind value, before any effect of the step is applied.
+
+        The event keeps a copy of ``detail`` that shares no dict or list
+        with it, so later changes to agent state do not rewrite it."""
+        try:
+            event_kind = _EVENT_KINDS[kind]
+        except (KeyError, TypeError):
+            event_kind = EventKind(kind)
+        copy = dict(detail)
+        for key, value in copy.items():
+            if isinstance(value, _CONTAINERS):
+                copy[key] = _copied(value)
+        self.effects.append(TraceEffect(event_kind, copy))
 
     def new_conversation_id(self) -> str:
         return self._new_conversation_id()
@@ -563,27 +670,9 @@ def wake_satisfied(
     in_transit: bool,
 ) -> bool:
     """Evaluate a wake condition against an agent's current situation."""
-    if isinstance(wake, AtTime):
-        return now >= wake.tick
-    if isinstance(wake, OnMessage):
-        return any(message_matches(m, wake.type_filter) for m in shell.inbox)
-    if isinstance(wake, OnArrival):
-        return (not in_transit) and shell.current == wake.location
-    if isinstance(wake, AnyOf):
-        return any(
-            wake_satisfied(member, now=now, shell=shell, in_transit=in_transit)
-            for member in wake.members
-        )
-    if isinstance(wake, Never):
-        return False
-    raise TypeError(f"unknown wake condition {wake!r}")
+    return wake.satisfied(now, shell, in_transit)
 
 
 def next_wake_time(wake: WakeCondition) -> Ticks | None:
     """Earliest future tick at which a time-based wake could fire, if any."""
-    if isinstance(wake, AtTime):
-        return wake.tick
-    if isinstance(wake, AnyOf):
-        times = [t for t in (next_wake_time(m) for m in wake.members) if t is not None]
-        return min(times) if times else None
-    return None
+    return wake.next_tick()

@@ -433,18 +433,23 @@ class SimPlatform:
         return rec.status == _ACTIVE and all(slot.behavior.finished for slot in rec.slots)
 
     def _slot_next_tick(self, rec: _AgentRecord, slot: _Slot, floor: Ticks) -> Optional[Ticks]:
-        if slot.behavior.finished:
+        # The hottest rule of the run: it reads ``_finished`` and compares
+        # by hand instead of calling ``finished`` and ``max``.
+        if slot.behavior._finished:
             return None
-        base = max(slot.first_step, floor)
+        base = slot.first_step
+        if base < floor:
+            base = floor
         out = slot.outcome
         if out is None or isinstance(out, Running):
             return base
         if isinstance(out, Blocked):
-            if wake_satisfied(out.wake, now=base, shell=rec.shell, in_transit=False):
+            wake = out.wake
+            if wake_satisfied(wake, now=base, shell=rec.shell, in_transit=False):
                 return base
-            wake_at = next_wake_time(out.wake)
+            wake_at = next_wake_time(wake)
             if wake_at is not None:
-                return max(wake_at, base)
+                return wake_at if wake_at > base else base
         return None
 
     def _process_tick(self, tick: Ticks) -> None:
@@ -536,12 +541,12 @@ class SimPlatform:
                 if self._slot_next_tick(rec, slot, tick) != tick:
                     continue
                 ctx = AgentContext(
-                    now=tick,
-                    shell=rec.shell,
-                    registry=self._registry,
-                    reserve_agent_id=self.reserve_agent_id,
-                    new_conversation_id=self.new_conversation_id,
-                    last_migration=rec.last_migration,
+                    tick,
+                    rec.shell,
+                    self._registry,
+                    self.reserve_agent_id,
+                    self.new_conversation_id,
+                    rec.last_migration,
                 )
                 outcome = slot.behavior.step(ctx)
                 slot.outcome = outcome

@@ -46,6 +46,13 @@ def _send_then_bad_trace(ctx, params, message):
     ctx.trace({}, kind="nonsense")
 
 
+@builtin_action("t.sim.trace_seen")
+def _trace_seen(ctx, params, message):
+    seen = ctx.state.setdefault("seen", [])
+    seen.append(ctx.now)
+    ctx.trace({"seen": seen, "nested": {"all": [seen]}})
+
+
 @builtin_action("t.beh.mark")
 def _mark(ctx, params, message):
     ctx.state.setdefault("marks", []).append([params["tag"], ctx.now])

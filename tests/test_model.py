@@ -2,6 +2,7 @@
 
 import json
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -104,6 +105,99 @@ def test_next_wake_time():
     assert next_wake_time(ag.OnMessage()) is None
     assert next_wake_time(ag.AnyOf([ag.OnMessage(), ag.AtTime(9), ag.AtTime(4)])) == 4
     assert next_wake_time(ag.AnyOf([ag.OnMessage(), ag.Never()])) is None
+
+
+def reference_satisfied(wake, now, shell, in_transit):
+    """The isinstance chain that ``wake_satisfied`` replaced by methods."""
+    if isinstance(wake, ag.AtTime):
+        return now >= wake.tick
+    if isinstance(wake, ag.OnMessage):
+        return any(ag.message_matches(m, wake.type_filter) for m in shell.inbox)
+    if isinstance(wake, ag.OnArrival):
+        return (not in_transit) and shell.current == wake.location
+    if isinstance(wake, ag.AnyOf):
+        return any(reference_satisfied(member, now, shell, in_transit) for member in wake.members)
+    if isinstance(wake, ag.Never):
+        return False
+    raise TypeError(f"unknown wake condition {wake!r}")
+
+
+def reference_next_wake_time(wake):
+    """The isinstance chain that ``next_wake_time`` replaced by methods."""
+    if isinstance(wake, ag.AtTime):
+        return wake.tick
+    if isinstance(wake, ag.AnyOf):
+        times = [t for t in (reference_next_wake_time(m) for m in wake.members) if t is not None]
+        return min(times) if times else None
+    return None
+
+
+TAGS = ("PING", "PONG", "ACK")
+LEAF_WAKES = st.one_of(
+    st.builds(ag.AtTime, st.integers(0, 12)),
+    st.builds(ag.OnMessage, st.sampled_from(TAGS + (ag.WILDCARD,))),
+    st.builds(ag.OnArrival, st.sampled_from([L1, L2])),
+    st.just(ag.Never()),
+)
+WAKES = st.recursive(LEAF_WAKES, lambda members: st.lists(members, max_size=4).map(ag.AnyOf), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    wake=WAKES,
+    inbox=st.lists(st.sampled_from(TAGS), max_size=4),
+    now=st.integers(0, 12),
+    current=st.sampled_from([L1, L2]),
+    in_transit=st.booleans(),
+)
+def test_wake_methods_agree_with_the_isinstance_chain(wake, inbox, now, current, in_transit):
+    shell = shell_with([msg(tag) for tag in inbox], current=current)
+    expected = reference_satisfied(wake, now, shell, in_transit)
+    assert wake_satisfied(wake, now=now, shell=shell, in_transit=in_transit) is expected
+    assert next_wake_time(wake) == reference_next_wake_time(wake)
+
+
+class _Unknown(ag.WakeCondition):
+    """A wake condition that says nothing about when it holds."""
+
+
+@dataclass(frozen=True)
+class _Deadline(ag.AtTime):
+    """A subclass of AtTime that adds nothing."""
+
+
+def test_a_wake_condition_without_a_rule_is_rejected():
+    for wake in (_Unknown(), ag.AnyOf([ag.OnMessage("PING"), _Unknown()])):
+        with pytest.raises(TypeError, match="unknown wake condition"):
+            wake_satisfied(wake, now=0, shell=shell_with(), in_transit=False)
+    assert next_wake_time(_Unknown()) is None
+
+
+class _WaitForDeadline(ag.Behavior):
+    """Blocks on a _Deadline three ticks ahead, then finishes."""
+
+    kind = "t.model.wait_for_deadline"
+
+    def __init__(self):
+        super().__init__()
+        self.waited = False
+
+    def _step(self, ctx):
+        ctx.state.setdefault("steps", []).append(ctx.now)
+        if self.waited:
+            return ag.DONE
+        self.waited = True
+        return ag.Blocked(_Deadline(ctx.now + 3))
+
+
+def test_a_subclass_of_at_time_still_wakes(platform_factory):
+    assert wake_satisfied(_Deadline(5), now=5, shell=shell_with(), in_transit=False)
+    assert not wake_satisfied(_Deadline(5), now=4, shell=shell_with(), in_transit=False)
+    assert next_wake_time(ag.AnyOf([ag.OnMessage(), _Deadline(5)])) == 5
+    p = platform_factory()
+    agent = p.spawn_agent(p.create_location("l"), [_WaitForDeadline()])
+    p.run(None)
+    assert p.agent_state(agent)["steps"] == [0, 3]
 
 
 # ---------------------------------------------------------------------------

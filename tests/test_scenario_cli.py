@@ -484,6 +484,21 @@ def test_golden_mismatch_exits_1_with_a_divergence_report(tmp_path, capsys):
     assert "expected:" in err and "actual:" in err
 
 
+def test_a_crlf_golden_is_a_mismatch(tmp_path, capsys):
+    # The golden is compared byte for byte: CRLF line endings are not the
+    # trace's LF ones, and the report shows both lines as literals.
+    path = write_scenario(tmp_path, seeded_doc(expected="golden.jsonl"))
+    golden = tmp_path / "golden.jsonl"
+    assert run_scenario(path, trace_out=golden) == EXIT_OK
+    golden.write_bytes(golden.read_bytes().replace(b"\n", b"\r\n"))
+    assert run_scenario(path) == EXIT_GOLDEN_MISMATCH
+    assert capsys.readouterr().err.splitlines() == [
+        "trace mismatch at line 1",
+        r"""expected: '{"format_version":1}\r\n'""",
+        r"""actual:   '{"format_version":1}\n'""",
+    ]
+
+
 def test_missing_golden_is_a_mismatch(tmp_path, capsys):
     path = write_scenario(tmp_path, seeded_doc(expected="never_written.jsonl"))
     assert run_scenario(path) == EXIT_GOLDEN_MISMATCH
@@ -605,6 +620,14 @@ def test_cli_rejects_a_malformed_until(tmp_path):
     res = cli("run", str(path), "--until", "soon", cwd=tmp_path)
     assert res.returncode == EXIT_INVALID
     assert "--until" in res.stderr
+
+
+def test_cli_rejects_a_negative_until(tmp_path):
+    path = write_scenario(tmp_path, base_doc())
+    res = cli("run", str(path), "--until", "-3", "--trace", "out.jsonl", cwd=tmp_path)
+    assert res.returncode == EXIT_INVALID
+    assert "--until" in res.stderr
+    assert not (tmp_path / "out.jsonl").exists()
 
 
 def test_cli_bounds_the_run_with_until(tmp_path):

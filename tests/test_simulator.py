@@ -447,6 +447,23 @@ def test_trace_ticks_and_seqs_are_monotonic(platform_factory):
     assert all(a.tick <= b.tick for a, b in zip(events, events[1:]))
 
 
+def test_a_traced_detail_keeps_its_value_when_state_changes_later(platform_factory):
+    # Each step traces the list it keeps appending to in state: an event
+    # keeps the list, and the lists nested in it, as they were when traced.
+    p = platform_factory()
+    loc = p.create_location("l")
+    seen = ag.ActionDescriptor("t.sim.trace_seen")
+    agent = p.spawn_agent(loc, [ag.Sequential([ag.Task(seen), ag.Task(seen)])])
+    p.run(None)
+    assert p.agent_state(agent)["seen"] == [0, 1]
+    custom = [e for e in p.trace() if e.kind == ag.EventKind.CUSTOM]
+    assert [(e.tick, e.detail) for e in custom] == [
+        (0, {"seen": [0], "nested": {"all": [[0]]}}),
+        (1, {"seen": [0, 1], "nested": {"all": [[0, 1]]}}),
+    ]
+    assert '"detail":{"nested":{"all":[[0]]},"seen":[0]}' in custom[0].to_json_line()
+
+
 # ---------------------------------------------------------------------------
 # Determinism and conservation
 # ---------------------------------------------------------------------------
