@@ -507,18 +507,29 @@ Effect = SendEffect | SpawnEffect | MigrateEffect | AttachEffect | TraceEffect
 # ValueError.
 _EVENT_KINDS = {kind.value: kind for kind in EventKind}
 
-_CONTAINERS = (dict, list, tuple)
+# What a trace detail may hold: JSON's scalars (a bool is an int) and its
+# containers, dicts keyed by str.
+_LEAVES = (str, int, float, type(None))
 
 
 def _copied(value: Any) -> Any:
-    """A copy of a detail value that shares no dict or list with it."""
+    """A copy of a detail value that shares no dict or list with it. Raises
+    TypeError for a value JSON cannot encode or a dict key that is not a str."""
+    if isinstance(value, _LEAVES):
+        return value
     if isinstance(value, dict):
-        return {key: _copied(item) for key, item in value.items()}
+        return {_checked_key(key): _copied(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_copied(item) for item in value]
     if isinstance(value, tuple):
         return tuple(_copied(item) for item in value)
-    return value
+    raise TypeError(f"trace detail: object of type {type(value).__name__} is not JSON serializable")
+
+
+def _checked_key(key: Any) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"trace detail: key {key!r} is not a str")
+    return key
 
 
 class AgentContext:
@@ -617,7 +628,8 @@ class AgentContext:
 
     def trace(self, detail: dict[str, Any], kind: str = "custom") -> None:
         """Record a trace event. Raises ValueError for a ``kind`` that is not
-        an EventKind value, before any effect of the step is applied.
+        an EventKind value, and TypeError for a ``detail`` JSON cannot encode
+        (see ``_copied``), before any effect of the step is applied.
 
         The event keeps a copy of ``detail`` that shares no dict or list
         with it, so later changes to agent state do not rewrite it."""
@@ -627,8 +639,8 @@ class AgentContext:
             event_kind = EventKind(kind)
         copy = dict(detail)
         for key, value in copy.items():
-            if isinstance(value, _CONTAINERS):
-                copy[key] = _copied(value)
+            if not (isinstance(value, _LEAVES) and isinstance(key, str)):
+                copy[_checked_key(key)] = _copied(value)
         self.effects.append(TraceEffect(event_kind, copy))
 
     def new_conversation_id(self) -> str:

@@ -33,6 +33,9 @@ SCENARIO_FORMAT_VERSION = 1
 
 _LATENCY_KINDS = ("fixed", "uniform", "per_link")
 
+# The nodes the binder walks into; every other value is a leaf, kept as is.
+_NODES = (dict, list)
+
 
 def _suggest(name: str, known: list[str]) -> str:
     close = difflib.get_close_matches(name, known, n=1)
@@ -45,7 +48,9 @@ class _Binder:
     records whether ``$tests`` was used. With a problem list (validation) it
     reports an undeclared location, an out-of-range agent or a ``$tests``
     argument other than ``true`` at the marker's JSON-pointer path; the
-    build passes no list and an empty path."""
+    build passes no list and an empty path. Each dict and list is copied
+    whole, then the walk calls itself only for the dicts and lists inside,
+    and formats a child's path only while validating."""
 
     locations: dict[str, LocationId]
     agents: list[AgentId]
@@ -54,9 +59,13 @@ class _Binder:
     uses_tests: bool = False
 
     def bind(self, value: Any, path: str = "") -> Any:
-        if isinstance(value, list):
-            return [self.bind(v, path and f"{path}/{i}") for i, v in enumerate(value)]
         if not isinstance(value, dict):
+            if isinstance(value, list):
+                copy = list(value)
+                for i, v in enumerate(copy):
+                    if isinstance(v, _NODES):
+                        copy[i] = self.bind(v, path and f"{path}/{i}")
+                return copy
             return value
         if len(value) == 1:
             ((key, arg),) = value.items()
@@ -77,7 +86,11 @@ class _Binder:
                     return value
                 self.uses_tests = True
                 return self.tests
-        return {k: self.bind(v, path and f"{path}/{k}") for k, v in value.items()}
+        copy = dict(value)
+        for k, v in copy.items():
+            if isinstance(v, _NODES):
+                copy[k] = self.bind(v, path and f"{path}/{k}")
+        return copy
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +112,13 @@ def _validate_latency(spec: Any, path: str, problems: list[str]) -> None:
         problems.append(f"{path}: {exc}")
 
 
-def _validate_behavior(spec: Any, path: str, binder: _Binder, problems: list[str]) -> None:
+def _validate_behavior(spec: Any, path: str, binder: _Binder, known: dict[str, Any], problems: list[str]) -> None:
     """Check one behavior tree by building it with the document's binder for
     its markers; a tree with a bad marker is reported there, not built."""
     if not isinstance(spec, dict):
         problems.append(f"{path}: behavior spec must be an object")
         return
     kind = spec.get("kind")
-    known = behavior_kinds()
     if not isinstance(kind, str) or kind not in known:
         problems.append(f"{path}/kind: unknown behavior kind {kind!r}{_suggest(str(kind), known)}")
         return
@@ -192,8 +204,10 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
     if not isinstance(agents, list):
         problems.append("/agents: must be a list")
         agents = []
-    stand_ins = {name: LocationId(i, name) for i, name in enumerate(names)}
+    # Stand-ins are the ids a fresh SimPlatform assigns: both count from 1.
+    stand_ins = {name: LocationId(i + 1, name) for i, name in enumerate(names)}
     binder = _Binder(stand_ins, [AgentId(i + 1) for i in range(len(agents))], "tests", problems)
+    known = behavior_kinds()
     for i, entry in enumerate(agents):
         path = f"/agents/{i}"
         if not isinstance(entry, dict):
@@ -203,7 +217,7 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
         if not isinstance(where, str) or (names and where not in names):
             problems.append(f"{path}/location: unknown location {where!r}{_suggest(str(where), names)}")
         for j, spec in enumerate(_agent_behavior_specs(entry, path, problems)):
-            _validate_behavior(spec, f"{path}/behaviors/{j}", binder, problems)
+            _validate_behavior(spec, f"{path}/behaviors/{j}", binder, known, problems)
 
     tests = doc.get("tests")
     if tests is not None:

@@ -15,7 +15,8 @@ import enum
 import json
 from dataclasses import dataclass, field
 from itertools import starmap
-from typing import TYPE_CHECKING, Any, Iterator
+from json import encoder as json_encoder
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 if TYPE_CHECKING:  # model imports EventKind from here at run time
     from .model import AgentId, Ticks
@@ -34,21 +35,39 @@ class EventKind(str, enum.Enum):
     CUSTOM = "custom"
 
 
-# The package's one canonical JSON encoder (sorted keys, no whitespace, ASCII
-# only), reused by every call: ``json.dumps`` with these options builds a
-# fresh JSONEncoder each time. It encodes event details here and, through
-# ``model.canonical_json``, migration blobs and message payloads.
+# The package's one canonical JSON encoding (sorted keys, no whitespace, ASCII
+# only), for event details here and, through ``model.canonical_json``,
+# migration blobs and message payloads. Each ``encode`` call builds a fresh C
+# encoder; ``TraceLog.to_jsonl`` builds one per render (``_detail_encoder``).
 CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def _json_line(tick: Ticks, seq: int, kind: EventKind, agent: AgentId, detail: dict[str, Any]) -> str:
+def _json_line(
+    tick: Ticks,
+    seq: int,
+    kind: EventKind,
+    agent: AgentId,
+    detail: dict[str, Any],
+    encode: Callable[[Any], str] = CANONICAL_ENCODER.encode,
+) -> str:
     """The one JSONL rendering of an event, without its newline."""
     # Field order is part of the format; do not reorder. Kind values are
-    # plain ASCII words, so they need no escaping.
-    return (
-        f'{{"tick":{tick},"seq":{seq},"kind":"{kind.value}",'
-        f'"agent":{agent.value},"detail":{CANONICAL_ENCODER.encode(detail)}}}'
-    )
+    # plain ASCII words, so they need no escaping; ``_value_`` reads one
+    # without the Enum ``value`` descriptor.
+    return f'{{"tick":{tick},"seq":{seq},"kind":"{kind._value_}","agent":{agent.value},"detail":{encode(detail)}}}'
+
+
+def _detail_encoder() -> Callable[[Any], str]:
+    """``CANONICAL_ENCODER.encode`` as one C encoder for one render. Its own
+    markers dict makes a circular detail raise ValueError, and dies with it."""
+    make = json_encoder.c_make_encoder
+    if make is None:
+        return CANONICAL_ENCODER.encode
+    enc = CANONICAL_ENCODER
+    # The arguments JSONEncoder.iterencode passes for a one-shot encode.
+    options = (enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan)
+    chunks = make({}, enc.default, json_encoder.encode_basestring_ascii, None, *options)
+    return lambda detail: "".join(chunks(detail, 0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,4 +106,5 @@ class TraceLog:
 
     def to_jsonl(self) -> str:
         """One event per line, trailing newline after the last event."""
-        return "".join(line + "\n" for line in starmap(_json_line, self._rows))
+        encode = _detail_encoder()
+        return "".join([_json_line(*row, encode) + "\n" for row in self._rows])

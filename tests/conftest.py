@@ -46,6 +46,21 @@ def _send_then_bad_trace(ctx, params, message):
     ctx.trace({}, kind="nonsense")
 
 
+# Trace details JSON cannot encode, by case name.
+UNENCODABLE_DETAILS = {
+    "set": ({"s": {1, 2}}, "object of type set is not JSON serializable"),
+    "nested_object": ({"n": [1, {"at": (object(),)}]}, "object of type object is not JSON serializable"),
+    "nested_int_key": ({"k": {1: "one"}}, "key 1 is not a str"),
+    "top_level_none_key": ({None: "none"}, "key None is not a str"),
+}
+
+
+@builtin_action("t.sim.send_then_trace_unencodable")
+def _send_then_trace_unencodable(ctx, params, message):
+    ctx.send(ag.make_message(ctx.agent_id, ctx.agent_id, "PING", "c", sent_at=ctx.now))
+    ctx.trace(UNENCODABLE_DETAILS[params][0])
+
+
 @builtin_action("t.sim.trace_seen")
 def _trace_seen(ctx, params, message):
     seen = ctx.state.setdefault("seen", [])

@@ -1,5 +1,6 @@
 """Scenario files, the world builder, golden traces, and the CLI."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from agentry.cli import (
     run_scenario,
 )
 from agentry.model import AgentId
+from agentry import scenario
 from agentry.scenario import (
     build_platform,
     effective_seed,
@@ -32,6 +34,7 @@ from agentry.trace import EventKind
 from conftest import events_of
 
 SHIPPED = Path(__file__).parent.parent / "scenarios" / "push_exam.json"
+BENCH = Path(__file__).parent.parent / "bench"
 
 
 @builtin_action("t.scn.count_tests")
@@ -340,6 +343,97 @@ def test_location_markers_bind_to_real_locations(tmp_path):
     p.run(None)
     mover = events_of(p, EventKind.SPAWN)[0].agent
     assert p.agent_location(mover).name == "away"
+
+
+def _load_bench_worlds():
+    # bench/worlds.py generates the benchmark's scenario documents; it is read
+    # here, never changed, and loaded under its own name so nothing else in
+    # bench/ lands on sys.path.
+    spec = importlib.util.spec_from_file_location("bench_worlds", BENCH / "worlds.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def spawned_trees(monkeypatch):
+    """Record the behavior lists every SimPlatform.spawn_agent receives."""
+    trees = []
+    spawn = ag.SimPlatform.spawn_agent
+
+    def recording(self, location, behaviors, *args, **kwargs):
+        trees.append(list(behaviors))
+        return spawn(self, location, behaviors, *args, **kwargs)
+
+    monkeypatch.setattr(ag.SimPlatform, "spawn_agent", recording)
+    return trees
+
+
+@pytest.mark.parametrize("workload", ["fanin", "fleet", "fsm_mesh"])
+def test_validation_builds_the_trees_the_build_spawns(monkeypatch, workload):
+    # Validation's stand-in ids are the ones a fresh SimPlatform assigns, so
+    # the trees it builds to check a document are the trees the build spawns.
+    doc = _load_bench_worlds().WORKLOADS[workload][0](0)
+    checked = []
+    decode = scenario.behavior_from_dict
+
+    def recording(data):
+        checked.append(decode(data))
+        return checked[-1]
+
+    monkeypatch.setattr(scenario, "behavior_from_dict", recording)
+    assert validate_scenario_doc(doc) == []
+    monkeypatch.setattr(scenario, "behavior_from_dict", decode)
+    spawned = spawned_trees(monkeypatch)
+    build_platform(doc)
+    assert len(spawned) == len(doc["agents"])
+    assert checked == [tree for trees in spawned for tree in trees]
+
+
+def test_two_builds_of_one_document_share_no_mutable_data(monkeypatch):
+    params = {"tag": "x", "extra": {"n": [1]}, "at": {"$location": "away"}, "who": [{"$agent": 1}]}
+    listener = {
+        "kind": "listener",
+        "filter": "PING",
+        "callbacks": [{"name": "t.beh.mark", "params": {"tag": "got", "seen": {"ticks": [0]}}}],
+        "mode": "cyclic",
+    }
+    doc = base_doc(
+        agents=[
+            {"location": "home", "behaviors": [task_spec("trace", params), listener]},
+            {"location": "away", "behavior": task_spec("send", {"to": {"$agent": 0}, "type": "PING", "payload": [1]})},
+        ]
+    )
+    pristine = json.dumps(doc, sort_keys=True)
+    spawned = spawned_trees(monkeypatch)
+    build_platform(doc)
+    build_platform(doc)
+    one, two = spawned[:2], spawned[2:]
+    before = [[tree.to_dict() for tree in trees] for trees in two]
+    one[0][0].action.params["extra"]["n"].append(2)
+    one[0][0].action.params["at"]["name"] = "changed"
+    one[0][0].action.params["who"].clear()
+    one[0][1].callbacks[0].params["seen"]["ticks"].clear()
+    one[1][0].action.params["payload"].append(2)
+    assert [[tree.to_dict() for tree in trees] for trees in one] != before
+    assert [[tree.to_dict() for tree in trees] for trees in two] == before
+    assert json.dumps(doc, sort_keys=True) == pristine
+
+
+def test_a_marker_inside_a_dict_or_list_subclass_is_replaced(tmp_path):
+    class Params(dict):
+        pass
+
+    class Items(list):
+        pass
+
+    params = Params(at=Params({"$location": "away"}), who=Items([Params({"$agent": 0})]))
+    doc = base_doc(agents=[{"location": "home", "behavior": task_spec("trace", params)}])
+    assert validate_scenario_doc(doc) == []
+    p = build_platform(doc, base_dir=tmp_path)
+    p.run(None)
+    customs = [e.detail for e in events_of(p, EventKind.CUSTOM)]
+    assert customs == [{"at": {"value": 2, "name": "away"}, "who": [1]}]
+    assert type(customs[0]["at"]) is dict and type(customs[0]["who"]) is list
 
 
 def test_agent_markers_may_point_forward(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 import agentry as ag
 from agentry.model import location_to_jsonable
 
-from conftest import make_mock, make_sim
+from conftest import UNENCODABLE_DETAILS, make_mock, make_sim
 
 K = ag.EventKind
 
@@ -82,6 +82,35 @@ def test_raising_user_code_drops_its_buffered_effects(platform_factory, site):
     p.run(until=1)  # the observer checks once, at tick 1
     assert errors(p) == [error]
     assert not kinds(p) & {K.SEND, K.DELIVER}
+
+
+@pytest.mark.parametrize("case", sorted(UNENCODABLE_DETAILS))
+def test_an_unencodable_trace_detail_fails_its_action_not_the_render(platform_factory, case):
+    p = platform_factory()
+    here = p.create_location("here")
+    p.spawn_agent(here, [ag.Task(act("t.sim.send_then_trace_unencodable", case))])
+    p.run(None)
+    message = UNENCODABLE_DETAILS[case][1]
+    assert errors(p) == [{"error": f"trace detail: {message}", "action": "t.sim.send_then_trace_unencodable"}]
+    assert not kinds(p) & {K.SEND, K.DELIVER}
+    assert p.trace().to_jsonl().count("\n") == len(p.trace())
+
+
+class _TraceASet(ag.Behavior):
+    kind = "t.faults.trace_a_set"
+
+    def _step(self, ctx):
+        ctx.trace({"ok": [1, "a", None, 2.5, True, ("t",)], "s": {1, 2}})
+        return ag.DONE
+
+
+def test_an_unencodable_trace_detail_raises_from_ctx_trace(platform_factory):
+    p = platform_factory()
+    p.spawn_agent(p.create_location("here"), [_TraceASet()])
+    with pytest.raises(TypeError, match="object of type set is not JSON serializable"):
+        p.run(None)
+    assert [e.kind for e in p.trace()] == [K.SPAWN]  # the step raised, nothing of it applied
+    p.trace().to_jsonl()
 
 
 def test_failed_worker_task_drops_its_effects_and_still_answers(platform_factory):
