@@ -110,3 +110,7 @@ class PlatformAdapter(Protocol):
         ...
 
     def trace(self) -> TraceLog: ...
+
+    def new_conversation_id(self) -> str:
+        """A conversation id not given out before on this runtime."""
+        ...

@@ -75,6 +75,10 @@ def resolve_params(ctx: AgentContext, value: Any) -> Any:
     return value
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def resolve_agent_ref(ctx: AgentContext, ref: Any) -> AgentId:
     """An agent reference is an id value or a ``{"$state": key}`` marker."""
     resolved = resolve_params(ctx, ref)
@@ -180,12 +184,15 @@ class Observer(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Observer":
+        start = d.get("start")
+        if start is not None and not _is_int(start):
+            raise ValueError(f"observer start must be null or an integer, got {start!r}")
         return cls(
             period=int(d["period"]),
             trigger=ActionDescriptor.from_jsonable(d["trigger"]),
             handler=ActionDescriptor.from_jsonable(d["handler"]),
             mode=d.get("mode", ONE_SHOT),
-            _start=d.get("start"),
+            _start=start,
             _next_check=int(d.get("next_check", 0)),
         )
 
@@ -412,8 +419,14 @@ class Client(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Client":
+        server = d["server"]
+        marker = isinstance(server, dict) and set(server) == {"$state"} and isinstance(server["$state"], str)
+        if not (_is_int(server) or marker):
+            raise ValueError(
+                f'client server must be an agent id value or a {{"$state": key}} marker, got {server!r}'
+            )
         return cls(
-            server=d["server"],
+            server=server,
             request=RequestEnvelope.from_jsonable(d["request"]),
             ack_timeout=int(d.get("ack_timeout", 50)),
             result_timeout=int(d.get("result_timeout", 500)),

@@ -273,9 +273,13 @@ class Fsm(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Fsm":
+        definition = FsmDefinition.from_jsonable(d["definition"])
+        current = d["current"]
+        if current is not None and not (isinstance(current, str) and current in definition.states):
+            raise InvalidFsm(f"current state {current!r} not among states")
         return cls(
-            FsmDefinition.from_jsonable(d["definition"]),
-            _current=d["current"],
+            definition,
+            _current=current,
             _entered=bool(d.get("entered", False)),
             _pending_label=d.get("pending_label"),
         )

@@ -11,9 +11,13 @@ Each behavior records the first tick it may step, and one rule,
 behaviors whose next step is that tick, and a run to quiescence stops at the
 first tick from which no behavior will ever step again.
 
-A step's effects call this platform's own public methods at the step's tick.
-A tick is committed when it starts: ``_first_unprocessed`` becomes
-``tick + 1`` before anything happens at it, so every spawn first steps at
+The step policy is the simulator's: ``AgentContext.commit`` applies a step's
+effects through this platform's own public methods at the step's tick and
+traces ``behavior_done``. Only the scheduling is this platform's own, and it
+is what the sim == mock tests compare.
+
+A tick is committed when it starts: ``_first_unprocessed`` becomes ``tick +
+1`` before anything happens at it, so every spawn first steps at
 ``_first_unprocessed``, and a ``run()`` after a step or effect raised resumes
 at the next tick.
 """
@@ -37,7 +41,6 @@ from .model import (
     AgentShell,
     Behavior,
     Blocked,
-    Done,
     LocationId,
     Message,
     MigrationReport,
@@ -353,38 +356,16 @@ class MockPlatform:
         return progressed
 
     def _step_all(self, tick: Ticks) -> None:
-        for agent_id in list(self._entries):
-            entry = self._entries[agent_id]
-            if not entry.alive or entry.in_transit:
-                continue
-            count = len(entry.shell.behaviors)
-            for i in range(count):
+        for entry in list(self._entries.values()):
+            for i in range(len(entry.shell.behaviors)):
                 if not entry.alive or entry.in_transit:
                     break
-                behavior = entry.shell.behaviors[i]
                 if self._next_step(entry, i, tick) != tick:
                     continue
-                ctx = AgentContext(
-                    now=tick,
-                    shell=entry.shell,
-                    registry=self._registry,
-                    reserve_agent_id=self.reserve_agent_id,
-                    new_conversation_id=self.new_conversation_id,
-                    last_migration=entry.last_trip,
-                )
-                outcome = behavior.step(ctx)
-                entry.outcomes[i] = outcome
-                try:
-                    for effect in ctx.effects:
-                        effect.apply(self, agent_id)
-                finally:
-                    if isinstance(outcome, Done):
-                        self._log.emit(
-                            tick,
-                            EventKind.BEHAVIOR_DONE,
-                            agent_id,
-                            {"kind": behavior.kind, "slot": i},
-                        )
+                behavior = entry.shell.behaviors[i]
+                ctx = AgentContext(tick, entry.shell, self, entry.last_trip)
+                entry.outcomes[i] = outcome = behavior.step(ctx)
+                ctx.commit(outcome, behavior.kind, i)
 
     def _next_step(self, entry: _Entry, i: int, from_tick: Ticks) -> Optional[Ticks]:
         """The first tick at or after ``from_tick`` at which behavior ``i``

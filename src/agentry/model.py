@@ -533,7 +533,7 @@ def _checked_key(key: Any) -> str:
 
 
 class AgentContext:
-    """What a behavior sees and may do during one step.
+    """What a behavior sees and may do during one step on ``platform``.
 
     Reads (clock, inbox, state) act on the live shell; writes that touch the
     wider world (sends, spawns, migrations, attachments, trace events) are
@@ -541,8 +541,8 @@ class AgentContext:
     platform's own public methods (``send``, ``spawn_agent``, ``migrate``,
     ``attach_behavior``, ``trace().emit``), so an effect does exactly what
     the same call from outside would do at the step's tick. The runtime
-    makes the calls, in order, when the step returns and before any other
-    behavior steps.
+    calls ``commit`` when the step returns and before any other behavior
+    steps: it applies the effects in order and traces ``behavior_done``.
 
     A context lives for one step and is slotted: it takes no attributes
     beyond its own. Data a behavior keeps between steps belongs on the
@@ -551,32 +551,36 @@ class AgentContext:
     runtimes never mutate (see StepOutcome and WakeCondition).
     """
 
-    __slots__ = (
-        "now",
-        "_shell",
-        "registry",
-        "_reserve_agent_id",
-        "_new_conversation_id",
-        "last_migration",
-        "effects",
-    )
+    __slots__ = ("now", "_shell", "_platform", "registry", "last_migration", "effects")
 
     def __init__(
         self,
         now: Ticks,
         shell: AgentShell,
-        registry: Any,
-        reserve_agent_id: Callable[[], AgentId],
-        new_conversation_id: Callable[[], str],
+        platform: PlatformAdapter,
         last_migration: Optional[MigrationReport] = None,
     ) -> None:
         self.now = now
         self._shell = shell
-        self.registry = registry
-        self._reserve_agent_id = reserve_agent_id
-        self._new_conversation_id = new_conversation_id
+        self._platform = platform
+        self.registry = platform.registry
         self.last_migration = last_migration
         self.effects: list[Effect] = []
+
+    def commit(self, outcome: StepOutcome, kind: str, slot: int) -> None:
+        """The step policy both runtimes share: apply the step's effects in
+        order, then, if ``outcome`` is Done, trace ``behavior_done`` for the
+        behavior of ``kind`` at index ``slot``, even when an effect raises.
+        The runtime records ``outcome`` before it calls this, so a ``run()``
+        after a raising effect schedules from that outcome."""
+        platform = self._platform
+        agent = self._shell.id
+        try:
+            for effect in self.effects:
+                effect.apply(platform, agent)
+        finally:
+            if isinstance(outcome, Done):
+                platform.trace().emit(self.now, EventKind.BEHAVIOR_DONE, agent, {"kind": kind, "slot": slot})
 
     # Read surface ----------------------------------------------------------
 
@@ -613,7 +617,7 @@ class AgentContext:
     def spawn(self, at: LocationId, behaviors: list[Behavior]) -> AgentId:
         """Request a new agent; its id is reserved immediately, the agent
         materializes when the step's effects are applied."""
-        agent_id = self._reserve_agent_id()
+        agent_id = self._platform.reserve_agent_id()
         self.effects.append(SpawnEffect(agent_id, at, list(behaviors)))
         return agent_id
 
@@ -644,7 +648,7 @@ class AgentContext:
         self.effects.append(TraceEffect(event_kind, copy))
 
     def new_conversation_id(self) -> str:
-        return self._new_conversation_id()
+        return self._platform.new_conversation_id()
 
     # Action dispatch -------------------------------------------------------
 

@@ -11,11 +11,15 @@ skipped) in a fixed phase order:
 4. sweep zero-latency arrivals and deliveries produced during phase 3,
 5. terminate agents whose behaviors have all finished.
 
-A step's effects are applied by calling this platform's own public methods
-(``send``, ``spawn_agent``, ``migrate``, ``attach_behavior``) at the step's
-tick. A tick is committed when it starts: before phase 1, ``_next_tick``
-becomes ``tick + 1``, the first tick whose processing has not started. Every
-spawn, from outside or from an effect, first steps at ``_next_tick``, and a
+The step policy is shared with every runtime: ``AgentContext.commit`` applies
+a step's effects by calling this platform's own public methods (``send``,
+``spawn_agent``, ``migrate``, ``attach_behavior``) at the step's tick and
+traces ``behavior_done``. The scheduling, which slot steps at which tick, is
+this platform's own.
+
+A tick is committed when it starts: before phase 1, ``_next_tick`` becomes
+``tick + 1``, the first tick whose processing has not started. Every spawn,
+from outside or from an effect, first steps at ``_next_tick``, and a
 ``run()`` after a step or effect raised resumes at the next tick instead of
 processing the raising tick again.
 
@@ -534,36 +538,16 @@ class SimPlatform:
     def _step_phase(self, tick: Ticks) -> None:
         for spawn_index in sorted(self._candidates):
             rec = self._records[spawn_index]
-            agent_id = rec.shell.id
             for index, slot in enumerate(list(rec.slots)):
                 if rec.status != _ACTIVE:
                     break  # the agent migrated mid-tick
                 if self._slot_next_tick(rec, slot, tick) != tick:
                     continue
-                ctx = AgentContext(
-                    tick,
-                    rec.shell,
-                    self._registry,
-                    self.reserve_agent_id,
-                    self.new_conversation_id,
-                    rec.last_migration,
-                )
-                outcome = slot.behavior.step(ctx)
-                slot.outcome = outcome
-                try:
-                    for effect in ctx.effects:
-                        effect.apply(self, agent_id)
-                finally:
-                    # A finished behavior is traced as such even when one of
-                    # its effects raises.
-                    if isinstance(outcome, Done):
-                        self._maybe_done.add(spawn_index)
-                        self._log.emit(
-                            tick,
-                            EventKind.BEHAVIOR_DONE,
-                            agent_id,
-                            {"kind": slot.behavior.kind, "slot": index},
-                        )
+                ctx = AgentContext(tick, rec.shell, self, rec.last_migration)
+                slot.outcome = outcome = slot.behavior.step(ctx)
+                if isinstance(outcome, Done):
+                    self._maybe_done.add(spawn_index)
+                ctx.commit(outcome, slot.behavior.kind, index)
 
     def _end_of_tick_sweep(self, tick: Ticks) -> None:
         # Zero-latency sends and migrations land within the same tick; their

@@ -34,6 +34,12 @@ def _attach_to(ctx, params, message):
     ctx.attach_behavior(ag.AgentId(params["to"]), task)
 
 
+@builtin_action("t.sim.spawn_then_attach")
+def _spawn_then_attach(ctx, params, message):
+    child = ctx.spawn(ctx.location, [ag.Task(ag.ActionDescriptor("t.sim.tick_log"))])
+    ctx.attach_behavior(child, ag.Task(ag.ActionDescriptor("trace", {"attached_by": ctx.agent_id.value})))
+
+
 @builtin_action("t.sim.hoard_then_go")
 def _hoard_then_go(ctx, params, message):
     ctx.state["hoard"] = {1, 2}  # a set does not serialize

@@ -201,6 +201,53 @@ def test_a_bad_marker_is_reported_once_and_its_tree_not_built():
     ]
 
 
+CLIENT = {"kind": "client", "request": {"task": {"name": "noop"}}}
+OBSERVER = {"kind": "observer", "period": 2, "trigger": {"name": "noop"}, "handler": {"name": "noop"}}
+FSM = {
+    "kind": "fsm",
+    "definition": {"states": {"s0": {"name": "noop"}}, "start": "s0", "terminals": ["s0"]},
+    "current": None,
+}
+MISTYPED_FIELDS = {
+    "client_server_str": (
+        {**CLIENT, "server": "x"},
+        """client server must be an agent id value or a {"$state": key} marker, got 'x'""",
+    ),
+    "client_server_bool": (
+        {**CLIENT, "server": True},
+        """client server must be an agent id value or a {"$state": key} marker, got True""",
+    ),
+    "client_server_state_int": (
+        {**CLIENT, "server": {"$state": 1}},
+        """client server must be an agent id value or a {"$state": key} marker, got {'$state': 1}""",
+    ),
+    "observer_start_object": (
+        {**OBSERVER, "start": {"k": 1}},
+        "observer start must be null or an integer, got {'k': 1}",
+    ),
+    "observer_start_bool": ({**OBSERVER, "start": False}, "observer start must be null or an integer, got False"),
+    "fsm_current_unknown": ({**FSM, "current": "s9"}, "current state 's9' not among states"),
+    "fsm_current_list": ({**FSM, "current": ["s0"]}, "current state ['s0'] not among states"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISTYPED_FIELDS))
+def test_a_mistyped_behavior_field_is_reported_at_its_behavior(case):
+    spec, message = MISTYPED_FIELDS[case]
+    noop = task_spec("noop")
+    doc = base_doc(agents=[{"location": "home", "behaviors": [noop]}, {"location": "home", "behaviors": [noop, spec]}])
+    assert validate_scenario_doc(doc) == [f"/agents/1/behaviors/1: {message}"]
+
+
+# Values the bench documents and the shipped scenario do not already use.
+@pytest.mark.parametrize(
+    "spec",
+    [{**CLIENT, "server": {"$state": "server"}}, {**OBSERVER, "start": 4}, FSM],
+)
+def test_well_typed_behavior_fields_validate_clean(spec):
+    assert validate_scenario_doc(base_doc(agents=[{"location": "home", "behaviors": [spec]}])) == []
+
+
 def test_tests_marker_needs_the_tests_field_reported_in_document_order():
     doc = base_doc(
         agents=[

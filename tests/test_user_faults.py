@@ -209,6 +209,60 @@ def test_a_run_after_a_raise_resumes_at_the_next_tick_on_both_platforms():
     assert runs[0] == runs[1]
 
 
+class _LogThenMigrateNowhere(ag.Behavior):
+    """Logs each tick it steps at. Its first step also asks to migrate to a
+    location no runtime has and blocks until tick 5."""
+
+    kind = "t.faults.log_then_migrate_nowhere"
+
+    def _step(self, ctx):
+        ctx.state.setdefault("ticks", []).append(ctx.now)
+        if ctx.now == 0:
+            ctx.request_migration(ag.LocationId(99, "nowhere"))
+            return ag.Blocked(ag.AtTime(5))
+        return ag.DONE
+
+
+def test_a_step_outcome_is_recorded_before_its_effects_apply_on_both_platforms():
+    # The step's Blocked(AtTime(5)) is kept although its migrate raised, so
+    # the next run() steps the behavior at tick 5. ROADMAP item 7's second
+    # slice (transactional steps) changes this contract on purpose.
+    runs = []
+    for make in (make_sim, make_mock):
+        p = make()
+        agent = p.spawn_agent(p.create_location("a"), [_LogThenMigrateNowhere()])
+        with pytest.raises(ag.UnknownLocation):
+            p.run(None)
+        p.run(None)
+        assert p.agent_state(agent)["ticks"] == [0, 5]
+        runs.append((p.trace().to_jsonl(), p.now()))
+    assert runs[0] == runs[1]
+
+
+def test_a_spawn_then_an_attach_to_the_child_in_one_step_on_both_platforms():
+    # The attach targets an agent that the same step's spawn creates; both
+    # of the child's slots first step at tick 1.
+    runs = []
+    for make in (make_sim, make_mock):
+        p = make()
+        p.spawn_agent(p.create_location("a"), [ag.Task(act("t.sim.spawn_then_attach"))])
+        p.run(None)
+        events = [(e.tick, e.kind, e.agent.value, e.detail) for e in p.trace()]
+        assert events == [
+            (0, K.SPAWN, 1, {"at": "a"}),
+            (0, K.SPAWN, 2, {"at": "a"}),
+            (0, K.BEHAVIOR_DONE, 1, {"kind": "task", "slot": 0}),
+            (0, K.TERMINATE, 1, {}),
+            (1, K.BEHAVIOR_DONE, 2, {"kind": "task", "slot": 0}),
+            (1, K.CUSTOM, 2, {"attached_by": 1}),
+            (1, K.BEHAVIOR_DONE, 2, {"kind": "task", "slot": 1}),
+            (1, K.TERMINATE, 2, {}),
+        ]
+        assert p.agent_state(ag.AgentId(2))["ticks"] == [1]
+        runs.append((p.trace().to_jsonl(), p.now()))
+    assert runs[0] == runs[1]
+
+
 def test_tick_budget_message_names_the_next_work_tick_on_both_platforms():
     messages = []
     for make in (make_sim, make_mock):
