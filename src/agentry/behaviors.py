@@ -41,6 +41,7 @@ from .model import (
 ONE_SHOT = "one_shot"
 CYCLIC = "cyclic"
 _MODES = (ONE_SHOT, CYCLIC)
+_PARAM_NODES = (dict, list)
 
 REQUEST = "REQUEST"
 ACK = "ACK"
@@ -60,19 +61,28 @@ def resolve_params(ctx: AgentContext, value: Any) -> Any:
     """Substitute late-bound markers in JSON params.
 
     ``{"$state": key}`` becomes ``ctx.state[key]`` and ``{"$self": true}``
-    becomes the stepping agent's id value; anything else passes through.
+    becomes the stepping agent's id value; anything else passes through,
+    in fresh dicts and lists that share nothing with ``value``.
     Lets behaviors fixed at setup time reference values that only exist at
     run time (a delegated worker's id, a locally computed score).
     """
     if isinstance(value, dict):
-        if set(value) == {"$state"}:
-            return ctx.state[value["$state"]]
-        if set(value) == {"$self"}:
-            return ctx.agent_id.value
-        return {k: resolve_params(ctx, v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [resolve_params(ctx, v) for v in value]
-    return value
+        if len(value) == 1:
+            if "$state" in value:
+                return ctx.state[value["$state"]]
+            if "$self" in value:
+                return ctx.agent_id.value
+        copy: Any = dict(value)
+        items: Any = copy.items()
+    elif isinstance(value, list):
+        copy = list(value)
+        items = enumerate(copy)
+    else:
+        return value
+    for k, v in items:
+        if isinstance(v, _PARAM_NODES):
+            copy[k] = resolve_params(ctx, v)
+    return copy
 
 
 def _is_int(value: Any) -> bool:
@@ -131,6 +141,8 @@ class Observer(Behavior):
     """
 
     kind = "observer"
+    # The last wait's outcome: derived, not serialized and not compared.
+    _blocked: Optional[Blocked] = None
 
     def __init__(
         self,
@@ -152,25 +164,32 @@ class Observer(Behavior):
         self._start = _start
         self._next_check = _next_check
 
+    def _wait(self) -> StepOutcome:
+        """Blocked until the next check; built again only when it moved."""
+        blocked = self._blocked
+        if blocked is None or blocked.wake.tick != self._next_check:
+            self._blocked = blocked = Blocked(AtTime(self._next_check))
+        return blocked
+
     def _step(self, ctx: AgentContext) -> StepOutcome:
         if self._start is None:
             self._start = ctx.now
             self._next_check = ctx.now + self.period
-            return Blocked(AtTime(self._next_check))
+            return self._wait()
         if ctx.now < self._next_check:
-            return Blocked(AtTime(self._next_check))
+            return self._wait()
         behind = (ctx.now - self._start) % self.period
         if behind:
             # Woken off-grid (the agent was away at check time); realign.
             self._next_check = ctx.now + self.period - behind
-            return Blocked(AtTime(self._next_check))
+            return self._wait()
         self._next_check = ctx.now + self.period
         ok, triggered = ctx.attempt(ctx.run_predicate, self.trigger, predicate=self.trigger.name)
         if ok and triggered:
             ctx.attempt(ctx.run_action, self.handler, None, action=self.handler.name)
             if self.mode == ONE_SHOT:
                 return DONE
-        return Blocked(AtTime(self._next_check))
+        return self._wait()
 
     def _to_dict_body(self) -> dict[str, Any]:
         return {
@@ -373,12 +392,17 @@ class Client(Behavior):
             ctx.attempt(ctx.run_action, callback, message, action=callback.name)
         return DONE
 
+    def _resolved(self, ctx: AgentContext) -> tuple[AgentId, ActionDescriptor]:
+        task = self.request.task
+        return resolve_agent_ref(ctx, self.server), ActionDescriptor(task.name, resolve_params(ctx, task.params))
+
     def _step(self, ctx: AgentContext) -> StepOutcome:
         if self._phase == _INIT:
-            server_id = resolve_agent_ref(ctx, self.server)
+            ok, resolved = ctx.attempt(self._resolved, ctx, request=self.request.task.name)
+            if not ok:  # a marker names state the agent lacks, or no agent id
+                return self._finish(ctx, self.on_failure, None)
+            server_id, task = resolved
             self._conversation = self.request.result_slot or ctx.new_conversation_id()
-            task = self.request.task
-            task = ActionDescriptor(task.name, resolve_params(ctx, task.params))
             payload = canonical_json({"task": task.to_jsonable(), "conversation": self._conversation})
             ctx.send(
                 make_message(

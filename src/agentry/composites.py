@@ -8,7 +8,7 @@ stepping contract.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from .actions import ActionDescriptor
 from .errors import InvalidFsm, ReorderStartedChild
@@ -21,8 +21,8 @@ from .model import (
     Blocked,
     Done,
     OnMessage,
-    Running,
     StepOutcome,
+    WakeCondition,
     behavior_from_dict,
 )
 
@@ -69,7 +69,7 @@ class Sequential(Behavior):
         self.children = [self.children[i] for i in new_order]
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
-        while self._index < len(self.children) and self.children[self._index].finished:
+        while self._index < len(self.children) and self.children[self._index]._finished:
             self._index += 1
             self._current_started = False
         if self._index >= len(self.children):
@@ -107,10 +107,14 @@ class Parallel(Behavior):
     Completion ``all`` finishes when every child has finished; ``any``
     finishes as soon as one does (remaining children are abandoned
     mid-state). When all live children are blocked the composite blocks on
-    any of their wake conditions.
+    any of their wake conditions; while those wakes stay equal it returns
+    the Blocked it built last (derived state: not serialized, not compared).
     """
 
     kind = "parallel"
+    # Class-level until the first blocked step, so building costs nothing.
+    _wakes: Sequence[WakeCondition] = ()
+    _blocked: Optional[Blocked] = None
 
     def __init__(self, children: list[Behavior], completion: str = ALL):
         super().__init__()
@@ -120,26 +124,27 @@ class Parallel(Behavior):
         self.completion = completion
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
-        if not self.children:
-            return DONE
         wakes = []
         any_running = False
         for child in self.children:
-            if child.finished:
+            if child._finished:
                 continue
             outcome = child.step(ctx)
-            if isinstance(outcome, Done):
-                if self.completion == ANY:
-                    return DONE
-            elif isinstance(outcome, Running):
-                any_running = True
-            elif isinstance(outcome, Blocked):
+            if isinstance(outcome, Blocked):
                 wakes.append(outcome.wake)
-        if all(child.finished for child in self.children):
-            return DONE
-        if any_running or not wakes:
+            elif not isinstance(outcome, Done):
+                any_running = True
+            elif self.completion == ANY:
+                return DONE
+        if any_running:
             return RUNNING
-        return Blocked(wakes[0] if len(wakes) == 1 else AnyOf(wakes))
+        if not wakes:  # every child stepped now finished; the rest had before
+            return DONE
+        # List == short-circuits on the wakes a child returns again.
+        if self._blocked is None or wakes != self._wakes:
+            self._wakes = wakes
+            self._blocked = Blocked(wakes[0] if len(wakes) == 1 else AnyOf(wakes))
+        return self._blocked
 
     def _to_dict_body(self) -> dict[str, Any]:
         return {

@@ -95,6 +95,11 @@ class TraceLog:
         self._rows: list[tuple[Ticks, int, EventKind, AgentId, dict[str, Any]]] = []
 
     def emit(self, tick: Ticks, kind: EventKind, agent: AgentId, detail: dict[str, Any]) -> None:
+        """Append one event. ``detail`` is kept as given and not checked:
+        the runtime's own events and ``ctx.trace`` (through TraceEffect)
+        pass details already checked and copied, and this path is hot. A
+        caller of ``platform.trace().emit`` must pass a detail JSON can
+        encode, with no cycle, or ``to_jsonl`` raises later."""
         rows = self._rows
         rows.append((tick, len(rows), kind, agent, detail))
 

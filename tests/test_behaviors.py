@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 
 import agentry as ag
+from agentry.behaviors import resolve_params
 from agentry.model import location_to_jsonable
 
 from conftest import make_sim
 from test_model import behavior_trees
+from test_outcome_reuse import context
 
 
 def marks(platform, agent):
@@ -264,6 +266,35 @@ def test_agents_are_blank_until_role_assignment(platform_factory):
         finals.append(marks(p, blank))
     assert snapshots[0] == snapshots[1]
     assert finals[0] != finals[1]
+
+
+# ---------------------------------------------------------------------------
+# Late-bound params
+# ---------------------------------------------------------------------------
+
+
+def test_a_set_state_value_shares_nothing_with_the_action_params():
+    ctx = context(0, {})
+    action = ag.ActionDescriptor("set_state", {"key": "k", "value": {"a": [1, {"b": 2}]}})
+    ctx.run_action(action)
+    ctx.state["k"]["a"].append(3)
+    ctx.state["k"]["a"][1]["b"] = 4
+    assert action.params == {"key": "k", "value": {"a": [1, {"b": 2}]}}
+
+
+def test_a_dict_with_a_marker_key_and_another_key_is_not_a_marker():
+    ctx = context(0, {"k": 5})
+    params = {"$state": "k", "x": 1}
+    resolved = resolve_params(ctx, params)
+    assert resolved == {"$state": "k", "x": 1} and resolved is not params
+    assert resolve_params(ctx, {"$self": True, "x": 1}) == {"$self": True, "x": 1}
+
+
+def test_markers_inside_lists_and_dicts_resolve():
+    ctx = context(0, {"k": 5})
+    params = [{"$state": "k"}, [{"$self": True}, "s"], {"n": [{"$state": "k"}], "m": None}, 2.5]
+    assert resolve_params(ctx, params) == [5, [1, "s"], {"n": [5], "m": None}, 2.5]
+    assert params[0] == {"$state": "k"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 import agentry as ag
 from agentry.model import location_to_jsonable
+from agentry.scenario import validate_scenario_doc
 
 from conftest import UNENCODABLE_DETAILS, make_mock, make_sim
 
@@ -273,3 +274,58 @@ def test_tick_budget_message_names_the_next_work_tick_on_both_platforms():
             p.run(None)
         messages.append(str(exc.value))
     assert messages == ["no quiescence by tick 40 (next work at 42)"] * 2
+
+
+# ---------------------------------------------------------------------------
+# A client whose late-bound reference names no state fails its exchange
+# ---------------------------------------------------------------------------
+
+UNBOUND_CLIENTS = {
+    "server": ({"$state": "srv"}, None),
+    "task_params": (1, {"n": {"$state": "k"}}),
+}
+
+
+def client_document(server, params):
+    client = {
+        "kind": "client",
+        "server": server,
+        "request": {"task": {"name": "noop", "params": params}},
+        "ack_timeout": 3,
+        "on_result": {"name": "t.beh.mark", "params": {"tag": "result"}},
+        "on_failure": {"name": "t.beh.mark", "params": {"tag": "fail"}},
+    }
+    return {
+        "format_version": 1,
+        "locations": ["home"],
+        "agents": [
+            {"location": "home", "behavior": {"kind": "server"}},
+            {"location": "home", "behaviors": [client, {"kind": "task", "action": {"name": "t.sim.tick_log"}}]},
+        ],
+    }
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUND_CLIENTS))
+def test_a_client_whose_marker_names_no_state_fails_through_on_failure_on_both_platforms(case):
+    doc = client_document(*UNBOUND_CLIENTS[case])
+    assert validate_scenario_doc(doc) == []
+    key = "srv" if case == "server" else "k"
+    runs = []
+    for make in (make_sim, make_mock):
+        p = make()
+        home = p.create_location("home")
+        for entry in doc["agents"]:
+            specs = [entry["behavior"]] if "behavior" in entry else entry["behaviors"]
+            p.spawn_agent(home, [ag.behavior_from_dict(spec) for spec in specs])
+        p.run(None)
+        p.run(None)
+        client = ag.AgentId(2)
+        assert p.agent_state(client) == {"marks": [["fail", 0]], "ticks": [0]}
+        assert errors(p) == [{"error": repr(key), "request": "noop"}]
+        assert [e.detail for e in p.trace() if e.kind == K.BEHAVIOR_DONE and e.agent == client] == [
+            {"kind": "client", "slot": 0},
+            {"kind": "task", "slot": 1},
+        ]
+        assert K.SEND not in kinds(p)
+        runs.append((p.trace().to_jsonl(), p.now()))
+    assert runs[0] == runs[1]
