@@ -1,9 +1,9 @@
 """Serializable action vocabulary.
 
 Behaviors never hold function objects; they hold ActionDescriptor values
-(name plus JSON-typed params) and resolve them through a registry at step
-time. That keeps every behavior serializable and lets a migrated agent find
-the same logic at its destination by name.
+(name plus JSON-typed params) and resolve them by name at step time. That
+keeps every behavior serializable and lets a migrated agent find the same
+logic at its destination by name.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _BUILTIN_PREDICATES: dict[str, PredicateFn] = {}
 
 
 def builtin_action(name: str) -> Callable[[ActionFn], ActionFn]:
-    """Register ``fn`` under ``name`` in every future registry."""
+    """Register ``fn`` under ``name`` on every platform, built or not."""
 
     def decorate(fn: ActionFn) -> ActionFn:
         if name in _BUILTIN_ACTIONS:
@@ -61,28 +61,18 @@ def builtin_predicate(name: str) -> Callable[[PredicateFn], PredicateFn]:
     return decorate
 
 
-class ActionRegistry:
-    """Name -> callable tables for actions and predicates.
+def resolve_action(name: str) -> ActionFn:
+    try:
+        return _BUILTIN_ACTIONS[name]
+    except KeyError:
+        raise UnknownAction(f"no action registered under {name!r}") from None
 
-    Each registry starts with the builtin tables as they stand when it is
-    created; register new names with ``builtin_action``/``builtin_predicate``.
-    """
 
-    def __init__(self) -> None:
-        self._actions: dict[str, ActionFn] = dict(_BUILTIN_ACTIONS)
-        self._predicates: dict[str, PredicateFn] = dict(_BUILTIN_PREDICATES)
-
-    def resolve_action(self, name: str) -> ActionFn:
-        try:
-            return self._actions[name]
-        except KeyError:
-            raise UnknownAction(f"no action registered under {name!r}") from None
-
-    def resolve_predicate(self, name: str) -> PredicateFn:
-        try:
-            return self._predicates[name]
-        except KeyError:
-            raise UnknownAction(f"no predicate registered under {name!r}") from None
+def resolve_predicate(name: str) -> PredicateFn:
+    try:
+        return _BUILTIN_PREDICATES[name]
+    except KeyError:
+        raise UnknownAction(f"no predicate registered under {name!r}") from None
 
 
 @builtin_action("noop")

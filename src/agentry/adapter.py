@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Protocol, runtime_checkable
 
-from .actions import ActionRegistry
 from .model import AgentId, Behavior, LocationId, Message, Ticks
 from .trace import TraceLog
 
@@ -44,9 +43,6 @@ class PlatformAdapter(Protocol):
     From then on it steps at each processed tick at which it is runnable.
     """
 
-    @property
-    def registry(self) -> ActionRegistry: ...
-
     def create_location(self, name: str) -> LocationId:
         """Create a named location. Names must be unique."""
         ...
@@ -65,7 +61,9 @@ class PlatformAdapter(Protocol):
         behaviors: list[Behavior],
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
-        """Create an agent at ``at`` whose home is ``at``."""
+        """Create an agent at ``at`` whose home is ``at``. An explicit
+        ``agent_id`` must come from ``reserve_agent_id`` and not be in use
+        yet; otherwise raise ValueError before anything is traced."""
         ...
 
     def send(self, msg: Message) -> None:

@@ -50,7 +50,7 @@ class DuplicateRole(AgentryError):
 
 
 class UnknownAction(AgentryError):
-    """An action or predicate name was not found in the registry."""
+    """No action or predicate is registered under a name."""
 
 
 class DuplicateAction(AgentryError):

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .actions import ActionRegistry
 from .errors import (
     AlreadyMigrating,
     DuplicateLocationName,
@@ -85,14 +84,12 @@ class MockPlatform:
         message_delay: Ticks = 1,
         migration_delay: Ticks = 1,
         max_ticks: Ticks = 10_000,
-        registry: Optional[ActionRegistry] = None,
     ) -> None:
         if message_delay < 0 or migration_delay < 0:
             raise ValueError("delays must be non-negative")
         self.message_delay = message_delay
         self.migration_delay = migration_delay
         self.max_ticks = max_ticks
-        self._registry = registry or ActionRegistry()
         self._locations: list[LocationId] = []
         self._entries: dict[AgentId, _Entry] = {}
         self._mail: list[_Mail] = []
@@ -102,10 +99,6 @@ class MockPlatform:
         self._clock: Ticks = 0
         self._first_unprocessed: Ticks = 0
         self._conversations = 0
-
-    @property
-    def registry(self) -> ActionRegistry:
-        return self._registry
 
     # Locations -------------------------------------------------------------
 
@@ -145,8 +138,8 @@ class MockPlatform:
         self._require_location(at)
         if agent_id is None:
             agent_id = self.reserve_agent_id()
-        elif agent_id in self._entries:
-            raise ValueError(f"agent id {agent_id!r} already in use")
+        elif not 0 < agent_id.value <= self._ids_given or agent_id in self._entries:
+            raise ValueError(f"agent id {agent_id!r} was not reserved or is already in use")
         shell = AgentShell(id=agent_id, home=at, current=at, behaviors=list(behaviors))
         self._entries[agent_id] = _Entry(
             shell=shell,

@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional
 
+from .actions import resolve_action, resolve_predicate
 from .errors import EmptyTypeTag, SteppingDone
 from .trace import CANONICAL_ENCODER, EventKind
 
@@ -551,7 +552,7 @@ class AgentContext:
     runtimes never mutate (see StepOutcome and WakeCondition).
     """
 
-    __slots__ = ("now", "_shell", "_platform", "registry", "last_migration", "effects")
+    __slots__ = ("now", "_shell", "_platform", "last_migration", "effects")
 
     def __init__(
         self,
@@ -563,7 +564,6 @@ class AgentContext:
         self.now = now
         self._shell = shell
         self._platform = platform
-        self.registry = platform.registry
         self.last_migration = last_migration
         self.effects: list[Effect] = []
 
@@ -670,11 +670,11 @@ class AgentContext:
             return False, error
 
     def run_action(self, descriptor: Any, message: Message | None = None) -> bytes | None:
-        fn = self.registry.resolve_action(descriptor.name)
+        fn = resolve_action(descriptor.name)
         return fn(self, descriptor.params, message)
 
     def run_predicate(self, descriptor: Any) -> bool:
-        fn = self.registry.resolve_predicate(descriptor.name)
+        fn = resolve_predicate(descriptor.name)
         return bool(fn(self, descriptor.params))
 
 

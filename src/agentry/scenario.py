@@ -23,9 +23,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from .actions import ActionRegistry
 from .errors import MalformedRepository, ScenarioError
-from .model import AgentId, Behavior, LocationId, behavior_from_dict, behavior_kinds, location_to_jsonable
+from .model import AgentId, Behavior, LocationId, Ticks, behavior_from_dict, behavior_kinds, location_to_jsonable
 from .repository import load_tests
 from .simulator import Fixed, LatencyModel, PerLink, SimConfig, SimPlatform, UniformRange
 
@@ -35,6 +34,10 @@ _LATENCY_KINDS = ("fixed", "uniform", "per_link")
 
 # The nodes the binder walks into; every other value is a leaf, kept as is.
 _NODES = (dict, list)
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _suggest(name: str, known: list[str]) -> str:
@@ -76,7 +79,7 @@ class _Binder:
                 return value
             if key == "$agent":
                 n = len(self.agents)
-                if self.problems is None or (isinstance(arg, int) and not isinstance(arg, bool) and 0 <= arg < n):
+                if self.problems is None or (_is_int(arg) and 0 <= arg < n):
                     return self.agents[arg].value
                 self.problems.append(f"{path}: $agent index {arg!r} out of range (have {n} agents)")
                 return value
@@ -170,7 +173,7 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
             problems.append(f"/{key}: unknown field{_suggest(key, sorted(known_keys))}")
 
     seed = doc.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool) or seed < 0):
+    if seed is not None and (not _is_int(seed) or seed < 0):
         problems.append(f"/seed: must be a non-negative integer, got {seed!r}")
 
     config = doc.get("config", {})
@@ -184,7 +187,7 @@ def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str
         if field in config:
             _validate_latency(config[field], f"/config/{field}", problems)
     max_ticks = config.get("max_ticks")
-    if max_ticks is not None and (not isinstance(max_ticks, int) or isinstance(max_ticks, bool) or max_ticks < 1):
+    if max_ticks is not None and (not _is_int(max_ticks) or max_ticks < 1):
         problems.append(f"/config/max_ticks: must be a positive integer, got {max_ticks!r}")
 
     locations = doc.get("locations")
@@ -279,14 +282,26 @@ def _resolve(path: str, base_dir: Optional[Path]) -> Path:
     return Path(path) if base_dir is None else base_dir / path
 
 
+def _ticks(value: Any, name: str) -> Ticks:
+    if not _is_int(value):
+        raise TypeError(f"{name} must be an integer number of ticks, not {value!r}")
+    return value
+
+
+def _is_link(link: Any) -> bool:
+    return isinstance(link, list) and len(link) == 3 and isinstance(link[0], str) and isinstance(link[1], str) and _is_int(link[2])
+
+
 def _parse_latency(spec: dict) -> LatencyModel:
     kind = spec["kind"]
     if kind == "fixed":
-        return Fixed(int(spec["ticks"]))
+        return Fixed(_ticks(spec["ticks"], "ticks"))
     if kind == "uniform":
-        return UniformRange(int(spec["lo"]), int(spec["hi"]))
-    table = {(str(src), str(dst)): int(ticks) for src, dst, ticks in spec.get("links", [])}
-    return PerLink(table, default=int(spec.get("default", 1)))
+        return UniformRange(_ticks(spec["lo"], "lo"), _ticks(spec["hi"], "hi"))
+    links = spec.get("links", [])
+    if not isinstance(links, list) or not all(_is_link(link) for link in links):
+        raise TypeError("links must be a list of [source name, destination name, ticks] entries")
+    return PerLink({(src, dst): ticks for src, dst, ticks in links}, default=_ticks(spec.get("default", 1), "default"))
 
 
 def effective_seed(doc: dict, override: Optional[int] = None) -> int:
@@ -301,7 +316,6 @@ def build_platform(
     *,
     seed: Optional[int] = None,
     base_dir: Optional[Path] = None,
-    registry: Optional[ActionRegistry] = None,
 ) -> SimPlatform:
     """Build the world a validated scenario document describes.
 
@@ -316,7 +330,7 @@ def build_platform(
         kwargs["migration_latency"] = _parse_latency(config_doc["migration_latency"])
     if "max_ticks" in config_doc:
         kwargs["max_ticks"] = int(config_doc["max_ticks"])
-    platform = SimPlatform(SimConfig(**kwargs), registry=registry)
+    platform = SimPlatform(SimConfig(**kwargs))
 
     locations = {name: platform.create_location(name) for name in doc["locations"]}
     entries = doc.get("agents", [])

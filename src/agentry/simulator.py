@@ -62,7 +62,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Optional, Protocol
 
-from .actions import ActionRegistry
 from .errors import (
     AlreadyMigrating,
     DuplicateLocationName,
@@ -181,9 +180,8 @@ class _AgentRecord:
 class SimPlatform:
     """The event-driven simulated platform (see module docstring)."""
 
-    def __init__(self, config: Optional[SimConfig] = None, registry: Optional[ActionRegistry] = None) -> None:
+    def __init__(self, config: Optional[SimConfig] = None) -> None:
         self._config = config or SimConfig()
-        self._registry = registry or ActionRegistry()
         self._rng = random.Random(self._config.seed)
         self._locs_by_name: dict[str, LocationId] = {}
         self._agents: dict[AgentId, _AgentRecord] = {}
@@ -201,15 +199,11 @@ class SimPlatform:
         self._next_tick: Ticks = 0
         self._conv_counter = 0
 
-    # Config and registry ---------------------------------------------------
+    # Config ----------------------------------------------------------------
 
     @property
     def config(self) -> SimConfig:
         return self._config
-
-    @property
-    def registry(self) -> ActionRegistry:
-        return self._registry
 
     # Locations -------------------------------------------------------------
 
@@ -250,8 +244,8 @@ class SimPlatform:
         self._check_location(at)
         if agent_id is None:
             agent_id = self.reserve_agent_id()
-        elif agent_id in self._agents:
-            raise ValueError(f"agent id {agent_id!r} already in use")
+        elif not 0 < agent_id.value < self._next_agent_value or agent_id in self._agents:
+            raise ValueError(f"agent id {agent_id!r} was not reserved or is already in use")
         shell = AgentShell(id=agent_id, home=at, current=at, behaviors=list(behaviors))
         slots = [_Slot(b, self._next_tick) for b in shell.behaviors]
         rec = _AgentRecord(shell=shell, slots=slots, index=len(self._records))

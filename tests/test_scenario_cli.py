@@ -292,6 +292,47 @@ def test_per_link_negative_latency_is_a_config_problem():
     assert validate_scenario_doc(doc) == ["/config/migration_latency: latency must be non-negative"]
 
 
+LINKS_MESSAGE = "links must be a list of [source name, destination name, ticks] entries"
+
+# Each spec used to build through a lossy int()/str() conversion.
+LOSSY_LATENCIES = {
+    "fixed_float": ({"kind": "fixed", "ticks": 2.9}, "ticks must be an integer number of ticks, not 2.9"),
+    "fixed_bool": ({"kind": "fixed", "ticks": True}, "ticks must be an integer number of ticks, not True"),
+    "fixed_str": ({"kind": "fixed", "ticks": "5"}, "ticks must be an integer number of ticks, not '5'"),
+    "uniform_float": ({"kind": "uniform", "lo": 0.5, "hi": 3}, "lo must be an integer number of ticks, not 0.5"),
+    "uniform_str": ({"kind": "uniform", "lo": 0, "hi": "3"}, "hi must be an integer number of ticks, not '3'"),
+    "per_link_default_bool": ({"kind": "per_link", "default": False}, "default must be an integer number of ticks, not False"),
+    "per_link_str_entry": ({"kind": "per_link", "links": ["ab1"]}, LINKS_MESSAGE),
+    "per_link_dict": ({"kind": "per_link", "links": {"xy3": 1}}, LINKS_MESSAGE),
+    "per_link_float_ticks": ({"kind": "per_link", "links": [["a", "b", 1.5]]}, LINKS_MESSAGE),
+    "per_link_bool_ticks": ({"kind": "per_link", "links": [["a", "b", True]]}, LINKS_MESSAGE),
+    "per_link_int_name": ({"kind": "per_link", "links": [[1, "b", 1]]}, LINKS_MESSAGE),
+    "per_link_short_entry": ({"kind": "per_link", "links": [["a", "b"]]}, LINKS_MESSAGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSSY_LATENCIES))
+def test_a_latency_spec_that_is_not_int_ticks_is_a_config_problem(case):
+    spec, message = LOSSY_LATENCIES[case]
+    doc = base_doc(config={"message_latency": spec})
+    assert validate_scenario_doc(doc) == [f"/config/message_latency: {message}"]
+    with pytest.raises(TypeError):
+        build_platform(doc)
+
+
+def test_int_latency_specs_build_their_exact_models():
+    doc = base_doc(
+        config={
+            "message_latency": {"kind": "uniform", "lo": 0, "hi": 3},
+            "migration_latency": {"kind": "per_link", "links": [["home", "away", 3]], "default": 2},
+        }
+    )
+    assert validate_scenario_doc(doc) == []
+    config = build_platform(doc).config
+    assert config.message_latency == ag.UniformRange(0, 3)
+    assert config.migration_latency == ag.PerLink({("home", "away"): 3}, default=2)
+
+
 def test_tests_field_problems(tmp_path):
     problems = validate_scenario_doc(base_doc(tests="missing.json"), tmp_path)
     assert any("test repository not found" in p for p in problems)
