@@ -17,11 +17,11 @@ import click
 
 from .errors import ScenarioError, TickBudgetExceeded
 from .scenario import (
+    _parse_file,
     _resolve,
     build_platform,
     effective_seed,
     first_divergence,
-    load_scenario,
     render_trace,
     validate_scenario,
 )
@@ -49,12 +49,12 @@ def run_scenario(
     """
     path = Path(path)
     try:
-        doc = load_scenario(path)
+        doc = _parse_file(path)
+        platform = build_platform(doc, seed=seed, base_dir=path.parent)
     except ScenarioError as exc:
         for problem in exc.problems:
             print(problem, file=sys.stderr)
         return EXIT_INVALID
-    platform = build_platform(doc, seed=seed, base_dir=path.parent)
     code = EXIT_OK
     try:
         platform.run(None if until == "quiescent" else int(until))

@@ -69,7 +69,8 @@ def find_test(path: PathLike, test_id: str) -> Test:
 
 def _append_line(path: PathLike, record: dict) -> None:
     line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    with open(path, "a") as fh:
+    # Path() refuses an int, which open() would take as a file descriptor.
+    with Path(path).open("a") as fh:
         fh.write(line + "\n")
 
 

@@ -10,16 +10,21 @@ serialization format plus three late-bound markers the loader substitutes:
 * ``{"$tests": true}`` - the scenario's test repository path (``tests``,
   which a scenario using this marker must give)
 
-Validation reports a bad marker at its own path and does not build its tree.
-Relative paths (``tests``, ``expected``) resolve against the scenario
-file's own directory so scenario bundles stay portable.
+One walk reads a document: it reports every problem at its JSON-pointer
+path and builds the config, the locations' names and every behavior tree,
+with markers bound to the ids a fresh SimPlatform assigns.
+``validate_scenario_doc`` returns its problems; ``build_platform`` raises
+them as a ScenarioError, or spawns the trees that walk built. A bad marker
+is reported at its own path and its tree is not built. Relative paths
+(``tests``, ``expected``) resolve against the scenario file's own directory
+so scenario bundles stay portable.
 """
 
 from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Union
 
@@ -45,235 +50,62 @@ def _suggest(name: str, known: list[str]) -> str:
     return f" (did you mean {close[0]!r}?)" if close else ""
 
 
+def _pointer(path: Any) -> str:
+    return path if isinstance(path, str) else f"{_pointer(path[0])}/{path[1]}"
+
+
 @dataclass
 class _Binder:
     """Replaces the markers in one document's behavior trees in one walk and
-    records whether ``$tests`` was used. With a problem list (validation) it
-    reports an undeclared location, an out-of-range agent or a ``$tests``
-    argument other than ``true`` at the marker's JSON-pointer path; the
-    build passes no list and an empty path. Each dict and list is copied
-    whole, then the walk calls itself only for the dicts and lists inside,
-    and formats a child's path only while validating."""
+    records whether ``$tests`` was used. It reports an undeclared location,
+    an out-of-range agent or a ``$tests`` argument other than ``true`` at the
+    marker's JSON-pointer path. Each dict and list is copied whole, then the
+    walk calls itself only for the dicts and lists inside, passing a
+    ``(parent, key)`` path that is joined only to report a problem."""
 
     locations: dict[str, LocationId]
     agents: list[AgentId]
     tests: str
-    problems: Optional[list[str]] = None
+    problems: list[str]
     uses_tests: bool = False
 
-    def bind(self, value: Any, path: str = "") -> Any:
+    def bind(self, value: Any, path: Any) -> Any:
         if not isinstance(value, dict):
             if isinstance(value, list):
                 copy = list(value)
                 for i, v in enumerate(copy):
                     if isinstance(v, _NODES):
-                        copy[i] = self.bind(v, path and f"{path}/{i}")
+                        copy[i] = self.bind(v, (path, i))
                 return copy
             return value
         if len(value) == 1:
             ((key, arg),) = value.items()
             if key == "$location":
-                if self.problems is None or (isinstance(arg, str) and arg in self.locations):
+                if isinstance(arg, str) and arg in self.locations:
                     return location_to_jsonable(self.locations[arg])
-                self.problems.append(f"{path}: unknown location {arg!r}{_suggest(str(arg), list(self.locations))}")
+                self.problems.append(f"{_pointer(path)}: unknown location {arg!r}{_suggest(str(arg), list(self.locations))}")
                 return value
             if key == "$agent":
                 n = len(self.agents)
-                if self.problems is None or (_is_int(arg) and 0 <= arg < n):
+                if _is_int(arg) and 0 <= arg < n:
                     return self.agents[arg].value
-                self.problems.append(f"{path}: $agent index {arg!r} out of range (have {n} agents)")
+                self.problems.append(f"{_pointer(path)}: $agent index {arg!r} out of range (have {n} agents)")
                 return value
             if key == "$tests":
-                if self.problems is not None and arg is not True:
-                    self.problems.append(f"{path}: $tests marker takes true, got {arg!r}")
+                if arg is not True:
+                    self.problems.append(f"{_pointer(path)}: $tests marker takes true, got {arg!r}")
                     return value
                 self.uses_tests = True
                 return self.tests
         copy = dict(value)
         for k, v in copy.items():
             if isinstance(v, _NODES):
-                copy[k] = self.bind(v, path and f"{path}/{k}")
+                copy[k] = self.bind(v, (path, k))
         return copy
 
 
 # ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-
-def _validate_latency(spec: Any, path: str, problems: list[str]) -> None:
-    if not isinstance(spec, dict):
-        problems.append(f"{path}: latency must be an object")
-        return
-    kind = spec.get("kind")
-    if kind not in _LATENCY_KINDS:
-        problems.append(f"{path}/kind: unknown latency kind {kind!r}{_suggest(str(kind), list(_LATENCY_KINDS))}")
-        return
-    try:
-        _parse_latency(spec)
-    except (KeyError, TypeError, ValueError) as exc:
-        problems.append(f"{path}: {exc}")
-
-
-def _validate_behavior(spec: Any, path: str, binder: _Binder, known: dict[str, Any], problems: list[str]) -> None:
-    """Check one behavior tree by building it with the document's binder for
-    its markers; a tree with a bad marker is reported there, not built."""
-    if not isinstance(spec, dict):
-        problems.append(f"{path}: behavior spec must be an object")
-        return
-    kind = spec.get("kind")
-    if not isinstance(kind, str) or kind not in known:
-        problems.append(f"{path}/kind: unknown behavior kind {kind!r}{_suggest(str(kind), known)}")
-        return
-    n_problems = len(problems)
-    bound = binder.bind(spec, path)
-    if len(problems) > n_problems:
-        return
-    try:
-        behavior_from_dict(bound)
-    except Exception as exc:
-        problems.append(f"{path}: {exc}")
-
-
-def _agent_behavior_specs(entry: dict, path: str, problems: list[str]) -> list[Any]:
-    """An agent entry carries either one tree ("behavior") or a list."""
-    if "behavior" in entry and "behaviors" in entry:
-        problems.append(f"{path}: give either 'behavior' or 'behaviors', not both")
-        return []
-    if "behavior" in entry:
-        return [entry["behavior"]]
-    specs = entry.get("behaviors")
-    if specs is None:
-        problems.append(f"{path}: missing 'behavior' (or 'behaviors')")
-        return []
-    if not isinstance(specs, list) or not specs:
-        problems.append(f"{path}/behaviors: must be a non-empty list")
-        return []
-    return specs
-
-
-def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str]:
-    """Collect every problem in a parsed scenario document.
-
-    Paths in diagnostics are JSON-pointer style. An empty list means the
-    scenario can be built.
-    """
-    problems: list[str] = []
-    if not isinstance(doc, dict):
-        return ["/: scenario must be a JSON object"]
-    version = doc.get("format_version")
-    if version is None:
-        problems.append("/format_version: missing")
-    elif version != SCENARIO_FORMAT_VERSION:
-        problems.append(f"/format_version: unsupported version {version!r} (expected {SCENARIO_FORMAT_VERSION})")
-
-    known_keys = {"format_version", "seed", "config", "locations", "agents", "tests", "expected"}
-    for key in doc:
-        if key not in known_keys:
-            problems.append(f"/{key}: unknown field{_suggest(key, sorted(known_keys))}")
-
-    seed = doc.get("seed")
-    if seed is not None and (not _is_int(seed) or seed < 0):
-        problems.append(f"/seed: must be a non-negative integer, got {seed!r}")
-
-    config = doc.get("config", {})
-    if not isinstance(config, dict):
-        problems.append("/config: must be an object")
-        config = {}
-    for key in config:
-        if key not in ("message_latency", "migration_latency", "max_ticks"):
-            problems.append(f"/config/{key}: unknown field{_suggest(key, ['message_latency', 'migration_latency', 'max_ticks'])}")
-    for field in ("message_latency", "migration_latency"):
-        if field in config:
-            _validate_latency(config[field], f"/config/{field}", problems)
-    max_ticks = config.get("max_ticks")
-    if max_ticks is not None and (not _is_int(max_ticks) or max_ticks < 1):
-        problems.append(f"/config/max_ticks: must be a positive integer, got {max_ticks!r}")
-
-    locations = doc.get("locations")
-    names: list[str] = []
-    if not isinstance(locations, list) or not locations:
-        problems.append("/locations: must be a non-empty list of names")
-    else:
-        for i, name in enumerate(locations):
-            if not isinstance(name, str) or not name:
-                problems.append(f"/locations/{i}: location name must be a non-empty string")
-            elif name in names:
-                problems.append(f"/locations/{i}: duplicate location name {name!r}")
-            else:
-                names.append(name)
-
-    agents = doc.get("agents", [])
-    if not isinstance(agents, list):
-        problems.append("/agents: must be a list")
-        agents = []
-    # Stand-ins are the ids a fresh SimPlatform assigns: both count from 1.
-    stand_ins = {name: LocationId(i + 1, name) for i, name in enumerate(names)}
-    binder = _Binder(stand_ins, [AgentId(i + 1) for i in range(len(agents))], "tests", problems)
-    known = behavior_kinds()
-    for i, entry in enumerate(agents):
-        path = f"/agents/{i}"
-        if not isinstance(entry, dict):
-            problems.append(f"{path}: agent entry must be an object")
-            continue
-        where = entry.get("location")
-        if not isinstance(where, str) or (names and where not in names):
-            problems.append(f"{path}/location: unknown location {where!r}{_suggest(str(where), names)}")
-        for j, spec in enumerate(_agent_behavior_specs(entry, path, problems)):
-            _validate_behavior(spec, f"{path}/behaviors/{j}", binder, known, problems)
-
-    tests = doc.get("tests")
-    if tests is not None:
-        if not isinstance(tests, str) or not tests:
-            problems.append(f"/tests: must be a path string, got {tests!r}")
-        else:
-            repo = _resolve(tests, base_dir)
-            if not repo.exists():
-                problems.append(f"/tests: test repository not found: {repo}")
-            else:
-                try:
-                    load_tests(repo)
-                except MalformedRepository as exc:
-                    problems.append(f"/tests: {exc}")
-    elif binder.uses_tests:
-        problems.append("/tests: required, a behavior uses the $tests marker")
-
-    expected = doc.get("expected")
-    if expected is not None and (not isinstance(expected, str) or not expected):
-        problems.append(f"/expected: must be a path string, got {expected!r}")
-    return problems
-
-
-def validate_scenario(path: Union[str, Path]) -> list[str]:
-    """Validate a scenario file; parse errors come back as diagnostics."""
-    try:
-        load_scenario(path)
-    except ScenarioError as exc:
-        return exc.problems
-    return []
-
-
-def load_scenario(path: Union[str, Path]) -> dict:
-    """Read, parse and validate a scenario file once; raise ScenarioError
-    listing every problem, an unreadable file and bad JSON included."""
-    file = Path(path)
-    try:
-        doc = json.loads(file.read_text())
-    except FileNotFoundError:
-        problems = [f"/: scenario file not found: {file}"]
-    except OSError as exc:
-        problems = [f"/: cannot read scenario file: {exc}"]
-    except ValueError as exc:
-        problems = [f"/: not valid JSON: {exc}"]
-    else:
-        problems = validate_scenario_doc(doc, file.parent)
-    if problems:
-        raise ScenarioError(f"invalid scenario {path}", problems)
-    return doc
-
-
-# ---------------------------------------------------------------------------
-# Building
+# Reading a document
 # ---------------------------------------------------------------------------
 
 
@@ -304,11 +136,222 @@ def _parse_latency(spec: dict) -> LatencyModel:
     return PerLink({(src, dst): ticks for src, dst, ticks in links}, default=_ticks(spec.get("default", 1), "default"))
 
 
+def _check_links(links: list, path: str, names: list[str], problems: list[str]) -> None:
+    """A per_link entry naming an undeclared location would never match, and
+    one repeating an earlier pair would silently replace it."""
+    first: dict[tuple[str, str], int] = {}
+    for i, (src, dst, _) in enumerate(links):
+        unknown = [name for name in (src, dst) if names and name not in names]
+        for name in unknown:
+            problems.append(f"{path}/links/{i}: unknown location {name!r}{_suggest(name, names)}")
+        if not unknown and (src, dst) in first:
+            problems.append(f"{path}/links/{i}: duplicate link {src!r} -> {dst!r} (first at {path}/links/{first[src, dst]})")
+        first.setdefault((src, dst), i)
+
+
+def _latency(spec: Any, path: str, names: list[str], problems: list[str]) -> Optional[LatencyModel]:
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(spec, dict):
+        problems.append(f"{path}: latency must be an object")
+    elif kind not in _LATENCY_KINDS:
+        problems.append(f"{path}/kind: unknown latency kind {kind!r}{_suggest(str(kind), list(_LATENCY_KINDS))}")
+    else:
+        try:
+            model = _parse_latency(spec)
+        except (KeyError, TypeError, ValueError) as exc:
+            problems.append(f"{path}: {exc}")
+        else:
+            if kind == "per_link":
+                _check_links(spec.get("links", []), path, names, problems)
+            return model
+    return None
+
+
+def _behavior(spec: Any, path: str, binder: _Binder, known: dict[str, Any], problems: list[str]) -> Optional[Behavior]:
+    """Build one behavior tree with the document's binder for its markers; a
+    tree with a bad marker is reported there, not built."""
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if not isinstance(spec, dict):
+        problems.append(f"{path}: behavior spec must be an object")
+    elif not isinstance(kind, str) or kind not in known:
+        problems.append(f"{path}/kind: unknown behavior kind {kind!r}{_suggest(str(kind), known)}")
+    else:
+        n_problems = len(problems)
+        bound = binder.bind(spec, path)
+        if len(problems) == n_problems:
+            try:
+                return behavior_from_dict(bound)
+            except Exception as exc:
+                problems.append(f"{path}: {exc}")
+    return None
+
+
+def _location_names(locations: Any, problems: list[str]) -> list[str]:
+    names: list[str] = []
+    if not isinstance(locations, list) or not locations:
+        problems.append("/locations: must be a non-empty list of names")
+        return names
+    for i, name in enumerate(locations):
+        if not isinstance(name, str) or not name:
+            problems.append(f"/locations/{i}: location name must be a non-empty string")
+        elif name in names:
+            problems.append(f"/locations/{i}: duplicate location name {name!r}")
+        else:
+            names.append(name)
+    return names
+
+
+def _agent_behavior_specs(entry: dict, path: str, problems: list[str]) -> list[Any]:
+    """An agent entry carries either one tree ("behavior") or a list."""
+    if "behavior" in entry and "behaviors" in entry:
+        problems.append(f"{path}: give either 'behavior' or 'behaviors', not both")
+        return []
+    if "behavior" in entry:
+        return [entry["behavior"]]
+    specs = entry.get("behaviors")
+    if specs is None:
+        problems.append(f"{path}: missing 'behavior' (or 'behaviors')")
+        return []
+    if not isinstance(specs, list) or not specs:
+        problems.append(f"{path}/behaviors: must be a non-empty list")
+        return []
+    return specs
+
+
+def _read(doc: Any, base_dir: Optional[Path]) -> tuple[list[str], SimConfig, list[str], list[tuple[str, list[Behavior]]]]:
+    """The one reading of a scenario document: every problem, in document
+    order, and the world it describes as a config, the location names and,
+    per agent entry, its location name and built trees. Once the problem
+    list is empty the rest is what a build spawns."""
+    problems: list[str] = []
+    if not isinstance(doc, dict):
+        return ["/: scenario must be a JSON object"], SimConfig(), [], []
+    version = doc.get("format_version")
+    if version is None:
+        problems.append("/format_version: missing")
+    elif version != SCENARIO_FORMAT_VERSION:
+        problems.append(f"/format_version: unsupported version {version!r} (expected {SCENARIO_FORMAT_VERSION})")
+
+    known_keys = {"format_version", "seed", "config", "locations", "agents", "tests", "expected"}
+    for key in doc:
+        if key not in known_keys:
+            problems.append(f"/{key}: unknown field{_suggest(key, sorted(known_keys))}")
+
+    seed = doc.get("seed")
+    if seed is not None and (not _is_int(seed) or seed < 0):
+        problems.append(f"/seed: must be a non-negative integer, got {seed!r}")
+
+    # Config checks link names against the locations, whose problems follow.
+    location_problems: list[str] = []
+    names = _location_names(doc.get("locations"), location_problems)
+    config = doc.get("config", {})
+    if not isinstance(config, dict):
+        problems.append("/config: must be an object")
+        config = {}
+    for key in config:
+        if key not in ("message_latency", "migration_latency", "max_ticks"):
+            problems.append(f"/config/{key}: unknown field{_suggest(key, ['message_latency', 'migration_latency', 'max_ticks'])}")
+    latencies = {f: _latency(config[f], f"/config/{f}", names, problems) for f in ("message_latency", "migration_latency") if f in config}
+    max_ticks = config.get("max_ticks")
+    if max_ticks is not None and (not _is_int(max_ticks) or max_ticks < 1):
+        problems.append(f"/config/max_ticks: must be a positive integer, got {max_ticks!r}")
+
+    problems += location_problems
+
+    agents = doc.get("agents", [])
+    if not isinstance(agents, list):
+        problems.append("/agents: must be a list")
+        agents = []
+    tests = doc.get("tests")
+    repo = _resolve(tests, base_dir) if isinstance(tests, str) and tests else None
+    # The ids a fresh SimPlatform assigns: both count from 1.
+    ids = {name: LocationId(i + 1, name) for i, name in enumerate(names)}
+    binder = _Binder(ids, [AgentId(i + 1) for i in range(len(agents))], "tests" if repo is None else str(repo), problems)
+    known = behavior_kinds()
+    entries = []
+    for i, entry in enumerate(agents):
+        path = f"/agents/{i}"
+        if not isinstance(entry, dict):
+            problems.append(f"{path}: agent entry must be an object")
+            continue
+        where = entry.get("location")
+        if not isinstance(where, str) or (names and where not in names):
+            problems.append(f"{path}/location: unknown location {where!r}{_suggest(str(where), names)}")
+        specs = _agent_behavior_specs(entry, path, problems)
+        entries.append((where, [_behavior(spec, f"{path}/behaviors/{j}", binder, known, problems) for j, spec in enumerate(specs)]))
+
+    if tests is not None:
+        if repo is None:
+            problems.append(f"/tests: must be a path string, got {tests!r}")
+        elif not repo.exists():
+            problems.append(f"/tests: test repository not found: {repo}")
+        else:
+            try:
+                load_tests(repo)
+            except MalformedRepository as exc:
+                problems.append(f"/tests: {exc}")
+    elif binder.uses_tests:
+        problems.append("/tests: required, a behavior uses the $tests marker")
+
+    expected = doc.get("expected")
+    if expected is not None and (not isinstance(expected, str) or not expected):
+        problems.append(f"/expected: must be a path string, got {expected!r}")
+    settings = {"seed": seed, "max_ticks": max_ticks, **latencies}
+    return problems, SimConfig(**{k: v for k, v in settings.items() if v is not None}), names, entries
+
+
+def validate_scenario_doc(doc: Any, base_dir: Optional[Path] = None) -> list[str]:
+    """Collect every problem in a parsed scenario document, each at its
+    JSON-pointer path. An empty list means the scenario can be built."""
+    return _read(doc, base_dir)[0]
+
+
+# ---------------------------------------------------------------------------
+# Files and worlds
+# ---------------------------------------------------------------------------
+
+
+def validate_scenario(path: Union[str, Path]) -> list[str]:
+    """Validate a scenario file; parse errors come back as diagnostics."""
+    try:
+        load_scenario(path)
+    except ScenarioError as exc:
+        return exc.problems
+    return []
+
+
+def _parse_file(path: Union[str, Path]) -> Any:
+    """Read and parse a scenario file once; raise ScenarioError for a file
+    that cannot be read or is not JSON."""
+    file = Path(path)
+    try:
+        return json.loads(file.read_text())
+    except FileNotFoundError:
+        problem = f"/: scenario file not found: {file}"
+    except OSError as exc:
+        problem = f"/: cannot read scenario file: {exc}"
+    except ValueError as exc:
+        problem = f"/: not valid JSON: {exc}"
+    raise ScenarioError(f"invalid scenario {path}", [problem])
+
+
+def load_scenario(path: Union[str, Path]) -> dict:
+    """Read, parse and validate a scenario file once; raise ScenarioError
+    listing every problem, an unreadable file and bad JSON included."""
+    doc = _parse_file(path)
+    problems = validate_scenario_doc(doc, Path(path).parent)
+    if problems:
+        raise ScenarioError(f"invalid scenario {path}", problems)
+    return doc
+
+
 def effective_seed(doc: dict, override: Optional[int] = None) -> int:
-    """Seed precedence: explicit override, then scenario, then 0."""
+    """Seed precedence: explicit override, then scenario, then 0. A null
+    seed counts as absent, as validation treats it."""
     if override is not None:
         return override
-    return int(doc.get("seed", 0))
+    seed = doc.get("seed")
+    return 0 if seed is None else int(seed)
 
 
 def build_platform(
@@ -317,30 +360,17 @@ def build_platform(
     seed: Optional[int] = None,
     base_dir: Optional[Path] = None,
 ) -> SimPlatform:
-    """Build the world a validated scenario document describes.
-
-    Agent ids are reserved for all entries before any behavior is built, so
-    ``$agent`` markers may point forward.
-    """
-    config_doc = doc.get("config", {})
-    kwargs: dict[str, Any] = {"seed": effective_seed(doc, seed)}
-    if "message_latency" in config_doc:
-        kwargs["message_latency"] = _parse_latency(config_doc["message_latency"])
-    if "migration_latency" in config_doc:
-        kwargs["migration_latency"] = _parse_latency(config_doc["migration_latency"])
-    if "max_ticks" in config_doc:
-        kwargs["max_ticks"] = int(config_doc["max_ticks"])
-    platform = SimPlatform(SimConfig(**kwargs))
-
-    locations = {name: platform.create_location(name) for name in doc["locations"]}
-    entries = doc.get("agents", [])
-    ids = [platform.reserve_agent_id() for _ in entries]
-    tests = str(_resolve(doc["tests"], base_dir)) if doc.get("tests") else ""
-    binder = _Binder(locations, ids, tests)
-    for entry, agent_id in zip(entries, ids):
-        specs = [entry["behavior"]] if "behavior" in entry else entry["behaviors"]
-        behaviors: list[Behavior] = [behavior_from_dict(binder.bind(spec)) for spec in specs]
-        platform.spawn_agent(locations[entry["location"]], behaviors, agent_id=agent_id)
+    """Build the world a scenario document describes, or raise ScenarioError
+    listing every problem validation reports. It spawns the trees that one
+    reading built; their markers hold the ids this fresh platform assigns in
+    entry order, so ``$agent`` markers may point forward."""
+    problems, config, names, entries = _read(doc, base_dir)
+    if problems:
+        raise ScenarioError("invalid scenario", problems)
+    platform = SimPlatform(config if seed is None else replace(config, seed=seed))
+    locations = {name: platform.create_location(name) for name in names}
+    for where, behaviors in entries:
+        platform.spawn_agent(locations[where], behaviors)
     return platform
 
 

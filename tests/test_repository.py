@@ -1,6 +1,7 @@
 """File-backed test repository and the append-only result stores."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -168,3 +169,16 @@ def test_store_lines_are_plain_jsonl(tmp_path):
     row = json.loads(lines[0])
     assert row["record"] == "exam_report"
     assert row["test_id"] == "exam-1"
+
+
+def test_a_store_path_must_be_a_path_not_a_file_descriptor(tmp_path):
+    # A scenario's push.finalize passes its "store" parameter through as is;
+    # an int there used to be opened as a file descriptor, written and closed.
+    with open(tmp_path / "spare", "w") as spare:
+        fd = spare.fileno()
+        with pytest.raises(TypeError):
+            ag.store_report(ag.ExamReport("exam-1", (), (), ()), fd)
+        with pytest.raises(TypeError):
+            ag.store_progress(ag.ProgressRecord(AgentId(1), "t", Fraction(1), at=0), fd)
+        os.fstat(fd)  # still open
+    assert (tmp_path / "spare").read_text() == ""

@@ -1,8 +1,10 @@
 """Scenario files, the world builder, golden traces, and the CLI."""
 
+import functools
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +294,52 @@ def test_per_link_negative_latency_is_a_config_problem():
     assert validate_scenario_doc(doc) == ["/config/migration_latency: latency must be non-negative"]
 
 
+AT_LINKS = "/config/migration_latency/links"
+UNKNOWN_LINK_NAMES = {
+    "misspelt_source": ([["hom", "away", 7]], [f"{AT_LINKS}/0: unknown location 'hom' (did you mean 'home'?)"]),
+    "unknown_both": (
+        [["home", "away", 1], ["lab", "moon", 2]],
+        [f"{AT_LINKS}/1: unknown location 'lab'", f"{AT_LINKS}/1: unknown location 'moon'"],
+    ),
+    "repeated_pair": (
+        [["home", "away", 7], ["away", "home", 3], ["home", "away", 1]],
+        [f"{AT_LINKS}/2: duplicate link 'home' -> 'away' (first at {AT_LINKS}/0)"],
+    ),
+    "repeated_unknown_pair": (
+        [["hom", "away", 7], ["hom", "away", 1]],
+        [
+            f"{AT_LINKS}/0: unknown location 'hom' (did you mean 'home'?)",
+            f"{AT_LINKS}/1: unknown location 'hom' (did you mean 'home'?)",
+        ],
+    ),
+    "clean": ([["home", "away", 7], ["away", "home", 3], ["home", "home", 0]], []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNKNOWN_LINK_NAMES))
+def test_a_per_link_entry_must_name_declared_locations_once(case):
+    # Such an entry used to build a PerLink that never matched, or silently
+    # replaced the earlier entry for its pair. Its lines come in the config's
+    # place: after /seed, before /config/max_ticks and the location problems.
+    links, lines = UNKNOWN_LINK_NAMES[case]
+    config = {"migration_latency": {"kind": "per_link", "links": links}, "max_ticks": 0}
+    doc = base_doc(seed=-1, config=config, locations=["home", "away", "home"])
+    assert validate_scenario_doc(doc) == [
+        "/seed: must be a non-negative integer, got -1",
+        *lines,
+        "/config/max_ticks: must be a positive integer, got 0",
+        "/locations/2: duplicate location name 'home'",
+    ]
+
+
+def test_per_link_names_are_not_checked_without_declared_locations():
+    config = {"message_latency": {"kind": "per_link", "links": [["x", "y", 1], ["x", "y", 2]]}}
+    assert validate_scenario_doc(base_doc(config=config, locations=[], agents=[])) == [
+        "/config/message_latency/links/1: duplicate link 'x' -> 'y' (first at /config/message_latency/links/0)",
+        "/locations: must be a non-empty list of names",
+    ]
+
+
 LINKS_MESSAGE = "links must be a list of [source name, destination name, ticks] entries"
 
 # Each spec used to build through a lossy int()/str() conversion.
@@ -316,8 +364,9 @@ def test_a_latency_spec_that_is_not_int_ticks_is_a_config_problem(case):
     spec, message = LOSSY_LATENCIES[case]
     doc = base_doc(config={"message_latency": spec})
     assert validate_scenario_doc(doc) == [f"/config/message_latency: {message}"]
-    with pytest.raises(TypeError):
+    with pytest.raises(ag.ScenarioError) as err:
         build_platform(doc)
+    assert err.value.problems == validate_scenario_doc(doc)
 
 
 def test_int_latency_specs_build_their_exact_models():
@@ -403,6 +452,23 @@ def test_run_scenario_reads_the_file_once(tmp_path, monkeypatch):
     reads = count_reads(monkeypatch, path)
     assert run_scenario(path) == EXIT_OK
     assert len(reads) == 1
+
+
+@pytest.mark.parametrize("workload", ["fanin", "fleet", "fsm_mesh"])
+def test_run_scenario_builds_each_behavior_once(tmp_path, monkeypatch, workload):
+    # One reading both checks the document and builds the trees it spawns.
+    doc = _load_bench_worlds().WORKLOADS[workload][0](0)
+    path = write_scenario(tmp_path, doc)
+    calls = []
+    decode = scenario.behavior_from_dict
+
+    def counting(data):
+        calls.append(data)
+        return decode(data)
+
+    monkeypatch.setattr(scenario, "behavior_from_dict", counting)
+    assert run_scenario(path, until=0) == EXIT_OK
+    assert len(calls) == len(doc["agents"])  # each bench entry gives one "behavior"
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +637,7 @@ def test_tests_marker_resolves_against_the_scenario_directory(tmp_path):
 
 def test_seed_precedence():
     assert effective_seed({}) == 0
+    assert effective_seed({"seed": None}) == 0
     assert effective_seed({"seed": 7}) == 7
     assert effective_seed({"seed": 7}, override=3) == 3
     assert effective_seed({"seed": 7}, override=0) == 0
@@ -598,6 +665,93 @@ def test_first_divergence_shows_line_ending_differences():
         "expected: b",
         "actual:   (end of trace)",
     ]
+
+
+# ---------------------------------------------------------------------------
+# Generated documents: one that validates clean builds and runs
+# ---------------------------------------------------------------------------
+
+
+def _small(doc, agents):
+    """Keep a bench document's first agent entries; $agent markers wrap round."""
+
+    def rewire(value):
+        if isinstance(value, dict):
+            if set(value) == {"$agent"}:
+                return {"$agent": value["$agent"] % agents}
+            return {k: rewire(v) for k, v in value.items()}
+        return [rewire(v) for v in value] if isinstance(value, list) else value
+
+    return rewire({**doc, "agents": doc["agents"][:agents]})
+
+
+@functools.lru_cache(maxsize=None)
+def _document_base(kind, seed):
+    """A base document's JSON text: a small bench world or the shipped scenario."""
+    worlds = _load_bench_worlds()
+    if kind == "fanin":
+        return json.dumps(worlds.fanin(seed, clients=3))
+    if kind in ("fleet", "fsm_mesh"):
+        return json.dumps(_small(worlds.WORKLOADS[kind][0](seed), 3))
+    return SHIPPED.read_text()
+
+
+# JSON values that are wrong almost anywhere, or right by accident.
+JUNK = [None, True, False, 0, 1, -1, 3, 2.5, "", "x", "task", "home", [], [1], {}, {"kind": "task"}, {"name": "noop"}]
+BAD_MARKERS = [{"$location": "nowhere"}, {"$agent": 99}, {"$agent": -1}, {"$agent": True}, {"$tests": 1}]
+
+
+def _slots(value):
+    """Every (container, key) pair in a document, parents before children."""
+    keys = value.keys() if isinstance(value, dict) else range(len(value)) if isinstance(value, list) else ()
+    for key in list(keys):
+        yield value, key
+        yield from _slots(value[key])
+
+
+def _mutated_document(seed):
+    """A seeded scenario document: a small bench world or the shipped
+    scenario, with one to three values replaced by JSON junk or a good or
+    bad marker, deleted, or wrapped in a list, an object or a marker."""
+    rng = random.Random(seed)
+    doc = json.loads(_document_base(rng.choice(["fanin", "fleet", "fsm_mesh", "shipped"]), rng.randrange(8)))
+    good = [{"$location": rng.choice(doc["locations"])}, {"$agent": rng.randrange(len(doc["agents"]))}, {"$tests": True}]
+    for _ in range(rng.randint(1, 3)):
+        container, key = rng.choice(list(_slots(doc)))
+        op = rng.random()
+        if op < 0.15:
+            del container[key]
+        elif op < 0.3:
+            marker = rng.choice(["$location", "$agent", "$tests"])
+            container[key] = rng.choice([[container[key]], {"value": container[key]}, {marker: container[key]}])
+        else:
+            value = rng.choice(JUNK + good + BAD_MARKERS if op < 0.8 else good + BAD_MARKERS)
+            container[key] = json.loads(json.dumps(value))  # a copy no other slot shares
+    return doc
+
+
+def _check_document(doc):
+    """Validation and the build read a document the same way: a clean one
+    builds and runs, raising at most TickBudgetExceeded; otherwise the build
+    raises ScenarioError with exactly the problems validation lists."""
+    problems = validate_scenario_doc(doc)
+    try:
+        platform = build_platform(doc)
+    except ag.ScenarioError as exc:
+        assert problems, f"a clean document did not build: {exc}"
+        assert exc.problems == problems
+        return
+    assert not problems, f"a document with problems built: {problems}"
+    try:
+        platform.run(None)
+    except ag.TickBudgetExceeded:
+        pass
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_generated_documents_build_exactly_when_they_validate(seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # a push-exam courier writes its report store here
+    _check_document(_mutated_document(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -695,6 +849,22 @@ def test_seed_override_skips_the_golden_comparison(tmp_path):
     # golden only binds the scenario's own seed.
     assert run_scenario(path, seed=11, trace_out=tmp_path / "other.jsonl") == EXIT_OK
     assert (tmp_path / "other.jsonl").read_text() != (tmp_path / "golden.jsonl").read_text()
+
+
+def test_a_null_seed_runs_as_seed_0_and_checks_its_golden(tmp_path):
+    # A null seed validates as an absent one; it used to crash the run.
+    path = write_scenario(tmp_path, seeded_doc(seed=None, expected="golden.jsonl"))
+    assert validate_scenario(path) == []
+    golden = tmp_path / "golden.jsonl"
+    assert run_scenario(path, trace_out=golden) == EXIT_OK
+    assert run_scenario(path) == EXIT_OK
+    seed_0 = build_platform(seeded_doc(seed=0))
+    seed_0.run(None)
+    assert golden.read_text() == render_trace(seed_0)
+    # --seed 0 is the scenario's own seed, so the golden is still compared.
+    golden.write_text(golden.read_text().replace('"tick":0', '"tick":9', 1))
+    assert run_scenario(path, seed=0) == EXIT_GOLDEN_MISMATCH
+    assert run_scenario(path, seed=3) == EXIT_OK
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 import agentry as ag
 from agentry import simulator
 from agentry.model import location_to_jsonable
-from agentry.scenario import _Binder, build_platform, load_scenario
+from agentry.scenario import _read, build_platform, load_scenario
 
 from conftest import make_mock, make_sim
 
@@ -601,18 +601,18 @@ def test_generated_worlds_agree_on_both_platforms(seed):
 
 def _push_exam_platform(factory):
     """The shipped push-exam world, run to quiescence. On the sim it is the
-    scenario's own build, whose trace is the golden one; the mock gets the
-    same agents under its fixed delays."""
+    scenario's own build, whose trace is the golden one; the mock spawns the
+    trees the scenario's reading built, under its fixed delays. Both
+    platforms assign ids from 1, the ids those trees' markers hold."""
     doc = load_scenario(SHIPPED)
     if factory is make_sim:
         p = build_platform(doc, base_dir=SHIPPED.parent)
     else:
         p = factory(message=1, migration=2)
-        locations = {name: p.create_location(name) for name in doc["locations"]}
-        binder = _Binder(locations, [p.reserve_agent_id() for _ in doc["agents"]], "")
-        for entry, agent_id in zip(doc["agents"], binder.agents):
-            behaviors = [ag.behavior_from_dict(binder.bind(spec)) for spec in entry["behaviors"]]
-            p.spawn_agent(locations[entry["location"]], behaviors, agent_id=agent_id)
+        _, _, names, entries = _read(doc, SHIPPED.parent)
+        locations = {name: p.create_location(name) for name in names}
+        for where, behaviors in entries:
+            p.spawn_agent(locations[where], behaviors)
     p.run(None)
     return p
 
