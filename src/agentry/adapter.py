@@ -100,7 +100,9 @@ class PlatformAdapter(Protocol):
     def run(self, until: Optional[Ticks] = None) -> TraceLog:
         """Advance virtual time.
 
-        With ``until`` set, run through that tick inclusive and pause. With
+        With ``until`` set, run through that tick inclusive and pause. Tick
+        ``until`` counts as processed even when nothing happens at it, so
+        an outside spawn made afterwards first steps at ``until + 1``. With
         ``until=None``, run to quiescence (no runnable behavior, no pending
         delivery or migration, no future timer); exceeding the configured
         tick budget before quiescence raises TickBudgetExceeded.

@@ -24,7 +24,7 @@ at the next tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Optional
 
 from .errors import (
@@ -46,9 +46,7 @@ from .model import (
     Running,
     Ticks,
     deserialize_shell,
-    next_wake_time,
     serialize_shell,
-    wake_satisfied,
 )
 from .trace import EventKind, TraceLog
 
@@ -66,14 +64,15 @@ class _Entry:
     outcomes: list[Any]
     first_steps: list[Ticks]
     alive: bool = True
-    in_transit: bool = False
-    blob: bytes = b""
-    came_from: Optional[LocationId] = None
-    going_to: Optional[LocationId] = None
-    arrives: Ticks = -1
-    travel_time: Ticks = 0
+    # The last move (see MigrationReport); the agent is traveling while
+    # ``blob`` holds its shell, and behaviors attached meanwhile wait.
+    trip: Optional[MigrationReport] = None
+    blob: Optional[bytes] = None
     deferred_attach: list[Behavior] = field(default_factory=list)
-    last_trip: Optional[MigrationReport] = None
+
+    @property
+    def traveling(self) -> bool:
+        return self.blob is not None
 
 
 class MockPlatform:
@@ -158,13 +157,13 @@ class MockPlatform:
     def agent_location(self, agent: AgentId) -> Optional[LocationId]:
         entry = self._entry(agent)
         # dead agents keep reporting their final resting place
-        return None if entry.in_transit else entry.shell.current
+        return None if entry.traveling else entry.shell.current
 
     def agents_at(self, location: LocationId) -> list[AgentId]:
         self._require_location(location)
         found = []
         for agent_id, entry in self._entries.items():
-            if entry.alive and not entry.in_transit and entry.shell.current == location:
+            if entry.alive and not entry.traveling and entry.shell.current == location:
                 found.append(agent_id)
         return found
 
@@ -174,7 +173,7 @@ class MockPlatform:
 
     def agent_state(self, agent: AgentId) -> dict[str, Any]:
         entry = self._entry(agent)
-        if entry.in_transit:
+        if entry.traveling:
             return dict(deserialize_shell(entry.blob).state)
         return dict(entry.shell.state)
 
@@ -193,7 +192,7 @@ class MockPlatform:
     def migrate(self, agent: AgentId, dest: LocationId) -> None:
         self._require_location(dest)
         entry = self._entry(agent)
-        if entry.in_transit:
+        if entry.traveling:
             raise AlreadyMigrating(f"agent {agent!r} is already in transit")
         if not entry.alive:
             raise UnknownAgent(f"agent {agent!r} has terminated")
@@ -202,17 +201,13 @@ class MockPlatform:
         # migrate_start behind.
         entry.blob = serialize_shell(entry.shell)
         self._log.emit(self._clock, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
-        entry.in_transit = True
-        entry.came_from = src
-        entry.going_to = dest
-        entry.arrives = self._clock + self.migration_delay
-        entry.travel_time = self.migration_delay
+        entry.trip = MigrationReport(src, dest, self.migration_delay, self._clock + self.migration_delay)
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
         entry = self._entry(target)
         if not entry.alive:
             raise UnknownAgent(f"agent {target!r} has terminated")
-        if entry.in_transit:
+        if entry.traveling:
             entry.deferred_attach.append(behavior)
             return
         entry.shell.behaviors.append(behavior)
@@ -255,8 +250,8 @@ class MockPlatform:
         or None when nothing ever will."""
         ticks = [mail.due for mail in self._mail]
         for entry in self._entries.values():
-            if entry.in_transit:
-                ticks.append(entry.arrives)
+            if entry.traveling:
+                ticks.append(entry.trip.arrived_at)
             elif entry.alive:
                 if all(b.finished for b in entry.shell.behaviors):
                     ticks.append(from_tick)  # buried at from_tick
@@ -283,16 +278,15 @@ class MockPlatform:
         landed = False
         arrivals = []
         for agent_id, entry in self._entries.items():
-            if entry.in_transit and entry.arrives <= tick:
-                arrivals.append((entry.arrives, agent_id))
+            if entry.traveling and entry.trip.arrived_at <= tick:
+                arrivals.append((entry.trip.arrived_at, agent_id))
         for _, agent_id in sorted(arrivals):
             entry = self._entries[agent_id]
-            src, dest, took = entry.came_from, entry.going_to, entry.travel_time
+            trip = entry.trip = replace(entry.trip, arrived_at=tick)  # the tick it landed
             shell = deserialize_shell(entry.blob)
-            shell.current = dest
+            shell.current = trip.dest
             entry.shell = shell
-            entry.in_transit = False
-            entry.blob = b""
+            entry.blob = None
             entry.outcomes = [None] * len(shell.behaviors)
             entry.first_steps = [first_step] * len(shell.behaviors)
             for behavior in entry.deferred_attach:
@@ -300,12 +294,11 @@ class MockPlatform:
                 entry.outcomes.append(None)
                 entry.first_steps.append(tick + 1)
             entry.deferred_attach = []
-            entry.last_trip = MigrationReport(src, dest, took, tick)
             self._log.emit(
                 tick,
                 EventKind.MIGRATE_END,
                 agent_id,
-                {"from": src.name, "to": dest.name, "latency": took},
+                {"from": trip.src.name, "to": trip.dest.name, "latency": trip.latency},
             )
             landed = True
         return landed
@@ -324,25 +317,14 @@ class MockPlatform:
                 "from": mail.msg.sender.value,
                 "conversation": mail.msg.conversation_id,
             }
-            if entry is not None and entry.in_transit:
-                mail.due = entry.arrives  # wait for the traveler
+            if entry is not None and entry.traveling:
+                mail.due = entry.trip.arrived_at  # wait for the traveler
                 continue
             self._mail.remove(mail)
             progressed = True
-            if entry is None:
-                self._log.emit(
-                    tick,
-                    EventKind.DELIVER,
-                    mail.msg.receiver,
-                    {**info, "failed": True, "reason": "unknown agent"},
-                )
-            elif not entry.alive:
-                self._log.emit(
-                    tick,
-                    EventKind.DELIVER,
-                    mail.msg.receiver,
-                    {**info, "failed": True, "reason": "terminated"},
-                )
+            if entry is None or not entry.alive:
+                reason = "unknown agent" if entry is None else "terminated"
+                self._log.emit(tick, EventKind.DELIVER, mail.msg.receiver, {**info, "failed": True, "reason": reason})
             else:
                 entry.shell.inbox.append(mail.msg)
                 self._log.emit(tick, EventKind.DELIVER, mail.msg.receiver, info)
@@ -351,12 +333,12 @@ class MockPlatform:
     def _step_all(self, tick: Ticks) -> None:
         for entry in list(self._entries.values()):
             for i in range(len(entry.shell.behaviors)):
-                if not entry.alive or entry.in_transit:
+                if not entry.alive or entry.traveling:
                     break
                 if self._next_step(entry, i, tick) != tick:
                     continue
                 behavior = entry.shell.behaviors[i]
-                ctx = AgentContext(tick, entry.shell, self, entry.last_trip)
+                ctx = AgentContext(tick, entry.shell, self, entry.trip)
                 entry.outcomes[i] = outcome = behavior.step(ctx)
                 ctx.commit(outcome, behavior.kind, i)
 
@@ -371,16 +353,16 @@ class MockPlatform:
         if out is None or isinstance(out, Running):
             return tick
         if isinstance(out, Blocked):
-            if wake_satisfied(out.wake, now=tick, shell=entry.shell, in_transit=False):
+            if out.wake.satisfied(tick, entry.shell):
                 return tick
-            wake_at = next_wake_time(out.wake)
+            wake_at = out.wake.next_tick()
             if wake_at is not None:
                 return max(wake_at, tick)
         return None
 
     def _bury_finished(self, tick: Ticks) -> None:
         for agent_id, entry in self._entries.items():
-            if not entry.alive or entry.in_transit:
+            if not entry.alive or entry.traveling:
                 continue
             if all(b.finished for b in entry.shell.behaviors):
                 entry.alive = False

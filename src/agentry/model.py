@@ -106,14 +106,16 @@ class WakeCondition:
     an agent's current situation and ``next_tick`` names the earliest tick
     at which time alone could make it hold (None when no tick can). A
     subclass that does not define ``satisfied`` is rejected when it is first
-    checked.
+    checked. The runtimes check wakes only for agents that are present at a
+    location: an agent in transit is never stepped, and its behaviors start
+    afresh when it lands.
 
     Wake conditions are immutable values. A behavior may return the same
     instance from many steps, and many behaviors may share one; the runtimes
     never mutate a wake or compare wakes by identity.
     """
 
-    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+    def satisfied(self, now: Ticks, shell: AgentShell) -> bool:
         raise TypeError(f"unknown wake condition {self!r}")
 
     def next_tick(self) -> Ticks | None:
@@ -126,7 +128,7 @@ class AtTime(WakeCondition):
 
     tick: Ticks
 
-    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+    def satisfied(self, now: Ticks, shell: AgentShell) -> bool:
         return now >= self.tick
 
     def next_tick(self) -> Ticks | None:
@@ -139,7 +141,7 @@ class OnMessage(WakeCondition):
 
     type_filter: str = WILDCARD
 
-    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+    def satisfied(self, now: Ticks, shell: AgentShell) -> bool:
         type_filter = self.type_filter
         if type_filter == WILDCARD:
             return bool(shell.inbox)
@@ -151,12 +153,13 @@ class OnMessage(WakeCondition):
 
 @dataclass(frozen=True)
 class OnArrival(WakeCondition):
-    """Wake once the agent is present (not in transit) at ``location``."""
+    """Wake once the agent is at ``location``. Wakes are checked only for
+    agents that are present, so this never holds in transit."""
 
     location: LocationId
 
-    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
-        return not in_transit and shell.current == self.location
+    def satisfied(self, now: Ticks, shell: AgentShell) -> bool:
+        return shell.current == self.location
 
 
 @dataclass(frozen=True)
@@ -172,9 +175,9 @@ class AnyOf(WakeCondition):
     def __init__(self, members: Iterable[WakeCondition]):
         object.__setattr__(self, "members", tuple(members))
 
-    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+    def satisfied(self, now: Ticks, shell: AgentShell) -> bool:
         for member in self.members:
-            if member.satisfied(now, shell, in_transit):
+            if member.satisfied(now, shell):
                 return True
         return False
 
@@ -192,7 +195,7 @@ class Never(WakeCondition):
     """A condition that is never satisfied; blocks the behavior permanently
     without keeping the runtime busy."""
 
-    def satisfied(self, now: Ticks, shell: AgentShell, in_transit: bool) -> bool:
+    def satisfied(self, now: Ticks, shell: AgentShell) -> bool:
         return False
 
 
@@ -405,7 +408,14 @@ def message_from_jsonable(d: dict[str, Any]) -> Message:
 
 @dataclass(frozen=True)
 class MigrationReport:
-    """What an agent knows about its most recent completed move."""
+    """One move from ``src`` to ``dest`` that takes ``latency`` ticks.
+
+    While the agent is in transit its runtime holds it with ``arrived_at``
+    the due tick. Once the agent lands, steps read it as
+    ``ctx.last_migration`` with ``arrived_at`` the tick ``migrate_end`` was
+    traced: later than due for a move made from outside after ``run(until=T)``
+    with T at or past the due tick, which lands at T + 1.
+    """
 
     src: LocationId
     dest: LocationId
@@ -678,17 +688,6 @@ class AgentContext:
         return bool(fn(self, descriptor.params))
 
 
-def wake_satisfied(
-    wake: WakeCondition,
-    *,
-    now: Ticks,
-    shell: AgentShell,
-    in_transit: bool,
-) -> bool:
-    """Evaluate a wake condition against an agent's current situation."""
-    return wake.satisfied(now, shell, in_transit)
-
-
-def next_wake_time(wake: WakeCondition) -> Ticks | None:
-    """Earliest future tick at which a time-based wake could fire, if any."""
-    return wake.next_tick()
+def wake_satisfied(wake: WakeCondition, now: Ticks, shell: AgentShell) -> bool:
+    """Evaluate a wake condition against a present agent's situation."""
+    return wake.satisfied(now, shell)

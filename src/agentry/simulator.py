@@ -21,13 +21,19 @@ A tick is committed when it starts: before phase 1, ``_next_tick`` becomes
 ``tick + 1``, the first tick whose processing has not started. Every spawn,
 from outside or from an effect, first steps at ``_next_tick``, and a
 ``run()`` after a step or effect raised resumes at the next tick instead of
-processing the raising tick again.
+processing the raising tick again. ``run(until=T)`` passes every tick up to T,
+work or not, so a later spawn first steps at T + 1, even when T is 0.
+
+An agent in transit is its serialized shell, the behaviors attached
+meanwhile and one ``MigrationReport``, the trip, due at its ``arrived_at``.
+Landing stamps the trip with the tick it landed, for ``ctx.last_migration``.
+Nothing in transit is stepped or checked for wakes.
 
 The phases read indexes instead of scanning every agent ever spawned, so the
 cost of a tick follows the work due at it. Phase and step order are the same
 as a full scan would give:
 
-* the *arrivals heap* of ``(arrive_tick, agent value, id)`` feeds phases 1
+* the *arrivals heap* of ``(due tick, agent value, id)`` feeds phases 1
   and 4, and the *message heap* of ``(due, send seq, message)`` phases 2
   and 4;
 * the *candidate set* of spawn indexes feeds phase 3, walked in spawn order.
@@ -82,7 +88,6 @@ from .model import (
     Running,
     Ticks,
     deserialize_shell,
-    next_wake_time,
     serialize_shell,
     wake_satisfied,
 )
@@ -167,14 +172,11 @@ class _AgentRecord:
     status: str = _ACTIVE
     # Tick of the live timer-heap entry; None while a candidate or asleep.
     wake_at: Optional[Ticks] = None
-    # Transit bookkeeping, meaningful while status == _MIGRATING.
+    # The last move (see MigrationReport); the blob and the behaviors
+    # attached meanwhile are held while status == _MIGRATING.
+    trip: Optional[MigrationReport] = None
     blob: bytes = b""
-    transit_from: Optional[LocationId] = None
-    dest: Optional[LocationId] = None
-    arrive_tick: Ticks = -1
-    transit_latency: Ticks = 0
     pending_attach: list[Behavior] = field(default_factory=list)
-    last_migration: Optional[MigrationReport] = None
 
 
 class SimPlatform:
@@ -310,7 +312,7 @@ class SimPlatform:
         if rec is None:
             return LocationId(0, "?")
         if rec.status == _MIGRATING:
-            return rec.dest  # type: ignore[return-value]
+            return rec.trip.dest
         return rec.shell.current
 
     def migrate(self, agent: AgentId, dest: LocationId) -> None:
@@ -327,13 +329,10 @@ class SimPlatform:
         latency = self._config.migration_latency.sample(self._rng, src, dest)
         self._log.emit(self._clock, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
         rec.status = _MIGRATING
-        rec.transit_from = src
-        rec.dest = dest
-        rec.arrive_tick = self._clock + latency
-        rec.transit_latency = latency
+        rec.trip = MigrationReport(src, dest, latency, self._clock + latency)
         rec.wake_at = None
         self._candidates.discard(rec.index)
-        heapq.heappush(self._arrivals, (rec.arrive_tick, agent.value, agent))
+        heapq.heappush(self._arrivals, (rec.trip.arrived_at, agent.value, agent))
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
         rec = self._record(target)
@@ -377,11 +376,12 @@ class SimPlatform:
 
     def _pass_idle_ticks(self, last: Ticks) -> None:
         """Pass the ticks up to ``last``, none of which holds work: the clock
-        reads ``last`` and no later spawn steps at or before it. The mock
-        gets to the same place by processing each of those ticks."""
-        if last > self._clock:
+        reads ``last`` and no later spawn steps at or before it, even when
+        ``last`` is the very first tick. The mock gets to the same place by
+        processing each of those ticks."""
+        if last >= self._next_tick:
             self._clock = last
-            self._next_tick = max(self._next_tick, last + 1)
+            self._next_tick = last + 1
 
     def _next_work_tick(self) -> Optional[Ticks]:
         """The earliest tick with work, re-filing candidates that have none
@@ -443,9 +443,9 @@ class SimPlatform:
             return base
         if isinstance(out, Blocked):
             wake = out.wake
-            if wake_satisfied(wake, now=base, shell=rec.shell, in_transit=False):
+            if wake_satisfied(wake, base, rec.shell):
                 return base
-            wake_at = next_wake_time(wake)
+            wake_at = wake.next_tick()
             if wake_at is not None:
                 return wake_at if wake_at > base else base
         return None
@@ -479,9 +479,9 @@ class SimPlatform:
 
     def _finish_arrival(self, agent_id: AgentId, tick: Ticks, first_step: Ticks) -> None:
         rec = self._agents[agent_id]
-        src, dest, latency = rec.transit_from, rec.dest, rec.transit_latency
+        trip = rec.trip
         shell = deserialize_shell(rec.blob)
-        shell.current = dest
+        shell.current = trip.dest
         rec.shell = shell
         rec.status = _ACTIVE
         rec.blob = b""
@@ -490,14 +490,17 @@ class SimPlatform:
             shell.behaviors.append(behavior)
             rec.slots.append(_Slot(behavior, tick + 1))
         rec.pending_attach = []
-        rec.last_migration = MigrationReport(src, dest, latency, tick)
+        if trip.arrived_at != tick:
+            # A move made from outside after its due tick had been passed
+            # lands now; the report carries the tick it landed.
+            rec.trip = MigrationReport(trip.src, trip.dest, trip.latency, tick)
         self._make_candidate(rec)
         self._maybe_done.add(rec.index)
         self._log.emit(
             tick,
             EventKind.MIGRATE_END,
             agent_id,
-            {"from": src.name, "to": dest.name, "latency": latency},
+            {"from": trip.src.name, "to": trip.dest.name, "latency": trip.latency},
         )
 
     def _deliver_due(self, tick: Ticks) -> bool:
@@ -510,17 +513,12 @@ class SimPlatform:
                 "from": msg.sender.value,
                 "conversation": msg.conversation_id,
             }
-            if rec is None:
-                self._log.emit(
-                    tick, EventKind.DELIVER, msg.receiver, {**base, "failed": True, "reason": "unknown agent"}
-                )
-            elif rec.status == _TERMINATED:
-                self._log.emit(
-                    tick, EventKind.DELIVER, msg.receiver, {**base, "failed": True, "reason": "terminated"}
-                )
+            if rec is None or rec.status == _TERMINATED:
+                reason = "unknown agent" if rec is None else "terminated"
+                self._log.emit(tick, EventKind.DELIVER, msg.receiver, {**base, "failed": True, "reason": reason})
             elif rec.status == _MIGRATING:
                 # Hold for the traveler; it reads its mail on arrival.
-                heapq.heappush(self._heap, (rec.arrive_tick, seq, msg))
+                heapq.heappush(self._heap, (rec.trip.arrived_at, seq, msg))
                 continue
             else:
                 rec.shell.inbox.append(msg)
@@ -537,7 +535,7 @@ class SimPlatform:
                     break  # the agent migrated mid-tick
                 if self._slot_next_tick(rec, slot, tick) != tick:
                     continue
-                ctx = AgentContext(tick, rec.shell, self, rec.last_migration)
+                ctx = AgentContext(tick, rec.shell, self, rec.trip)
                 slot.outcome = outcome = slot.behavior.step(ctx)
                 if isinstance(outcome, Done):
                     self._maybe_done.add(spawn_index)

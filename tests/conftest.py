@@ -40,6 +40,13 @@ def _spawn_then_attach(ctx, params, message):
     ctx.attach_behavior(child, ag.Task(ag.ActionDescriptor("trace", {"attached_by": ctx.agent_id.value})))
 
 
+@builtin_action("t.sim.note_trip")
+def _note_trip(ctx, params, message):
+    trip = ctx.last_migration
+    report = None if trip is None else [trip.src.name, trip.dest.name, trip.latency, trip.arrived_at]
+    ctx.state.setdefault("trips", []).append([ctx.now, report])
+
+
 @builtin_action("t.sim.hoard_then_go")
 def _hoard_then_go(ctx, params, message):
     ctx.state["hoard"] = {1, 2}  # a set does not serialize

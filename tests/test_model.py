@@ -16,7 +16,6 @@ from agentry.model import (
     location_to_jsonable,
     message_from_jsonable,
     message_to_jsonable,
-    next_wake_time,
     serialize_shell,
     wake_satisfied,
 )
@@ -70,60 +69,59 @@ def shell_with(inbox=(), current=L1):
 
 def test_at_time_wake():
     w = ag.AtTime(10)
-    assert not wake_satisfied(w, now=9, shell=shell_with(), in_transit=False)
-    assert wake_satisfied(w, now=10, shell=shell_with(), in_transit=False)
-    assert wake_satisfied(w, now=11, shell=shell_with(), in_transit=False)
+    assert not wake_satisfied(w, now=9, shell=shell_with())
+    assert wake_satisfied(w, now=10, shell=shell_with())
+    assert wake_satisfied(w, now=11, shell=shell_with())
 
 
 def test_on_message_wake_respects_filter():
     w = ag.OnMessage("PING")
-    assert not wake_satisfied(w, now=0, shell=shell_with([msg("PONG")]), in_transit=False)
-    assert wake_satisfied(w, now=0, shell=shell_with([msg("PING")]), in_transit=False)
-    assert wake_satisfied(ag.OnMessage(), now=0, shell=shell_with([msg("PONG")]), in_transit=False)
+    assert not wake_satisfied(w, now=0, shell=shell_with([msg("PONG")]))
+    assert wake_satisfied(w, now=0, shell=shell_with([msg("PING")]))
+    assert wake_satisfied(ag.OnMessage(), now=0, shell=shell_with([msg("PONG")]))
 
 
 def test_on_arrival_wake_requires_presence():
     w = ag.OnArrival(L2)
-    assert not wake_satisfied(w, now=0, shell=shell_with(current=L1), in_transit=False)
-    assert not wake_satisfied(w, now=0, shell=shell_with(current=L2), in_transit=True)
-    assert wake_satisfied(w, now=0, shell=shell_with(current=L2), in_transit=False)
+    assert not wake_satisfied(w, now=0, shell=shell_with(current=L1))
+    assert wake_satisfied(w, now=0, shell=shell_with(current=L2))
 
 
 def test_any_of_wake_is_a_disjunction():
     w = ag.AnyOf([ag.AtTime(5), ag.OnMessage("PING")])
-    assert not wake_satisfied(w, now=4, shell=shell_with(), in_transit=False)
-    assert wake_satisfied(w, now=5, shell=shell_with(), in_transit=False)
-    assert wake_satisfied(w, now=0, shell=shell_with([msg("PING")]), in_transit=False)
+    assert not wake_satisfied(w, now=4, shell=shell_with())
+    assert wake_satisfied(w, now=5, shell=shell_with())
+    assert wake_satisfied(w, now=0, shell=shell_with([msg("PING")]))
 
 
 def test_never_wake():
-    assert not wake_satisfied(ag.Never(), now=10 ** 9, shell=shell_with([msg()]), in_transit=False)
+    assert not wake_satisfied(ag.Never(), now=10 ** 9, shell=shell_with([msg()]))
 
 
 def test_next_wake_time():
-    assert next_wake_time(ag.AtTime(7)) == 7
-    assert next_wake_time(ag.OnMessage()) is None
-    assert next_wake_time(ag.AnyOf([ag.OnMessage(), ag.AtTime(9), ag.AtTime(4)])) == 4
-    assert next_wake_time(ag.AnyOf([ag.OnMessage(), ag.Never()])) is None
+    assert ag.AtTime(7).next_tick() == 7
+    assert ag.OnMessage().next_tick() is None
+    assert ag.AnyOf([ag.OnMessage(), ag.AtTime(9), ag.AtTime(4)]).next_tick() == 4
+    assert ag.AnyOf([ag.OnMessage(), ag.Never()]).next_tick() is None
 
 
-def reference_satisfied(wake, now, shell, in_transit):
+def reference_satisfied(wake, now, shell):
     """The isinstance chain that ``wake_satisfied`` replaced by methods."""
     if isinstance(wake, ag.AtTime):
         return now >= wake.tick
     if isinstance(wake, ag.OnMessage):
         return any(ag.message_matches(m, wake.type_filter) for m in shell.inbox)
     if isinstance(wake, ag.OnArrival):
-        return (not in_transit) and shell.current == wake.location
+        return shell.current == wake.location
     if isinstance(wake, ag.AnyOf):
-        return any(reference_satisfied(member, now, shell, in_transit) for member in wake.members)
+        return any(reference_satisfied(member, now, shell) for member in wake.members)
     if isinstance(wake, ag.Never):
         return False
     raise TypeError(f"unknown wake condition {wake!r}")
 
 
 def reference_next_wake_time(wake):
-    """The isinstance chain that ``next_wake_time`` replaced by methods."""
+    """The isinstance chain that ``next_tick`` replaced."""
     if isinstance(wake, ag.AtTime):
         return wake.tick
     if isinstance(wake, ag.AnyOf):
@@ -148,13 +146,12 @@ WAKES = st.recursive(LEAF_WAKES, lambda members: st.lists(members, max_size=4).m
     inbox=st.lists(st.sampled_from(TAGS), max_size=4),
     now=st.integers(0, 12),
     current=st.sampled_from([L1, L2]),
-    in_transit=st.booleans(),
 )
-def test_wake_methods_agree_with_the_isinstance_chain(wake, inbox, now, current, in_transit):
+def test_wake_methods_agree_with_the_isinstance_chain(wake, inbox, now, current):
     shell = shell_with([msg(tag) for tag in inbox], current=current)
-    expected = reference_satisfied(wake, now, shell, in_transit)
-    assert wake_satisfied(wake, now=now, shell=shell, in_transit=in_transit) is expected
-    assert next_wake_time(wake) == reference_next_wake_time(wake)
+    expected = reference_satisfied(wake, now, shell)
+    assert wake_satisfied(wake, now, shell) is expected
+    assert wake.next_tick() == reference_next_wake_time(wake)
 
 
 class _Unknown(ag.WakeCondition):
@@ -169,8 +166,8 @@ class _Deadline(ag.AtTime):
 def test_a_wake_condition_without_a_rule_is_rejected():
     for wake in (_Unknown(), ag.AnyOf([ag.OnMessage("PING"), _Unknown()])):
         with pytest.raises(TypeError, match="unknown wake condition"):
-            wake_satisfied(wake, now=0, shell=shell_with(), in_transit=False)
-    assert next_wake_time(_Unknown()) is None
+            wake_satisfied(wake, now=0, shell=shell_with())
+    assert _Unknown().next_tick() is None
 
 
 class _WaitForDeadline(ag.Behavior):
@@ -191,9 +188,9 @@ class _WaitForDeadline(ag.Behavior):
 
 
 def test_a_subclass_of_at_time_still_wakes(platform_factory):
-    assert wake_satisfied(_Deadline(5), now=5, shell=shell_with(), in_transit=False)
-    assert not wake_satisfied(_Deadline(5), now=4, shell=shell_with(), in_transit=False)
-    assert next_wake_time(ag.AnyOf([ag.OnMessage(), _Deadline(5)])) == 5
+    assert wake_satisfied(_Deadline(5), now=5, shell=shell_with())
+    assert not wake_satisfied(_Deadline(5), now=4, shell=shell_with())
+    assert ag.AnyOf([ag.OnMessage(), _Deadline(5)]).next_tick() == 5
     p = platform_factory()
     agent = p.spawn_agent(p.create_location("l"), [_WaitForDeadline()])
     p.run(None)

@@ -10,7 +10,7 @@ from agentry import simulator
 from agentry.model import location_to_jsonable
 from agentry.scenario import _read, build_platform, load_scenario
 
-from conftest import make_mock, make_sim
+from conftest import events_of, make_mock, make_sim
 
 SHIPPED = Path(__file__).parent.parent / "scenarios" / "push_exam.json"
 
@@ -72,6 +72,14 @@ def test_first_step_ticks(platform_factory):
     p.spawn_agent(loc, [tagged("late")])
     p.run(None)
     assert steps(p) == [("late", 4)]
+
+    # run(until=0) passes tick 0 even on a platform with nothing to do at it
+    p = platform_factory()
+    loc = p.create_location("l")
+    p.run(until=0)
+    p.spawn_agent(loc, [tagged("late")])
+    p.run(None)
+    assert steps(p) == [("late", 1)]
 
     # a run that processed no tick leaves tick 0 unprocessed
     p = platform_factory()
@@ -273,6 +281,53 @@ def test_zero_latency_migration(platform_factory):
     end = [e for e in p.trace() if e.kind == ag.EventKind.MIGRATE_END]
     assert [e.tick for e in end] == [0]
     assert p.agent_location(agent) == b_loc
+
+
+def test_last_migration_reports_the_tick_each_trip_landed(platform_factory):
+    noted = ag.ActionDescriptor("t.sim.note_trip")
+
+    def note():
+        return ag.Task(noted)
+
+    def go(dest):
+        return ag.Task(ag.ActionDescriptor("t.sim.go", {"dest": location_to_jsonable(dest)}))
+
+    def world(migration, plan):
+        p = platform_factory(migration=migration)
+        a, b, c = (p.create_location(name) for name in "abc")
+        agent = p.spawn_agent(a, [ag.Sequential(plan(b, c))])
+        p.run(None)
+        return p, agent
+
+    def landings(p):
+        return [[e.detail["from"], e.detail["to"], e.detail["latency"], e.tick] for e in events_of(p, ag.EventKind.MIGRATE_END)]
+
+    # Each entry: [tick of the step, its ctx.last_migration as [src, dest, latency, arrived_at]].
+    # An ordinary arrival: due and landed at 1 + 3.
+    p, agent = world(3, lambda b, c: [note(), go(b), note()])
+    assert p.agent_state(agent)["trips"] == [[0, None], [4, ["a", "b", 3, 4]]]
+    assert landings(p) == [["a", "b", 3, 4]]
+
+    # A zero-latency arrival lands in the end-of-tick sweep; the next step reads it.
+    p, agent = world(0, lambda b, c: [go(b), note()])
+    assert p.agent_state(agent)["trips"] == [[1, ["a", "b", 0, 0]]]
+    assert landings(p) == [["a", "b", 0, 0]]
+
+    # A second trip replaces the first.
+    p, agent = world(2, lambda b, c: [go(b), note(), go(c), note()])
+    assert p.agent_state(agent)["trips"] == [[2, ["a", "b", 2, 2]], [5, ["b", "c", 2, 5]]]
+    assert landings(p) == [["a", "b", 2, 2], ["b", "c", 2, 5]]
+
+    # A zero-latency move from outside after run(until=4) is due at 4, but
+    # tick 4 has passed: it lands at 5, and the report says so.
+    p = platform_factory(migration=0)
+    a, b = p.create_location("a"), p.create_location("b")
+    agent = p.spawn_agent(a, [ag.Observer(1, ag.ActionDescriptor("clock_at_least", {"tick": 5}), noted)])
+    p.run(until=4)
+    p.migrate(agent, b)
+    p.run(None)
+    assert p.agent_state(agent)["trips"] == [[5, ["a", "b", 0, 5]]]
+    assert landings(p) == [["a", "b", 0, 5]]
 
 
 @pytest.mark.parametrize(
@@ -592,6 +647,70 @@ def _generated_world(factory, seed):
 @pytest.mark.parametrize("seed", range(120))
 def test_generated_worlds_agree_on_both_platforms(seed):
     assert _generated_world(make_sim, seed) == _generated_world(make_mock, seed)
+
+
+def _outside_calls_world(factory, seed):
+    """Drive a seeded world by outside calls only, and return what the
+    platform shows of it: each call's outcome and clock reading, the trace,
+    the final clock and every agent's aliveness, location and state.
+
+    The calls interleave ``run(until=k)``, where k may be 0 or behind
+    ``now()``, with spawns (some with no behavior), attaches, sends (some to
+    a never-spawned id), moves and ``run(None)``. Latencies are fixed and
+    may be zero. Calls that the platform refuses (an attach to a terminated
+    agent, a move of one in transit) are part of the outcome.
+    """
+    rng = random.Random(seed)
+    p = factory(message=rng.randint(0, 2), migration=rng.randint(0, 2))
+    locs = [p.create_location(f"loc{i}") for i in range(rng.randint(1, 3))]
+    ghost = p.reserve_agent_id()  # never spawned
+    agents = []
+    types = ["A", "B"]
+    noted = ag.ActionDescriptor("t.sim.note_trip")
+
+    def anyone():
+        return rng.choice(agents + [ghost])
+
+    def behavior():
+        pick = rng.randrange(5)
+        if pick == 0:
+            return ag.Listener(rng.choice(types + ["*"]), [noted], mode=ag.CYCLIC)
+        if pick == 1:
+            return ag.Task(ag.ActionDescriptor("send", {"to": anyone().value, "type": rng.choice(types)}))
+        if pick == 2:
+            trigger = ag.ActionDescriptor("clock_at_least", {"tick": rng.randint(0, 10)})
+            return ag.Observer(rng.randint(1, 3), trigger, noted)
+        if pick == 3:
+            return ag.Task(ag.ActionDescriptor("t.sim.go", {"dest": location_to_jsonable(rng.choice(locs))}))
+        return ag.Task(ag.ActionDescriptor("t.sim.tick_log"))
+
+    outcomes = []
+    for _ in range(rng.randint(2, 12)):
+        call = rng.choice(["run_until", "spawn", "attach", "send", "migrate", "run"])
+        try:
+            if call == "run_until":
+                p.run(until=max(0, rng.choice([0, p.now() - 1, p.now(), p.now() + rng.randint(1, 4)])))
+            elif call == "spawn":
+                agents.append(p.spawn_agent(rng.choice(locs), [behavior() for _ in range(rng.choice([0, 1, 1, 2, 3]))]))
+            elif call == "attach" and agents:
+                p.attach_behavior(rng.choice(agents), behavior())
+            elif call == "send":
+                p.send(ag.make_message(anyone(), anyone(), rng.choice(types), "outside", sent_at=p.now()))
+            elif call == "migrate" and agents:
+                p.migrate(rng.choice(agents), rng.choice(locs))
+            elif call == "run":
+                p.run(None)
+            outcomes.append((call, None, p.now()))
+        except (ag.UnknownAgent, ag.AlreadyMigrating) as refused:
+            outcomes.append((call, type(refused).__name__, p.now()))
+    p.run(None)
+    seen = [(p.is_alive(a), p.agent_location(a), p.agent_state(a)) for a in agents]
+    return outcomes, p.trace().to_jsonl(), p.now(), seen
+
+
+@pytest.mark.parametrize("seed", range(150))
+def test_outside_calls_agree_on_both_platforms(seed):
+    assert _outside_calls_world(make_sim, seed) == _outside_calls_world(make_mock, seed)
 
 
 # ---------------------------------------------------------------------------
