@@ -258,8 +258,12 @@ class Listener(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Listener":
+        type_filter = d["filter"]
+        if not isinstance(type_filter, str) or not type_filter:
+            # No message type would ever match it: the listener would never hear.
+            raise ValueError(f"listener filter must be a non-empty string, got {type_filter!r}")
         return cls(
-            type_filter=d["filter"],
+            type_filter=type_filter,
             callbacks=[ActionDescriptor.from_jsonable(c) for c in d["callbacks"]],
             mode=d.get("mode", CYCLIC),
         )

@@ -219,6 +219,11 @@ class Fsm(Behavior):
     the label the previous activity returned; an event that does not decode
     or has no matching transition is traced and discarded, the state is
     kept. Entering a terminal state runs its activity and finishes.
+
+    The step that enters a state returns RUNNING only when the activity
+    returned a label, which the next step follows. Otherwise (no label, or
+    the activity failed) it blocks on the next FSM_EVENT in that same step,
+    so a machine with nothing to do costs no further step or tick.
     """
 
     kind = "fsm"
@@ -250,7 +255,7 @@ class Fsm(Behavior):
             self._pending_label = label if ok else None
             if self._current in self.definition.terminals:
                 return DONE
-            return RUNNING
+            return _AWAIT_EVENT if self._pending_label is None else RUNNING
         label = self._pending_label
         self._pending_label = None
         if label is None:
@@ -282,9 +287,13 @@ class Fsm(Behavior):
         current = d["current"]
         if current is not None and not (isinstance(current, str) and current in definition.states):
             raise InvalidFsm(f"current state {current!r} not among states")
-        return cls(
-            definition,
-            _current=current,
-            _entered=bool(d.get("entered", False)),
-            _pending_label=d.get("pending_label"),
-        )
+        entered = d.get("entered", False)
+        if not isinstance(entered, bool):
+            raise InvalidFsm(f"entered must be true or false, got {entered!r}")
+        label = d.get("pending_label")
+        if label is not None and not isinstance(label, str):
+            raise InvalidFsm(f"pending_label must be null or a string, got {label!r}")
+        if label is not None and not entered:
+            # Only entering a state sets a label, so a blob never holds one otherwise.
+            raise InvalidFsm(f"pending_label {label!r} needs entered: true")
+        return cls(definition, _current=current, _entered=entered, _pending_label=label)

@@ -48,6 +48,9 @@ as a full scan would give:
   next tick, so even one spawned from outside with none terminates. A
   terminated agent drops its behaviors; its state and location stay.
 
+Agent records are indexed by ``AgentId.value``, a plain int, so the lookups
+each send and delivery make hash no dataclass.
+
 Each slot records the first tick it may step (``first_step``), and one rule,
 ``_slot_next_tick``, says when a slot may step next: the step phase steps a
 slot exactly when that is the current tick. Before the clock moves, every
@@ -186,7 +189,7 @@ class SimPlatform:
         self._config = config or SimConfig()
         self._rng = random.Random(self._config.seed)
         self._locs_by_name: dict[str, LocationId] = {}
-        self._agents: dict[AgentId, _AgentRecord] = {}
+        self._agents: dict[int, _AgentRecord] = {}  # by AgentId.value
         self._records: list[_AgentRecord] = []  # by spawn index
         self._candidates: set[int] = set()
         self._timers: list[tuple[Ticks, int]] = []
@@ -246,12 +249,12 @@ class SimPlatform:
         self._check_location(at)
         if agent_id is None:
             agent_id = self.reserve_agent_id()
-        elif not 0 < agent_id.value < self._next_agent_value or agent_id in self._agents:
+        elif not 0 < agent_id.value < self._next_agent_value or agent_id.value in self._agents:
             raise ValueError(f"agent id {agent_id!r} was not reserved or is already in use")
         shell = AgentShell(id=agent_id, home=at, current=at, behaviors=list(behaviors))
         slots = [_Slot(b, self._next_tick) for b in shell.behaviors]
         rec = _AgentRecord(shell=shell, slots=slots, index=len(self._records))
-        self._agents[agent_id] = rec
+        self._agents[agent_id.value] = rec
         self._records.append(rec)
         self._make_candidate(rec)
         self._maybe_done.add(rec.index)
@@ -259,7 +262,7 @@ class SimPlatform:
         return agent_id
 
     def _record(self, agent: AgentId) -> _AgentRecord:
-        rec = self._agents.get(agent)
+        rec = self._agents.get(agent.value)
         if rec is None:
             raise UnknownAgent(f"no agent {agent!r}")
         return rec
@@ -274,13 +277,13 @@ class SimPlatform:
     def agents_at(self, location: LocationId) -> list[AgentId]:
         self._check_location(location)
         return [
-            agent_id
-            for agent_id, rec in self._agents.items()
+            rec.shell.id
+            for rec in self._agents.values()
             if rec.status == _ACTIVE and rec.shell.current == location
         ]
 
     def is_alive(self, agent: AgentId) -> bool:
-        rec = self._agents.get(agent)
+        rec = self._agents.get(agent.value)
         return rec is not None and rec.status != _TERMINATED
 
     def agent_state(self, agent: AgentId) -> dict[str, Any]:
@@ -308,7 +311,7 @@ class SimPlatform:
         return model.sample(self._rng, src, dst)
 
     def _location_of_for_latency(self, agent: AgentId) -> LocationId:
-        rec = self._agents.get(agent)
+        rec = self._agents.get(agent.value)
         if rec is None:
             return LocationId(0, "?")
         if rec.status == _MIGRATING:
@@ -478,7 +481,7 @@ class SimPlatform:
         return arrived
 
     def _finish_arrival(self, agent_id: AgentId, tick: Ticks, first_step: Ticks) -> None:
-        rec = self._agents[agent_id]
+        rec = self._agents[agent_id.value]
         trip = rec.trip
         shell = deserialize_shell(rec.blob)
         shell.current = trip.dest
@@ -507,7 +510,7 @@ class SimPlatform:
         progressed = False
         while self._heap and self._heap[0][0] <= tick:
             due, seq, msg = heapq.heappop(self._heap)
-            rec = self._agents.get(msg.receiver)
+            rec = self._agents.get(msg.receiver.value)
             base = {
                 "type": msg.type_tag,
                 "from": msg.sender.value,

@@ -595,3 +595,156 @@ def test_random_trees_run_every_leaf_once(platform_factory, seed):
     ran = [tag for tag, _ in marks_of(p, agent)]
     assert sorted(ran) == sorted(tags)
     assert len(events_of(p, EventKind.TERMINATE)) == 1
+
+
+# ---------------------------------------------------------------------------
+# An Fsm waits in the step that enters a state
+# ---------------------------------------------------------------------------
+
+
+class _PollingFsm(ag.Fsm):
+    """The polling rule, for comparison: a step that enters a non-terminal
+    state asks for one more step, which finds no event and only then blocks.
+    It registers no kind, so it serializes as a plain Fsm; the worlds below
+    never migrate."""
+
+    def _step(self, ctx):
+        entering = not self._entered
+        outcome = super()._step(ctx)
+        return ag.RUNNING if entering and not isinstance(outcome, ag.Done) else outcome
+
+
+def test_an_fsm_entering_a_state_with_no_event_blocks_in_that_step(platform_factory):
+    p, agent = run_world(platform_factory, [ag.Fsm(two_state_definition())])
+    assert p.now() == 0 and p.is_alive(agent)
+    # Nothing is left past the budget, so a zero budget quiesces.
+    p, agent = run_world(platform_factory, [ag.Fsm(two_state_definition())], max_ticks=0)
+    assert p.now() == 0 and p.is_alive(agent)
+    # Under the polling rule the empty poll is work at tick 1.
+    p, agent = run_world(platform_factory, [_PollingFsm(two_state_definition())])
+    assert p.now() == 1
+    with pytest.raises(ag.TickBudgetExceeded):
+        run_world(platform_factory, [_PollingFsm(two_state_definition())], max_ticks=0)
+
+
+FSM_LABELS = ["a", "b", "c"]
+
+
+def _fsm_world(platform, seed, fsm=ag.Fsm):
+    """Run a seeded world of Fsm agents built with the class ``fsm`` on
+    "sim" or "mock", and return its trace, every agent's state, the final
+    clock and whether the last run exceeded the tick budget.
+
+    Definitions are random: an activity returns a label (with or without a
+    transition), nothing, or bytes that are not UTF-8, raises, or sends an
+    FSM_EVENT to any agent; any state may be terminal. Each Fsm runs alone,
+    inside a Sequential, or in a Parallel (all or any) next to an Observer,
+    a Listener or a Task. Latencies are fixed or, on the sim, drawn from
+    0..k. Spawns, outside sends (some not UTF-8) and ``run(until=k)`` calls
+    interleave before a last run to quiescence.
+    """
+    rng = random.Random(seed)
+    delay = rng.randint(0, 2)
+    uniform = rng.random() < 0.5
+    if platform == "mock":
+        p = ag.MockPlatform(message_delay=delay, max_ticks=200)
+    else:
+        latency = ag.UniformRange(0, delay) if uniform else ag.Fixed(delay)
+        p = ag.SimPlatform(ag.SimConfig(seed=seed, message_latency=latency, max_ticks=200))
+    home = p.create_location("home")
+    ids = [p.reserve_agent_id() for _ in range(rng.randint(1, 4))]
+
+    def event(to):
+        return act("t.fsm.send_event", {"to": to.value, "label": rng.choice(FSM_LABELS)})
+
+    def activity(state):
+        pick = rng.randrange(6)
+        if pick < 2:
+            return act("t.fsm.emit", {"tag": state, "label": rng.choice(FSM_LABELS)})
+        if pick == 2:
+            return act("t.fsm.emit", {"tag": state})
+        if pick == 3:
+            return act("t.beh.boom")
+        if pick == 4:
+            return act("t.beh.bad_label")
+        return event(rng.choice(ids))
+
+    def machine():
+        states = [f"s{i}" for i in range(rng.randint(1, 4))]
+        transitions = {}
+        for state in states:
+            by_label = {label: rng.choice(states) for label in FSM_LABELS if rng.random() < 0.5}
+            if by_label:
+                transitions[state] = by_label
+        terminals = frozenset(state for state in states if rng.random() < 0.3)
+        definition = ag.FsmDefinition({s: activity(s) for s in states}, transitions, states[0], terminals)
+        return fsm(definition)
+
+    def sibling():
+        pick = rng.randrange(4)
+        if pick == 0:
+            trigger = act("clock_at_least", {"tick": rng.randint(0, 8)})
+            return ag.Observer(rng.randint(1, 3), trigger, act("t.beh.mark", {"tag": "observed"}))
+        if pick == 1:
+            mode = rng.choice([ag.CYCLIC, ag.ONE_SHOT])
+            return ag.Listener(rng.choice([FSM_EVENT, "A", "*"]), [act("t.beh.mark", {"tag": "heard"})], mode)
+        if pick == 2:
+            return ag.Task(event(rng.choice(ids)))
+        return mark("task")
+
+    def tree():
+        pick = rng.randrange(4)
+        if pick == 0:
+            return machine()
+        if pick == 1:
+            return ag.Sequential([mark("before"), machine(), mark("after")])
+        children = [machine(), sibling()]
+        rng.shuffle(children)
+        return ag.Parallel(children, completion=rng.choice([ag.ALL, ag.ANY]))
+
+    def outside_calls():
+        for _ in range(rng.randint(0, 3)):
+            if rng.random() < 0.5:
+                payload = rng.choice(FSM_LABELS + ["\xff"]).encode("latin-1")
+                p.send(make_message(rng.choice(ids), rng.choice(ids), rng.choice([FSM_EVENT, "A"]), "outside", payload, sent_at=p.now()))
+            else:
+                p.run(until=p.now() + rng.randint(0, 4))
+
+    for agent_id in ids:
+        p.spawn_agent(home, [tree()], agent_id=agent_id)
+        outside_calls()
+    try:
+        p.run(None)
+        over_budget = False
+    except ag.TickBudgetExceeded:
+        over_budget = True
+    return p.trace().to_jsonl(), [p.agent_state(a) for a in ids], p.now(), over_budget
+
+
+def _fsm_wait_outcome(platform, seed):
+    """Compare a seeded world under the waiting rule with the polling rule:
+    "same"; "earlier" for the same trace and states with the clock one tick
+    earlier, or a budget that only the empty polls exceeded no longer
+    exceeded; otherwise "differs"."""
+    trace, states, now, over_budget = _fsm_world(platform, seed)
+    polled_trace, polled_states, polled_now, polled_over_budget = _fsm_world(platform, seed, _PollingFsm)
+    if (trace, states) != (polled_trace, polled_states) or over_budget > polled_over_budget:
+        return "differs"
+    if (now, over_budget) == (polled_now, polled_over_budget):
+        return "same"
+    return "earlier" if now in (polled_now, polled_now - 1) else "differs"
+
+
+def _fsm_wait_mismatches(seed):
+    """The platforms on which a seeded world's two Fsm rules differ."""
+    return [platform for platform in ("sim", "mock") if _fsm_wait_outcome(platform, seed) == "differs"]
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_an_fsm_waiting_where_it_entered_leaves_the_polling_trace(seed):
+    assert _fsm_wait_mismatches(seed) == []
+
+
+def test_generated_fsm_worlds_reach_runs_that_end_a_tick_earlier():
+    for platform in ("sim", "mock"):
+        assert any(_fsm_wait_outcome(platform, seed) == "earlier" for seed in range(200))

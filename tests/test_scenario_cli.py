@@ -210,6 +210,7 @@ FSM = {
     "definition": {"states": {"s0": {"name": "noop"}}, "start": "s0", "terminals": ["s0"]},
     "current": None,
 }
+LISTENER = {"kind": "listener", "filter": "A", "callbacks": [{"name": "noop"}]}
 MISTYPED_FIELDS = {
     "client_server_str": (
         {**CLIENT, "server": "x"},
@@ -230,6 +231,24 @@ MISTYPED_FIELDS = {
     "observer_start_bool": ({**OBSERVER, "start": False}, "observer start must be null or an integer, got False"),
     "fsm_current_unknown": ({**FSM, "current": "s9"}, "current state 's9' not among states"),
     "fsm_current_list": ({**FSM, "current": ["s0"]}, "current state ['s0'] not among states"),
+    "fsm_entered_str": ({**FSM, "entered": "yes"}, "entered must be true or false, got 'yes'"),
+    "fsm_entered_int": ({**FSM, "entered": 1}, "entered must be true or false, got 1"),
+    "fsm_pending_label_list": (
+        {**FSM, "entered": True, "pending_label": ["x"]},
+        "pending_label must be null or a string, got ['x']",
+    ),
+    "fsm_pending_label_object": (
+        {**FSM, "entered": True, "pending_label": {"x": 1}},
+        "pending_label must be null or a string, got {'x': 1}",
+    ),
+    "fsm_pending_label_int": (
+        {**FSM, "entered": True, "pending_label": 5},
+        "pending_label must be null or a string, got 5",
+    ),
+    "fsm_pending_label_not_entered": ({**FSM, "pending_label": "go"}, "pending_label 'go' needs entered: true"),
+    "listener_filter_list": ({**LISTENER, "filter": ["A"]}, "listener filter must be a non-empty string, got ['A']"),
+    "listener_filter_int": ({**LISTENER, "filter": 7}, "listener filter must be a non-empty string, got 7"),
+    "listener_filter_empty": ({**LISTENER, "filter": ""}, "listener filter must be a non-empty string, got ''"),
 }
 
 
@@ -244,7 +263,13 @@ def test_a_mistyped_behavior_field_is_reported_at_its_behavior(case):
 # Values the bench documents and the shipped scenario do not already use.
 @pytest.mark.parametrize(
     "spec",
-    [{**CLIENT, "server": {"$state": "server"}}, {**OBSERVER, "start": 4}, FSM],
+    [
+        {**CLIENT, "server": {"$state": "server"}},
+        {**OBSERVER, "start": 4},
+        FSM,
+        {**FSM, "current": "s0", "entered": True, "pending_label": "go"},
+        {**LISTENER, "filter": "*"},
+    ],
 )
 def test_well_typed_behavior_fields_validate_clean(spec):
     assert validate_scenario_doc(base_doc(agents=[{"location": "home", "behaviors": [spec]}])) == []
@@ -687,13 +712,43 @@ def _small(doc, agents):
 
 @functools.lru_cache(maxsize=None)
 def _document_base(kind, seed):
-    """A base document's JSON text: a small bench world or the shipped scenario."""
+    """A base document's JSON text: a small bench world, a world resumed
+    mid-run or the shipped scenario."""
     worlds = _load_bench_worlds()
     if kind == "fanin":
         return json.dumps(worlds.fanin(seed, clients=3))
     if kind in ("fleet", "fsm_mesh"):
         return json.dumps(_small(worlds.WORKLOADS[kind][0](seed), 3))
+    if kind == "mid_run":
+        return json.dumps(_mid_run_document(seed))
     return SHIPPED.read_text()
+
+
+def _mid_run_document(seed):
+    """A small world resumed mid-run: an Fsm that has entered its state and
+    holds a pending label, and a Listener its next state calls on."""
+    fsm = {
+        "kind": "fsm",
+        "definition": {
+            "states": {
+                "s0": {"name": "noop"},
+                "s1": {"name": "send", "params": {"to": {"$agent": 1}, "type": "A"}},
+                "s2": {"name": "noop"},
+            },
+            # The send action JSON-encodes its payload, so the reply's label is '"go"'.
+            "transitions": {"s0": {"go": "s1"}, "s1": {'"go"': "s2"}},
+            "start": "s0",
+            "terminals": ["s2"],
+        },
+        "current": "s0",
+        "entered": True,
+        "pending_label": "go",
+    }
+    reply = {"name": "send", "params": {"to": {"$agent": 0}, "type": "FSM_EVENT", "payload": "go"}}
+    listener = {"kind": "listener", "filter": "A", "callbacks": [reply], "mode": "one_shot"}
+    config = {"message_latency": {"kind": "fixed", "ticks": 1}, "max_ticks": 50}
+    agents = [{"location": "home", "behavior": fsm}, {"location": "home", "behavior": listener}]
+    return {"format_version": 1, "seed": seed, "config": config, "locations": ["home"], "agents": agents}
 
 
 # JSON values that are wrong almost anywhere, or right by accident.
@@ -710,11 +765,12 @@ def _slots(value):
 
 
 def _mutated_document(seed):
-    """A seeded scenario document: a small bench world or the shipped
-    scenario, with one to three values replaced by JSON junk or a good or
-    bad marker, deleted, or wrapped in a list, an object or a marker."""
+    """A seeded scenario document: a small bench world, a world resumed mid-run
+    or the shipped scenario, with one to three values replaced by JSON junk
+    or a good or bad marker, deleted, or wrapped in a list, an object or a
+    marker."""
     rng = random.Random(seed)
-    doc = json.loads(_document_base(rng.choice(["fanin", "fleet", "fsm_mesh", "shipped"]), rng.randrange(8)))
+    doc = json.loads(_document_base(rng.choice(["fanin", "fleet", "fsm_mesh", "mid_run", "shipped"]), rng.randrange(8)))
     good = [{"$location": rng.choice(doc["locations"])}, {"$agent": rng.randrange(len(doc["agents"]))}, {"$tests": True}]
     for _ in range(rng.randint(1, 3)):
         container, key = rng.choice(list(_slots(doc)))
