@@ -94,11 +94,14 @@ class Sequential(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Sequential":
-        return cls(
-            [behavior_from_dict(c) for c in d["children"]],
-            _index=int(d.get("index", 0)),
-            _current_started=bool(d.get("current_started", False)),
-        )
+        children = [behavior_from_dict(c) for c in d["children"]]
+        # A finished sequence serializes index == len(children).
+        index, started = d.get("index", 0), d.get("current_started", False)
+        if not (isinstance(index, int) and not isinstance(index, bool) and 0 <= index <= len(children)):
+            raise ValueError(f"sequential index must be an integer from 0 to {len(children)}, got {index!r}")
+        if not isinstance(started, bool):
+            raise ValueError(f"current_started must be true or false, got {started!r}")
+        return cls(children, _index=index, _current_started=started)
 
 
 class Parallel(Behavior):

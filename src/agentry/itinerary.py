@@ -10,7 +10,6 @@ policy, or halting for good when there is none.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -33,7 +32,6 @@ from .model import (
     behavior_from_dict,
     clone_behavior,
     location_from_jsonable,
-    location_to_jsonable,
 )
 
 Window = tuple[Ticks, Optional[Ticks]]
@@ -61,11 +59,12 @@ class Objective:
             raise ValueError("latest_offset must be >= earliest_offset")
 
     def to_jsonable(self) -> dict[str, Any]:
+        location = self.location
         return {
-            "location": location_to_jsonable(self.location),
+            "location": {"value": location.value, "name": location.name},
             "earliest": self.earliest_offset,
             "latest": self.latest_offset,
-            "tasks": [t.to_jsonable() for t in self.stop_tasks],
+            "tasks": [t.to_jsonable() for t in self.stop_tasks] if self.stop_tasks else [],
         }
 
     @classmethod
@@ -80,13 +79,35 @@ class Objective:
 
 
 # An objective without stop tasks holds only a frozen LocationId, ints and an
-# empty tuple, so every decode of the same values may share one instance. The
-# key carries the name because LocationId equality ignores it. A miss goes
-# through the constructor, so a tampered window is still rejected. Stop tasks
-# carry mutable params and are never shared.
+# empty tuple, so every decode of the same values may share one instance, and
+# so may every decode of a route made only of such objectives. The keys carry
+# the location name because LocationId equality ignores it. A miss goes
+# through the constructors, so a tampered window is still rejected. Stop tasks
+# carry mutable params, so neither they nor a route holding one are shared.
 @functools.lru_cache(maxsize=4096)
 def _task_free_objective(value: int, name: str, earliest: Ticks, latest: Optional[Ticks]) -> Objective:
     return Objective(LocationId(value, name), earliest, latest)
+
+
+ObjectiveRow = tuple[int, str, Ticks, Optional[Ticks]]
+
+
+@functools.lru_cache(maxsize=4096)
+def _task_free_route(rows: tuple[ObjectiveRow, ...], base_time: Optional[Ticks]) -> "Route":
+    return Route(tuple(_task_free_objective(*row) for row in rows), base_time)
+
+
+def _task_free_rows(objectives: Any) -> Optional[tuple[ObjectiveRow, ...]]:
+    """The (location value, name, earliest, latest) of each objective, with
+    Objective.from_jsonable's conversions; None once one has stop tasks."""
+    rows = []
+    for o in objectives:
+        if o.get("tasks", []) != []:
+            return None
+        location, latest = o["location"], o.get("latest")
+        earliest = int(o.get("earliest", 0))
+        rows.append((int(location["value"]), str(location["name"]), earliest, None if latest is None else int(latest)))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -118,6 +139,17 @@ class Route:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Route":
+        try:
+            rows = _task_free_rows(d["objectives"])
+            base_time = None if d.get("base_time") is None else int(d["base_time"])
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
+            # What converting a JSON value of the wrong shape raises. Only
+            # the per-objective path below raises in the order a document's
+            # diagnostics report: each objective's conversions, then its
+            # window, then the next objective, then base_time.
+            rows = None
+        if rows is not None:
+            return _task_free_route(rows, base_time)
         return cls(
             objectives=tuple(Objective.from_jsonable(o) for o in d["objectives"]),
             base_time=None if d.get("base_time") is None else int(d["base_time"]),
@@ -220,7 +252,7 @@ class DelayEstimator:
         # alpha*observed + (1-alpha)*prior over the common denominator ad*ed:
         # one exact Fraction instead of four Fraction operations.
         links = dict(self.links)
-        links[link] = Fraction(an * observed * ed + (ad - an) * en, ad * ed)
+        links[link] = _fraction(an * observed * ed + (ad - an) * en, ad * ed)
         return DelayEstimator(self.alpha, self.default_estimate, links)
 
     def to_jsonable(self) -> dict[str, Any]:
@@ -261,7 +293,8 @@ def next_departure_plan(
     effort; the late path handles the rest)."""
     window_start = base_time + nxt.earliest_offset
     estimate = est.estimate((current.name, nxt.location.name))
-    return max(now, math.ceil(window_start - estimate))
+    # ceil(window_start - n/d) == window_start - floor(n/d), as d > 0.
+    return max(now, window_start - estimate.numerator // estimate.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +525,12 @@ class Itinerary(Behavior):
             raise ValueError(f"itinerary base must be an integer past {_START!r}, got {base!r}")
         if phase == _MISSED and not done and missed_clone is None:
             raise ValueError(f"itinerary phase {_MISSED!r} needs a missed_clone")
+        planned = d.get("planned", False)
+        if not isinstance(planned, bool):
+            raise ValueError(f"itinerary planned must be true or false, got {planned!r}")
         return cls(
             config,
-            planned_departures=bool(d.get("planned", False)),
+            planned_departures=planned,
             estimator=estimator,
             _base=base,
             _index=index,

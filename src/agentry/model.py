@@ -338,7 +338,10 @@ def behavior_from_dict(d: dict[str, Any]) -> Behavior:
     if cls is None:
         raise ValueError(f"unknown behavior kind {kind!r}")
     behavior = cls._from_dict_body(d)
-    behavior._finished = bool(d.get("done", False))
+    done = d.get("done", False)
+    if not isinstance(done, bool):
+        raise ValueError(f"done must be true or false, got {done!r}")
+    behavior._finished = done
     return behavior
 
 

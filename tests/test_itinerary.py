@@ -1,8 +1,10 @@
 """Routes, arrival windows, delay estimation, and the itinerary behavior."""
 
+import copy
 import dataclasses
 import hashlib
 import json
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -17,6 +19,7 @@ from agentry.scenario import build_platform, render_trace, validate_scenario_doc
 from agentry.trace import EventKind
 
 from conftest import events_of
+from test_scenario_cli import _slots
 
 
 def act(name, params=None):
@@ -246,6 +249,33 @@ def test_infeasible_departure_degrades_to_now():
     assert plan == 3
 
 
+@given(
+    estimate=st.one_of(st.integers(min_value=0, max_value=10**6), non_negative_fractions),
+    earliest=st.integers(min_value=0, max_value=10**6),
+    base_time=st.integers(min_value=0, max_value=10**6),
+    now=st.integers(min_value=0, max_value=3 * 10**6),
+)
+def test_a_departure_plan_equals_the_ceiling_formula(estimate, earliest, base_time, now):
+    est = ag.DelayEstimator(links={("a", "b"): estimate})
+    nxt = ag.Objective(loc(2, "b"), earliest_offset=earliest)
+    expected = max(now, math.ceil(base_time + earliest - estimate))
+    assert ag.next_departure_plan(est, loc(1, "a"), nxt, now, base_time) == expected
+
+
+@given(
+    alpha=unit_fractions,
+    prior=non_negative_fractions,
+    observed=st.integers(min_value=0, max_value=10**9),
+)
+def test_an_update_equals_a_fresh_fraction(alpha, prior, observed):
+    link = ("a", "b")
+    an, ad, en, ed = alpha.numerator, alpha.denominator, prior.numerator, prior.denominator
+    expected = Fraction(an * observed * ed + (ad - an) * en, ad * ed)
+    for _ in range(2):  # the second update of the same values is a cache hit
+        got = ag.DelayEstimator(alpha, links={link: prior}).updated(link, observed).estimate(link)
+        assert type(got) is Fraction and (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
 # ---------------------------------------------------------------------------
 # Objectives, routes, config
 # ---------------------------------------------------------------------------
@@ -392,9 +422,124 @@ def test_a_tampered_window_is_rejected_after_its_valid_twin_decoded():
 
 def test_two_decodes_share_only_task_free_objectives():
     blob = serialize_shell(_shell_with_task_free_stops())
-    one, two = (deserialize_shell(blob).behaviors[0].config.route.objectives for _ in range(2))
+    first, second = (deserialize_shell(blob).behaviors[0].config.route for _ in range(2))
+    assert first is not second
+    one, two = first.objectives, second.objectives
     assert one[0] is two[0] and one[1] is two[1]
     assert one[2] is not two[2] and one[2].stop_tasks[0] is not two[2].stop_tasks[0]
+    # Without its stop task the route holds nothing mutable: decodes share it.
+    shell = _shell_with_task_free_stops()
+    task_free = ag.Route(shell.behaviors[0].config.route.objectives[:2])
+    shell.behaviors[0] = ag.Itinerary(ag.ItineraryConfig(route=task_free))
+    blob = serialize_shell(shell)
+    first, second = (deserialize_shell(blob).behaviors[0].config.route for _ in range(2))
+    assert first is second and first == task_free and first.objectives == (one[0], one[1])
+    assert first.objectives[0] is one[0] and first.objectives[1] is one[1]
+    assert ag.Route.from_jsonable(task_free.to_jsonable()) is first
+
+
+def route_doc(*objectives, base_time=0):
+    return {"objectives": list(objectives), "base_time": base_time}
+
+
+def stop(value, name, earliest=0, latest=None, tasks=()):
+    return {"location": {"value": value, "name": name}, "earliest": earliest, "latest": latest, "tasks": list(tasks)}
+
+
+def test_a_malformed_route_reports_its_first_problem_in_objective_order():
+    # Objective 0's window is checked before objective 1 is converted.
+    bad_window = stop(1, "a", earliest=-1)
+    no_value = {"location": {"name": "b"}, "earliest": 2, "latest": None, "tasks": []}
+    with pytest.raises(ValueError, match="^earliest_offset must be non-negative$"):
+        ag.Route.from_jsonable(route_doc(bad_window, no_value))
+    with pytest.raises(KeyError, match="value"):
+        ag.Route.from_jsonable(route_doc(stop(1, "a"), no_value, bad_window))
+    # Every window is checked before base_time is converted.
+    swapped = stop(1, "a", earliest=5, latest=4)
+    with pytest.raises(ValueError, match="^latest_offset must be >= earliest_offset$"):
+        ag.Route.from_jsonable(route_doc(stop(2, "b"), swapped, base_time="x"))
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        ag.Route.from_jsonable(route_doc(stop(2, "b"), stop(1, "a", 5, 6), base_time="x"))
+    with pytest.raises(ag.EmptyRoute):
+        ag.Route.from_jsonable(route_doc())
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        ag.Route.from_jsonable(route_doc(base_time="x"))
+
+
+# ---------------------------------------------------------------------------
+# Route decode against the per-objective reference
+# ---------------------------------------------------------------------------
+
+
+def _per_objective_route(d):
+    """The reference decode: each objective converted, then built, in route
+    order, then base_time converted, then the route built."""
+    objectives = []
+    for o in d["objectives"]:
+        tasks = o.get("tasks", [])
+        location = ag.LocationId(int(o["location"]["value"]), str(o["location"]["name"]))
+        earliest = int(o.get("earliest", 0))
+        latest = None if o.get("latest") is None else int(o["latest"])
+        tasks = tuple(ag.ActionDescriptor.from_jsonable(t) for t in tasks)
+        objectives.append(ag.Objective(location, earliest, latest, tasks))
+    return ag.Route(tuple(objectives), None if d.get("base_time") is None else int(d["base_time"]))
+
+
+# JSON values that are wrong in a route, or right by accident.
+ROUTE_JUNK = [None, True, False, 0, 1, -1, -4, 3, 9, 2.5, float("inf"), float("nan"), "", "x", "7"]
+ROUTE_JUNK += [[], [1], {}, {"value": 1}, {"name": "noop"}]
+
+
+def _mutated_route(seed):
+    """A fleet-like route dict (8 windowed stops over 12 sites; about a third
+    of the routes have a stop task) with one to three values replaced by junk
+    or a stop task, deleted, or emptied."""
+    rng = random.Random(seed)
+    names = [f"site{i}" for i in range(12)]
+    objectives = []
+    for k in range(1, 9):
+        value = rng.randrange(12)
+        earliest = 10 * k + rng.randint(-3, 3)
+        tasks = [{"name": "trace", "params": {"k": k}}] if rng.random() < 0.05 else []
+        latest = rng.choice([None, earliest + rng.randint(0, 4)])
+        objectives.append(stop(value + 1, names[value], earliest, latest, tasks))
+    d = route_doc(*objectives, base_time=rng.choice([0, None, rng.randrange(20)]))
+    for _ in range(rng.randint(1, 3)):
+        slots = list(_slots(d))
+        if not slots:
+            break
+        container, key = rng.choice(slots)
+        op = rng.random()
+        if op < 0.2:
+            del container[key]
+        elif op < 0.3:
+            container[key] = [] if isinstance(container[key], list) else {}
+        elif op < 0.4 and isinstance(container, dict) and "tasks" in container:
+            container["tasks"] = [{"name": "noop", "params": rng.choice([None, {"n": [1]}])}]
+        else:
+            container[key] = json.loads(json.dumps(rng.choice(ROUTE_JUNK)))
+    return d
+
+
+def _decoded(decode, d):
+    try:
+        route = decode(d)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(route), route.to_jsonable()
+
+
+def _route_decode_mismatch(seed):
+    """None when Route.from_jsonable gives the reference's route, or raises
+    the reference's exception type and message; else both outcomes."""
+    d = _mutated_route(seed)
+    want, got = _decoded(_per_objective_route, copy.deepcopy(d)), _decoded(ag.Route.from_jsonable, d)
+    return None if got == want else (want, got)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_a_route_decodes_as_the_per_objective_reference(seed):
+    assert _route_decode_mismatch(seed) is None
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,13 @@ FSM = {
     "current": None,
 }
 LISTENER = {"kind": "listener", "filter": "A", "callbacks": [{"name": "noop"}]}
+NOOP = task_spec("noop")
+SEQUENTIAL = {"kind": "sequential", "children": [NOOP, NOOP]}
+ITINERARY = {
+    "kind": "itinerary",
+    "config": {"route": {"objectives": [{"location": {"$location": "away"}, "earliest": 4}]}},
+    "estimator": {"alpha": [1, 2], "default": [0, 1]},
+}
 MISTYPED_FIELDS = {
     "client_server_str": (
         {**CLIENT, "server": "x"},
@@ -249,6 +256,36 @@ MISTYPED_FIELDS = {
     "listener_filter_list": ({**LISTENER, "filter": ["A"]}, "listener filter must be a non-empty string, got ['A']"),
     "listener_filter_int": ({**LISTENER, "filter": 7}, "listener filter must be a non-empty string, got 7"),
     "listener_filter_empty": ({**LISTENER, "filter": ""}, "listener filter must be a non-empty string, got ''"),
+    "task_done_str": ({**NOOP, "done": "no"}, "done must be true or false, got 'no'"),
+    "task_done_int": ({**NOOP, "done": 1}, "done must be true or false, got 1"),
+    "task_done_null": ({**NOOP, "done": None}, "done must be true or false, got None"),
+    "itinerary_planned_str": ({**ITINERARY, "planned": "no"}, "itinerary planned must be true or false, got 'no'"),
+    "itinerary_planned_int": ({**ITINERARY, "planned": 0}, "itinerary planned must be true or false, got 0"),
+    "sequential_index_negative": (
+        {**SEQUENTIAL, "index": -1},
+        "sequential index must be an integer from 0 to 2, got -1",
+    ),
+    "sequential_index_past_the_end": (
+        {**SEQUENTIAL, "index": 3},
+        "sequential index must be an integer from 0 to 2, got 3",
+    ),
+    "sequential_index_str": (
+        {**SEQUENTIAL, "index": "1"},
+        "sequential index must be an integer from 0 to 2, got '1'",
+    ),
+    "sequential_index_bool": (
+        {**SEQUENTIAL, "index": True},
+        "sequential index must be an integer from 0 to 2, got True",
+    ),
+    "sequential_current_started_str": (
+        {**SEQUENTIAL, "current_started": "no"},
+        "current_started must be true or false, got 'no'",
+    ),
+    # A child reports its own field; its parent's done is read after it.
+    "sequential_child_done": (
+        {**SEQUENTIAL, "children": [NOOP, {**NOOP, "done": [False]}], "done": "x"},
+        "done must be true or false, got [False]",
+    ),
 }
 
 
@@ -269,6 +306,10 @@ def test_a_mistyped_behavior_field_is_reported_at_its_behavior(case):
         FSM,
         {**FSM, "current": "s0", "entered": True, "pending_label": "go"},
         {**LISTENER, "filter": "*"},
+        {**NOOP, "done": True},
+        {**ITINERARY, "planned": True},
+        {**SEQUENTIAL, "index": 1, "current_started": True},
+        {**SEQUENTIAL, "index": 2, "done": True},
     ],
 )
 def test_well_typed_behavior_fields_validate_clean(spec):
