@@ -32,7 +32,10 @@ class ActionDescriptor:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ActionDescriptor":
-        return cls(name=str(d["name"]), params=d.get("params"))
+        name = d["name"]
+        if not isinstance(name, str):
+            raise ValueError(f"action name must be a string, got {name!r}")
+        return cls(name, d.get("params"))
 
 
 _BUILTIN_ACTIONS: dict[str, ActionFn] = {}

@@ -135,12 +135,14 @@ def test_malformed_request_is_traced_and_skipped(platform_factory):
     server = p.spawn_agent(loc, [ag.Server()])
     sender = p.reserve_agent_id()
     p.spawn_agent(loc, [ag.Task(ag.ActionDescriptor("noop"))], agent_id=sender)
-    p.send(ag.make_message(sender, server, ag.REQUEST, "cX", b"this is not json", sent_at=0))
+    # Not JSON, and a task whose action name is not a string.
+    for payload in (b"this is not json", b'{"task": {"name": null}}'):
+        p.send(ag.make_message(sender, server, ag.REQUEST, "cX", payload, sent_at=0))
     client = p.spawn_agent(loc, [make_client(server.value, {"ok": True}, ack_timeout=30)])
     p.run(None)
     errors = [e for e in p.trace() if e.kind == ag.EventKind.CUSTOM and "malformed request" in str(e.detail.get("error", ""))]
-    assert len(errors) == 1
-    # the bad request got no ACK, and the well-formed one still succeeded
+    assert len(errors) == 2
+    # the bad requests got no ACK, and the well-formed one still succeeded
     acks = [e for e in p.trace() if e.kind == ag.EventKind.SEND and e.detail["type"] == ag.ACK]
     assert len(acks) == 1
     assert len(kept(p, client)) == 1

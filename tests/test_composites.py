@@ -740,11 +740,6 @@ def _fsm_wait_mismatches(seed):
     return [platform for platform in ("sim", "mock") if _fsm_wait_outcome(platform, seed) == "differs"]
 
 
-@pytest.mark.parametrize("seed", range(200))
-def test_an_fsm_waiting_where_it_entered_leaves_the_polling_trace(seed):
-    assert _fsm_wait_mismatches(seed) == []
-
-
 def test_generated_fsm_worlds_reach_runs_that_end_a_tick_earlier():
     for platform in ("sim", "mock"):
         assert any(_fsm_wait_outcome(platform, seed) == "earlier" for seed in range(200))

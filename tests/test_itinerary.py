@@ -537,11 +537,6 @@ def _route_decode_mismatch(seed):
     return None if got == want else (want, got)
 
 
-@pytest.mark.parametrize("seed", range(200))
-def test_a_route_decodes_as_the_per_objective_reference(seed):
-    assert _route_decode_mismatch(seed) is None
-
-
 # ---------------------------------------------------------------------------
 # Decoded progress the behavior cannot resume from
 # ---------------------------------------------------------------------------

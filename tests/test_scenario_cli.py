@@ -253,6 +253,19 @@ MISTYPED_FIELDS = {
         "pending_label must be null or a string, got 5",
     ),
     "fsm_pending_label_not_entered": ({**FSM, "pending_label": "go"}, "pending_label 'go' needs entered: true"),
+    "task_action_name_null": (task_spec(None), "action name must be a string, got None"),
+    "observer_trigger_name_int": (
+        {**OBSERVER, "trigger": {"name": 7}},
+        "action name must be a string, got 7",
+    ),
+    "observer_handler_name_list": (
+        {**OBSERVER, "handler": {"name": ["noop"]}},
+        "action name must be a string, got ['noop']",
+    ),
+    "fsm_state_name_null": (
+        {**FSM, "definition": {**FSM["definition"], "states": {"s0": {"name": None}}}},
+        "action name must be a string, got None",
+    ),
     "listener_filter_list": ({**LISTENER, "filter": ["A"]}, "listener filter must be a non-empty string, got ['A']"),
     "listener_filter_int": ({**LISTENER, "filter": 7}, "listener filter must be a non-empty string, got 7"),
     "listener_filter_empty": ({**LISTENER, "filter": ""}, "listener filter must be a non-empty string, got ''"),
@@ -843,12 +856,6 @@ def _check_document(doc):
         platform.run(None)
     except ag.TickBudgetExceeded:
         pass
-
-
-@pytest.mark.parametrize("seed", range(200))
-def test_generated_documents_build_exactly_when_they_validate(seed, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # a push-exam courier writes its report store here
-    _check_document(_mutated_document(seed))
 
 
 # ---------------------------------------------------------------------------
