@@ -740,6 +740,19 @@ def _fsm_wait_mismatches(seed):
     return [platform for platform in ("sim", "mock") if _fsm_wait_outcome(platform, seed) == "differs"]
 
 
+def fsm_rules_agree(seed):
+    """The differential check ``(seed) -> problems`` for the two Fsm rules."""
+    return [f"the waiting and polling Fsm rules differ on the {platform}" for platform in _fsm_wait_mismatches(seed)]
+
+
+FSM_WAIT_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", FSM_WAIT_SEEDS)
+def test_an_fsm_waiting_where_it_entered_leaves_the_polling_trace(seed):
+    assert fsm_rules_agree(seed) == []
+
+
 def test_generated_fsm_worlds_reach_runs_that_end_a_tick_earlier():
     for platform in ("sim", "mock"):
         assert any(_fsm_wait_outcome(platform, seed) == "earlier" for seed in range(200))

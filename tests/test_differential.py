@@ -2,9 +2,11 @@
 
 Each generator builds an input from a seed and runs it through two pieces of
 code that must agree on it. ``GENERATORS`` registers each one once: a check
-``(seed) -> list of problems``, the seeds tier-1 runs and the further seeds
-that ``python tests/test_differential.py`` runs (CI does, once). The script
-prints the failing seeds per generator and exits 1 if any seed fails.
+``(seed) -> list of problems``, its tier-1 seeds and the further seeds that
+``python tests/test_differential.py`` runs (CI does, once). The check and its
+tier-1 seeds live beside the generator, in the module whose test runs the
+check on each tier-1 seed. The script prints the failing seeds per generator
+and exits 1 if any seed fails.
 
 Why each generator exists:
 
@@ -24,26 +26,19 @@ Why each generator exists:
 * ``route_decode``: ``Route.from_jsonable``'s fast path against the
   per-objective reference decode, diagnostics included.
 
-To register a generator, add one entry here: a check that calls it on a seed
-and lists what disagrees, tier-1 seeds from 0 and CI seeds that continue them.
+To register a generator, write beside it a check that calls it on a seed and
+lists what disagrees, a range of tier-1 seeds from 0 and a test parametrized
+over them that asserts the check lists nothing; then add one entry here with
+the CI seeds that continue them.
 """
 
-import contextlib
-import os
-import random
 import sys
-import tempfile
 from typing import Callable, NamedTuple
 
-import pytest
-
-from agentry.scenario import _read, build_platform, validate_scenario_doc
-
-from conftest import make_mock, make_sim
-from test_composites import _fsm_wait_mismatches
-from test_itinerary import _route_decode_mismatch
-from test_scenario_cli import _check_document, _mutated_document
-from test_simulator import _generated_world, _outside_calls_world
+import test_composites
+import test_itinerary
+import test_scenario_cli
+import test_simulator
 
 
 class Generator(NamedTuple):
@@ -52,112 +47,37 @@ class Generator(NamedTuple):
     ci: range
 
 
-def _platforms_agree(world):
-    def check(seed):
-        return [] if world(make_sim, seed) == world(make_mock, seed) else ["sim and mock disagree"]
-
-    return check
-
-
-def _fsm_rules_agree(seed):
-    return [f"the waiting and polling Fsm rules differ on the {platform}" for platform in _fsm_wait_mismatches(seed)]
-
-
-def _run_to_the_end(platform):
-    try:
-        platform.run(None)
-        raised = None
-    except Exception as exc:
-        raised = type(exc)
-    return platform.trace().to_jsonl(), platform.now(), raised
-
-
-def _document_holds(seed):
-    """The document oracle, then, for a clean document, the mock: with both
-    latencies fixed at ticks drawn from the seed, the mock spawns the trees
-    the scenario's reading built and must give the sim's trace, final clock
-    and exception from ``run(None)``."""
-    doc = _mutated_document(seed)
-    _check_document(doc)
-    if validate_scenario_doc(doc):
-        return []
-    rng = random.Random(f"fixed latencies {seed}")
-    message, migration = rng.randint(0, 3), rng.randint(0, 3)
-    config = {
-        **doc.get("config", {}),
-        "message_latency": {"kind": "fixed", "ticks": message},
-        "migration_latency": {"kind": "fixed", "ticks": migration},
-    }
-    fixed = {**doc, "config": config}
-    sim = build_platform(fixed)
-    _, settings, names, entries = _read(fixed, None)
-    mock = make_mock(message, migration, max_ticks=settings.max_ticks)
-    locations = {name: mock.create_location(name) for name in names}
-    for where, behaviors in entries:
-        mock.spawn_agent(locations[where], behaviors)
-    on_sim, on_mock = _run_to_the_end(sim), _run_to_the_end(mock)
-    return [] if on_sim == on_mock else [f"fixed latencies {message}, {migration}: sim and mock disagree"]
-
-
-def _route_decodes_as_the_reference(seed):
-    mismatch = _route_decode_mismatch(seed)
-    return [] if mismatch is None else ["reference gives {!r}, Route.from_jsonable {!r}".format(*mismatch)]
-
-
 GENERATORS = {
-    "sim_mock": Generator(_platforms_agree(_generated_world), range(120), range(120, 1620)),
-    "outside_calls": Generator(_platforms_agree(_outside_calls_world), range(150), range(150, 2150)),
-    "fsm_wait": Generator(_fsm_rules_agree, range(200), range(200, 2200)),
-    "document_fuzz": Generator(_document_holds, range(200), range(200, 2200)),
-    "route_decode": Generator(_route_decodes_as_the_reference, range(200), range(200, 2200)),
+    "sim_mock": Generator(test_simulator.generated_worlds_agree, test_simulator.GENERATED_WORLD_SEEDS, range(120, 1620)),
+    "outside_calls": Generator(test_simulator.outside_calls_agree, test_simulator.OUTSIDE_CALLS_SEEDS, range(150, 2150)),
+    "fsm_wait": Generator(test_composites.fsm_rules_agree, test_composites.FSM_WAIT_SEEDS, range(200, 2200)),
+    "document_fuzz": Generator(test_scenario_cli.document_holds, test_scenario_cli.DOCUMENT_SEEDS, range(200, 2200)),
+    "route_decode": Generator(test_itinerary.route_decodes_as_the_reference, test_itinerary.ROUTE_SEEDS, range(200, 2200)),
 }
-
-
-@contextlib.contextmanager
-def _scratch_directory():
-    """Run checks in a fresh working directory: a push-exam courier appends
-    to a report store there."""
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
-        try:
-            yield
-        finally:
-            os.chdir(home)
 
 
 def main(generators=GENERATORS):
     """Check every generator on its CI seeds. Print each generator's failing
     seeds, with the first one's problems, and return 1 if any seed failed."""
     failed = False
-    with _scratch_directory():
-        for name, generator in generators.items():
-            failures = {}
-            for seed in generator.ci:
-                try:
-                    problems = generator.check(seed)
-                except Exception as exc:
-                    problems = [f"{type(exc).__name__}: {exc}"]
-                if problems:
-                    failures[seed] = problems
-            seeds = f"seeds {generator.ci.start}-{generator.ci.stop - 1}"
-            if failures:
-                failed = True
-                first = next(iter(failures))
-                print(f"{name}: {len(failures)} of {len(generator.ci)} {seeds} fail: {list(failures)}")
-                print(f"  seed {first}: {'; '.join(failures[first])}")
-            else:
-                print(f"{name}: {seeds} hold")
+    for name, generator in generators.items():
+        failures = {}
+        for seed in generator.ci:
+            try:
+                problems = generator.check(seed)
+            except Exception as exc:
+                problems = [f"{type(exc).__name__}: {exc}"]
+            if problems:
+                failures[seed] = problems
+        seeds = f"seeds {generator.ci.start}-{generator.ci.stop - 1}"
+        if failures:
+            failed = True
+            first = next(iter(failures))
+            print(f"{name}: {len(failures)} of {len(generator.ci)} {seeds} fail: {list(failures)}")
+            print(f"  seed {first}: {'; '.join(failures[first])}")
+        else:
+            print(f"{name}: {seeds} hold")
     return 1 if failed else 0
-
-
-@pytest.mark.parametrize(
-    ("name", "seed"),
-    [pytest.param(name, seed, id=f"{name}-{seed}") for name, g in GENERATORS.items() for seed in g.tier1],
-)
-def test_a_generator_holds_on_a_tier_1_seed(name, seed):
-    with _scratch_directory():
-        assert GENERATORS[name].check(seed) == []
 
 
 def test_the_ci_seeds_continue_the_tier_1_seeds():

@@ -537,6 +537,20 @@ def _route_decode_mismatch(seed):
     return None if got == want else (want, got)
 
 
+def route_decodes_as_the_reference(seed):
+    """The differential check ``(seed) -> problems`` for route decoding."""
+    mismatch = _route_decode_mismatch(seed)
+    return [] if mismatch is None else ["reference gives {!r}, Route.from_jsonable {!r}".format(*mismatch)]
+
+
+ROUTE_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", ROUTE_SEEDS)
+def test_a_route_decodes_as_the_per_objective_reference(seed):
+    assert route_decodes_as_the_reference(seed) == []
+
+
 # ---------------------------------------------------------------------------
 # Decoded progress the behavior cannot resume from
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from agentry.scenario import (
 )
 from agentry.trace import EventKind
 
-from conftest import events_of
+from conftest import events_of, make_mock
 
 SHIPPED = Path(__file__).parent.parent / "scenarios" / "push_exam.json"
 BENCH = Path(__file__).parent.parent / "bench"
@@ -856,6 +857,63 @@ def _check_document(doc):
         platform.run(None)
     except ag.TickBudgetExceeded:
         pass
+
+
+def _run_to_the_end(platform):
+    try:
+        platform.run(None)
+        raised = None
+    except Exception as exc:
+        raised = type(exc)
+    return platform.trace().to_jsonl(), platform.now(), raised
+
+
+def _document_holds(seed):
+    """The document oracle, then, for a clean document, the mock: with both
+    latencies fixed at ticks drawn from the seed, the mock spawns the trees
+    the scenario's reading built and must give the sim's trace, final clock
+    and exception from ``run(None)``."""
+    doc = _mutated_document(seed)
+    _check_document(doc)
+    if validate_scenario_doc(doc):
+        return []
+    rng = random.Random(f"fixed latencies {seed}")
+    message, migration = rng.randint(0, 3), rng.randint(0, 3)
+    config = {
+        **doc.get("config", {}),
+        "message_latency": {"kind": "fixed", "ticks": message},
+        "migration_latency": {"kind": "fixed", "ticks": migration},
+    }
+    fixed = {**doc, "config": config}
+    sim = build_platform(fixed)
+    _, settings, names, entries = scenario._read(fixed, None)
+    mock = make_mock(message, migration, max_ticks=settings.max_ticks)
+    locations = {name: mock.create_location(name) for name in names}
+    for where, behaviors in entries:
+        mock.spawn_agent(locations[where], behaviors)
+    on_sim, on_mock = _run_to_the_end(sim), _run_to_the_end(mock)
+    return [] if on_sim == on_mock else [f"fixed latencies {message}, {migration}: sim and mock disagree"]
+
+
+def document_holds(seed):
+    """The differential check ``(seed) -> problems`` for fuzzed documents. It
+    runs in a fresh working directory: a push-exam courier appends to a
+    report store there."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            return _document_holds(seed)
+        finally:
+            os.chdir(home)
+
+
+DOCUMENT_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", DOCUMENT_SEEDS)
+def test_generated_documents_build_exactly_when_they_validate(seed):
+    assert document_holds(seed) == []
 
 
 # ---------------------------------------------------------------------------

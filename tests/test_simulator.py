@@ -644,6 +644,25 @@ def _generated_world(factory, seed):
     return p.trace().to_jsonl(), p.now()
 
 
+def _platforms_agree(world):
+    """A differential check ``(seed) -> problems``: the seeded world shows the
+    same on the sim and the mock."""
+
+    def check(seed):
+        return [] if world(make_sim, seed) == world(make_mock, seed) else ["sim and mock disagree"]
+
+    return check
+
+
+generated_worlds_agree = _platforms_agree(_generated_world)
+GENERATED_WORLD_SEEDS = range(120)
+
+
+@pytest.mark.parametrize("seed", GENERATED_WORLD_SEEDS)
+def test_generated_worlds_agree_on_both_platforms(seed):
+    assert generated_worlds_agree(seed) == []
+
+
 def _outside_calls_world(factory, seed):
     """Drive a seeded world by outside calls only, and return what the
     platform shows of it: each call's outcome and clock reading, the trace,
@@ -701,6 +720,15 @@ def _outside_calls_world(factory, seed):
     p.run(None)
     seen = [(p.is_alive(a), p.agent_location(a), p.agent_state(a)) for a in agents]
     return outcomes, p.trace().to_jsonl(), p.now(), seen
+
+
+outside_calls_agree = _platforms_agree(_outside_calls_world)
+OUTSIDE_CALLS_SEEDS = range(150)
+
+
+@pytest.mark.parametrize("seed", OUTSIDE_CALLS_SEEDS)
+def test_outside_calls_agree_on_both_platforms(seed):
+    assert outside_calls_agree(seed) == []
 
 
 # ---------------------------------------------------------------------------
