@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import DuplicateAction, UnknownAction
+from .model import read_str
 
 if TYPE_CHECKING:
     from .model import AgentContext, Message
@@ -32,10 +33,7 @@ class ActionDescriptor:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ActionDescriptor":
-        name = d["name"]
-        if not isinstance(name, str):
-            raise ValueError(f"action name must be a string, got {name!r}")
-        return cls(name, d.get("params"))
+        return cls(read_str(d["name"], "action name"), d.get("params"))
 
 
 _BUILTIN_ACTIONS: dict[str, ActionFn] = {}

@@ -16,6 +16,7 @@ effects buffered before the cancel stay.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .actions import ActionDescriptor, builtin_action, builtin_predicate
@@ -32,10 +33,16 @@ from .model import (
     Message,
     OnMessage,
     StepOutcome,
+    _is_int,
     canonical_json,
     make_message,
     message_from_jsonable,
     message_to_jsonable,
+    read_action,
+    read_int,
+    read_list,
+    read_one_of,
+    read_str,
 )
 
 ONE_SHOT = "one_shot"
@@ -49,12 +56,6 @@ RESULT = "RESULT"
 
 # Outcomes are immutable, so every blocked Server step returns this one.
 _AWAIT_REQUEST = Blocked(OnMessage(REQUEST))
-
-
-def _check_mode(mode: str) -> str:
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    return mode
 
 
 def resolve_params(ctx: AgentContext, value: Any) -> Any:
@@ -85,16 +86,12 @@ def resolve_params(ctx: AgentContext, value: Any) -> Any:
     return copy
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def resolve_agent_ref(ctx: AgentContext, ref: Any) -> AgentId:
     """An agent reference is an id value or a ``{"$state": key}`` marker."""
     resolved = resolve_params(ctx, ref)
     if isinstance(resolved, AgentId):
         return resolved
-    return AgentId(int(resolved))
+    return AgentId(read_int(resolved, "agent reference"))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ class Observer(Behavior):
         self.period = period
         self.trigger = trigger
         self.handler = handler
-        self.mode = _check_mode(mode)
+        self.mode = read_one_of(mode, "mode", _MODES)
         self._start = _start
         self._next_check = _next_check
 
@@ -203,16 +200,13 @@ class Observer(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Observer":
-        start = d.get("start")
-        if start is not None and not _is_int(start):
-            raise ValueError(f"observer start must be null or an integer, got {start!r}")
         return cls(
-            period=int(d["period"]),
+            period=read_int(d["period"], "observer period"),
             trigger=ActionDescriptor.from_jsonable(d["trigger"]),
             handler=ActionDescriptor.from_jsonable(d["handler"]),
             mode=d.get("mode", ONE_SHOT),
-            _start=start,
-            _next_check=int(d.get("next_check", 0)),
+            _start=read_int(d.get("start"), "observer start", null=True),
+            _next_check=read_int(d.get("next_check", 0), "observer next_check"),
         )
 
 
@@ -237,7 +231,7 @@ class Listener(Behavior):
             raise NoCallbacks("listener needs at least one callback")
         self.type_filter = type_filter
         self.callbacks = list(callbacks)
-        self.mode = _check_mode(mode)
+        self.mode = read_one_of(mode, "mode", _MODES)
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
         msg = ctx.take_message(self.type_filter)
@@ -258,13 +252,10 @@ class Listener(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Listener":
-        type_filter = d["filter"]
-        if not isinstance(type_filter, str) or not type_filter:
-            # No message type would ever match it: the listener would never hear.
-            raise ValueError(f"listener filter must be a non-empty string, got {type_filter!r}")
         return cls(
-            type_filter=type_filter,
-            callbacks=[ActionDescriptor.from_jsonable(c) for c in d["callbacks"]],
+            # No message type matches "": such a listener would never hear.
+            type_filter=read_str(d["filter"], "listener filter", nonempty=True),
+            callbacks=[ActionDescriptor.from_jsonable(c) for c in read_list(d["callbacks"], "listener callbacks")],
             mode=d.get("mode", CYCLIC),
         )
 
@@ -322,29 +313,21 @@ def assign_role(
 # ---------------------------------------------------------------------------
 
 
+@dataclass
 class RequestEnvelope:
     """What a client asks of a server: a task plus the conversation id under
     which the result will come back. An empty ``result_slot`` means the
     client draws a fresh conversation id when it first steps."""
 
-    def __init__(self, task: ActionDescriptor, result_slot: str = ""):
-        self.task = task
-        self.result_slot = result_slot
+    task: ActionDescriptor
+    result_slot: str = ""
 
     def to_jsonable(self) -> dict[str, Any]:
         return {"task": self.task.to_jsonable(), "result_slot": self.result_slot}
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "RequestEnvelope":
-        return cls(ActionDescriptor.from_jsonable(d["task"]), d.get("result_slot", ""))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RequestEnvelope):
-            return NotImplemented
-        return other.to_jsonable() == self.to_jsonable()
-
-    def __repr__(self) -> str:
-        return f"RequestEnvelope({self.task!r}, {self.result_slot!r})"
+        return cls(ActionDescriptor.from_jsonable(d["task"]), read_str(d.get("result_slot", ""), "request result_slot"))
 
 
 _INIT = "init"
@@ -456,13 +439,13 @@ class Client(Behavior):
         return cls(
             server=server,
             request=RequestEnvelope.from_jsonable(d["request"]),
-            ack_timeout=int(d.get("ack_timeout", 50)),
-            result_timeout=int(d.get("result_timeout", 500)),
-            on_result=ActionDescriptor.from_jsonable(d["on_result"]) if d.get("on_result") else None,
-            on_failure=ActionDescriptor.from_jsonable(d["on_failure"]) if d.get("on_failure") else None,
-            _phase=d.get("phase", _INIT),
-            _conversation=d.get("conversation", ""),
-            _deadline=int(d.get("deadline", 0)),
+            ack_timeout=read_int(d.get("ack_timeout", 50), "client ack_timeout"),
+            result_timeout=read_int(d.get("result_timeout", 500), "client result_timeout"),
+            on_result=read_action(d.get("on_result"), "client on_result"),
+            on_failure=read_action(d.get("on_failure"), "client on_failure"),
+            _phase=read_one_of(d.get("phase", _INIT), "client phase", (_INIT, _AWAIT_ACK, _AWAIT_RESULT)),
+            _conversation=read_str(d.get("conversation", ""), "client conversation"),
+            _deadline=read_int(d.get("deadline", 0), "client deadline"),
         )
 
 
@@ -511,14 +494,13 @@ class Server(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Server":
-        handler = d.get("handler")
-        return cls(ActionDescriptor.from_jsonable(handler) if handler else None)
+        return cls(read_action(d.get("handler"), "server handler"))
 
 
 @builtin_action("client_server.worker")
 def _worker(ctx: AgentContext, params: Any, message: Optional[Message]) -> None:
     """One worker lifetime: ACK, compute, RESULT."""
-    requester = AgentId(int(params["requester"]))
+    requester = AgentId(read_int(params["requester"], "worker requester"))
     conversation = params["conversation"]
     task = ActionDescriptor.from_jsonable(params["task"])
     request = message_from_jsonable(params["request"])
@@ -543,9 +525,9 @@ def _send(ctx: AgentContext, params: Any, message: Optional[Message]) -> None:
     ctx.send(
         make_message(
             ctx.agent_id,
-            AgentId(int(resolved["to"])),
+            AgentId(read_int(resolved["to"], "send to")),
             resolved["type"],
-            str(resolved.get("conversation", "")),
+            resolved.get("conversation", ""),
             data,
             sent_at=ctx.now,
         )

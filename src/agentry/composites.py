@@ -24,6 +24,11 @@ from .model import (
     StepOutcome,
     WakeCondition,
     behavior_from_dict,
+    read_bool,
+    read_int,
+    read_list,
+    read_one_of,
+    read_str,
 )
 
 ALL = "all"
@@ -94,14 +99,10 @@ class Sequential(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Sequential":
-        children = [behavior_from_dict(c) for c in d["children"]]
+        children = [behavior_from_dict(c) for c in read_list(d["children"], "sequential children")]
         # A finished sequence serializes index == len(children).
-        index, started = d.get("index", 0), d.get("current_started", False)
-        if not (isinstance(index, int) and not isinstance(index, bool) and 0 <= index <= len(children)):
-            raise ValueError(f"sequential index must be an integer from 0 to {len(children)}, got {index!r}")
-        if not isinstance(started, bool):
-            raise ValueError(f"current_started must be true or false, got {started!r}")
-        return cls(children, _index=index, _current_started=started)
+        index = read_int(d.get("index", 0), "sequential index", 0, len(children))
+        return cls(children, _index=index, _current_started=read_bool(d.get("current_started", False), "current_started"))
 
 
 class Parallel(Behavior):
@@ -121,10 +122,8 @@ class Parallel(Behavior):
 
     def __init__(self, children: list[Behavior], completion: str = ALL):
         super().__init__()
-        if completion not in (ALL, ANY):
-            raise ValueError(f"completion must be {ALL!r} or {ANY!r}, got {completion!r}")
         self.children = list(children)
-        self.completion = completion
+        self.completion = read_one_of(completion, "completion", (ALL, ANY))
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
         wakes = []
@@ -158,7 +157,7 @@ class Parallel(Behavior):
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Parallel":
         return cls(
-            [behavior_from_dict(c) for c in d["children"]],
+            [behavior_from_dict(c) for c in read_list(d["children"], "parallel children")],
             completion=d.get("completion", ALL),
         )
 
@@ -202,9 +201,9 @@ class FsmDefinition:
     def from_jsonable(cls, d: dict[str, Any]) -> "FsmDefinition":
         return cls(
             states={name: ActionDescriptor.from_jsonable(a) for name, a in d["states"].items()},
-            transitions={s: dict(by) for s, by in d.get("transitions", {}).items()},
+            transitions={s: {**by} for s, by in d.get("transitions", {}).items()},
             start=d["start"],
-            terminals=frozenset(d.get("terminals", [])),
+            terminals=frozenset(read_list(d.get("terminals", []), "fsm terminals")),
         )
 
 
@@ -290,12 +289,8 @@ class Fsm(Behavior):
         current = d["current"]
         if current is not None and not (isinstance(current, str) and current in definition.states):
             raise InvalidFsm(f"current state {current!r} not among states")
-        entered = d.get("entered", False)
-        if not isinstance(entered, bool):
-            raise InvalidFsm(f"entered must be true or false, got {entered!r}")
-        label = d.get("pending_label")
-        if label is not None and not isinstance(label, str):
-            raise InvalidFsm(f"pending_label must be null or a string, got {label!r}")
+        entered = read_bool(d.get("entered", False), "entered")
+        label = read_str(d.get("pending_label"), "pending_label", null=True)
         if label is not None and not entered:
             # Only entering a state sets a label, so a blob never holds one otherwise.
             raise InvalidFsm(f"pending_label {label!r} needs entered: true")

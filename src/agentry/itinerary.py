@@ -32,6 +32,10 @@ from .model import (
     behavior_from_dict,
     clone_behavior,
     location_from_jsonable,
+    read_bool,
+    read_int,
+    read_list,
+    read_one_of,
 )
 
 Window = tuple[Ticks, Optional[Ticks]]
@@ -69,11 +73,11 @@ class Objective:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Objective":
-        tasks = d.get("tasks", [])
         location = location_from_jsonable(d["location"])
-        earliest = int(d.get("earliest", 0))
-        latest = None if d.get("latest") is None else int(d["latest"])
-        if tasks == []:
+        earliest = read_int(d.get("earliest", 0), "objective earliest")
+        latest = read_int(d.get("latest"), "objective latest", null=True)
+        tasks = read_list(d.get("tasks", []), "objective tasks")
+        if not tasks:
             return _task_free_objective(location.value, location.name, earliest, latest)
         return cls(location, earliest, latest, tuple(ActionDescriptor.from_jsonable(t) for t in tasks))
 
@@ -98,15 +102,20 @@ def _task_free_route(rows: tuple[ObjectiveRow, ...], base_time: Optional[Ticks])
 
 
 def _task_free_rows(objectives: Any) -> Optional[tuple[ObjectiveRow, ...]]:
-    """The (location value, name, earliest, latest) of each objective, with
-    Objective.from_jsonable's conversions; None once one has stop tasks."""
+    """The (location value, name, earliest, latest) of each objective; None
+    unless each has no stop tasks and fields Objective.from_jsonable's readers
+    accept. The checks are inline, as this loop runs on every hop."""
+    if type(objectives) is not list:
+        return None
     rows = []
     for o in objectives:
-        if o.get("tasks", []) != []:
+        location, earliest, latest = o["location"], o.get("earliest", 0), o.get("latest")
+        value, name = location["value"], location["name"]
+        if o.get("tasks", []) != [] or not (
+            type(value) is int and type(name) is str and type(earliest) is int and (latest is None or type(latest) is int)
+        ):
             return None
-        location, latest = o["location"], o.get("latest")
-        earliest = int(o.get("earliest", 0))
-        rows.append((int(location["value"]), str(location["name"]), earliest, None if latest is None else int(latest)))
+        rows.append((value, name, earliest, latest))
     return tuple(rows)
 
 
@@ -140,19 +149,18 @@ class Route:
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Route":
         try:
-            rows = _task_free_rows(d["objectives"])
-            base_time = None if d.get("base_time") is None else int(d["base_time"])
-        except (AttributeError, KeyError, OverflowError, TypeError, ValueError):
-            # What converting a JSON value of the wrong shape raises. Only
-            # the per-objective path below raises in the order a document's
-            # diagnostics report: each objective's conversions, then its
-            # window, then the next objective, then base_time.
+            rows, base_time = _task_free_rows(d["objectives"]), d.get("base_time")
+        except (AttributeError, KeyError, TypeError):
+            # What indexing a JSON value of the wrong shape raises. Only the
+            # per-objective path below raises in the order a document's
+            # diagnostics report: each objective's fields, then its window,
+            # then the next objective, then base_time.
             rows = None
-        if rows is not None:
+        if rows is not None and (base_time is None or type(base_time) is int):
             return _task_free_route(rows, base_time)
         return cls(
-            objectives=tuple(Objective.from_jsonable(o) for o in d["objectives"]),
-            base_time=None if d.get("base_time") is None else int(d["base_time"]),
+            objectives=tuple(Objective.from_jsonable(o) for o in read_list(d["objectives"], "route objectives")),
+            base_time=read_int(d.get("base_time"), "route base_time", null=True),
         )
 
 
@@ -207,9 +215,14 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _fraction_from_jsonable(pair: Sequence[int]) -> Fraction:
-    # Fraction is immutable, so every decode of the same pair may share one.
-    return _fraction(int(pair[0]), int(pair[1]))
+def _fraction_from_jsonable(pair: Sequence[int], label: str) -> Fraction:
+    # Only the lowest-terms pair _fraction_to_jsonable writes. Fraction is
+    # immutable, so every decode of a pair may share one.
+    numerator, denominator = pair
+    value = _fraction(numerator, denominator) if type(numerator) is int and type(denominator) is int and denominator > 0 else None
+    if value is None or value.numerator != numerator or value.denominator != denominator:
+        raise ValueError(f"{label} must be [numerator, denominator] in lowest terms, got {pair!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -267,13 +280,13 @@ class DelayEstimator:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "DelayEstimator":
-        return cls(
-            alpha=_fraction_from_jsonable(d["alpha"]),
-            default_estimate=_fraction_from_jsonable(d["default"]),
-            links={
-                (src, dst): _fraction_from_jsonable(value) for src, dst, value in d.get("links", [])
-            },
-        )
+        alpha = _fraction_from_jsonable(d["alpha"], "estimator alpha")
+        default = _fraction_from_jsonable(d["default"], "estimator default")
+        written = read_list(d.get("links", []), "estimator links")
+        links = {(src, dst): _fraction_from_jsonable(value, "link estimate") for src, dst, value in written}
+        if len(links) != len(written) or list(links) != sorted(links):  # as to_jsonable writes them
+            raise ValueError(f"estimator links must be sorted by link, each once, got {written!r}")
+        return cls(alpha, default, links)
 
 
 def observe_and_update_delay(est: DelayEstimator, link: Link, observed: Ticks) -> DelayEstimator:
@@ -326,8 +339,8 @@ class ItineraryConfig:
         missed = d.get("missed_behavior")
         return cls(
             route=Route.from_jsonable(d["route"]),
-            reached_listeners=tuple(ActionDescriptor.from_jsonable(l) for l in d.get("listeners", [])),
-            missed_behavior=behavior_from_dict(missed) if missed else None,
+            reached_listeners=[ActionDescriptor.from_jsonable(l) for l in read_list(d.get("listeners", []), "itinerary listeners")],
+            missed_behavior=None if missed is None else behavior_from_dict(missed),
         )
 
 
@@ -510,32 +523,28 @@ class Itinerary(Behavior):
     def _from_dict_body(cls, d: dict[str, Any]) -> "Itinerary":
         config = ItineraryConfig.from_jsonable(d["config"])
         estimator = DelayEstimator.from_jsonable(d["estimator"])
-        base, index, phase = d.get("base"), int(d.get("index", 0)), d.get("phase", _START)
-        clone = d.get("missed_clone")
-        missed_clone = behavior_from_dict(clone) if clone else None
+        base, clone = d.get("base"), d.get("missed_clone")
+        missed_clone = None if clone is None else behavior_from_dict(clone)
         # Reject any progress _step could not resume from. A finished
         # itinerary never steps again; it may rest one past the last objective.
-        done = bool(d.get("done", False))
+        done = read_bool(d.get("done", False), "done")
         stops = len(config.route.objectives)
-        if phase not in _PHASES:
-            raise ValueError(f"itinerary phase must be one of {_PHASES}, got {phase!r}")
+        phase = read_one_of(d.get("phase", _START), "itinerary phase", _PHASES)
+        index = read_int(d.get("index", 0), "itinerary index")
         if not (0 <= index < stops or (done and index == stops)):
             raise ValueError(f"itinerary index {index} out of range for {stops} objectives")
         if phase != _START and not isinstance(base, int):
             raise ValueError(f"itinerary base must be an integer past {_START!r}, got {base!r}")
         if phase == _MISSED and not done and missed_clone is None:
             raise ValueError(f"itinerary phase {_MISSED!r} needs a missed_clone")
-        planned = d.get("planned", False)
-        if not isinstance(planned, bool):
-            raise ValueError(f"itinerary planned must be true or false, got {planned!r}")
         return cls(
             config,
-            planned_departures=planned,
+            planned_departures=read_bool(d.get("planned", False), "itinerary planned"),
             estimator=estimator,
-            _base=base,
+            _base=read_int(base, "itinerary base", null=True),
             _index=index,
             _phase=phase,
-            _arrival=d.get("arrival"),
-            _arrival_class=d.get("arrival_class", ""),
+            _arrival=read_int(d.get("arrival"), "itinerary arrival", null=True),
+            _arrival_class=read_one_of(d.get("arrival_class", ""), "itinerary arrival_class", ("", "early", "on_time")),
             _missed_clone=missed_clone,
         )

@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional
 
-from .actions import resolve_action, resolve_predicate
+from . import actions  # the module: actions imports this one's readers
 from .errors import EmptyTypeTag, SteppingDone
 from .trace import CANONICAL_ENCODER, EventKind
 
@@ -76,12 +76,13 @@ def make_message(
 ) -> Message:
     """Build a message, stamping it with the caller's clock reading.
 
-    Raises EmptyTypeTag when ``type_tag`` is empty; self-addressed messages
-    are legal.
+    Raises EmptyTypeTag when ``type_tag`` is empty, and ValueError when it or
+    ``conversation_id`` is not a string, which a decode would reject once the
+    message rode in a migrating shell. Self-addressed messages are legal.
     """
-    if not type_tag:
+    if not read_str(type_tag, "message type"):
         raise EmptyTypeTag("message type_tag must be non-empty")
-    return Message(sender, receiver, type_tag, conversation_id, bytes(payload), sent_at)
+    return Message(sender, receiver, type_tag, read_str(conversation_id, "message conversation"), bytes(payload), sent_at)
 
 
 def message_matches(msg: Message, type_filter: str, conversation: str | None = None) -> bool:
@@ -333,21 +334,76 @@ class Behavior:
 
 def behavior_from_dict(d: dict[str, Any]) -> Behavior:
     """Rebuild a behavior from its serialized form, dispatching on ``kind``."""
+    if not isinstance(d, dict):
+        raise _mistyped("behavior", "an object", d)
     kind = d.get("kind")
     cls = _BEHAVIOR_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown behavior kind {kind!r}")
     behavior = cls._from_dict_body(d)
-    done = d.get("done", False)
-    if not isinstance(done, bool):
-        raise ValueError(f"done must be true or false, got {done!r}")
-    behavior._finished = done
+    behavior._finished = read_bool(d.get("done", False), "done")
     return behavior
 
 
 def clone_behavior(behavior: Behavior) -> Behavior:
     """Fresh copy of a behavior via a serialization round-trip."""
     return behavior_from_dict(behavior.to_dict())
+
+
+# ---------------------------------------------------------------------------
+# Field readers: every decoder reads each JSON field through one of these. A
+# value is used as written or rejected as "<label> must be <what>, got
+# <value!r>"; nothing converts, so true is not 1 and 5 is not "5".
+# ---------------------------------------------------------------------------
+
+
+def _mistyped(label: str, what: str, value: Any, null: bool = False) -> ValueError:
+    """The error a reader raises; ``null`` when the field also takes None."""
+    return ValueError(f"{label} must be {'null or ' if null else ''}{what}, got {value!r}")
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def read_int(value: Any, label: str, lo: Optional[int] = None, hi: Optional[int] = None, *, null: bool = False) -> Any:
+    """An int that is not a bool, from ``lo`` to ``hi`` when they are given."""
+    if _is_int(value) and (lo is None or lo <= value <= hi) or null and value is None:
+        return value
+    raise _mistyped(label, "an integer" if lo is None else f"an integer from {lo} to {hi}", value, null)
+
+
+def read_bool(value: Any, label: str) -> bool:
+    if value is True or value is False:
+        return value
+    raise _mistyped(label, "true or false", value)
+
+
+def read_str(value: Any, label: str, *, nonempty: bool = False, null: bool = False) -> Any:
+    if isinstance(value, str) and (value or not nonempty) or null and value is None:
+        return value
+    raise _mistyped(label, "a non-empty string" if nonempty else "a string", value, null)
+
+
+def read_one_of(value: Any, label: str, choices: tuple[str, ...]) -> str:
+    if isinstance(value, str) and value in choices:
+        return value
+    raise _mistyped(label, f"one of {choices}", value)
+
+
+def read_list(value: Any, label: str) -> list[Any]:
+    if isinstance(value, list):
+        return value
+    raise _mistyped(label, "a list", value)
+
+
+def read_action(value: Any, label: str) -> Optional[actions.ActionDescriptor]:
+    """An action descriptor, or None for null."""
+    if value is None:
+        return None
+    if isinstance(value, dict):
+        return actions.ActionDescriptor.from_jsonable(value)
+    raise _mistyped(label, "an action", value, null=True)
 
 
 # ---------------------------------------------------------------------------
@@ -358,14 +414,6 @@ def clone_behavior(behavior: Behavior) -> Behavior:
 def canonical_json(value: Any) -> bytes:
     """Deterministic JSON encoding: sorted keys, no whitespace, ASCII only."""
     return CANONICAL_ENCODER.encode(value).encode()
-
-
-def encode_payload(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def decode_payload(text: str) -> bytes:
-    return base64.b64decode(text.encode("ascii"))
 
 
 def location_to_jsonable(loc: LocationId) -> dict[str, Any]:
@@ -379,7 +427,7 @@ def _location(value: int, name: str) -> LocationId:
 
 def location_from_jsonable(d: dict[str, Any]) -> LocationId:
     # LocationId is immutable, so every decode of the same pair may share one.
-    return _location(int(d["value"]), str(d["name"]))
+    return _location(read_int(d["value"], "location value"), read_str(d["name"], "location name"))
 
 
 def message_to_jsonable(msg: Message) -> dict[str, Any]:
@@ -388,19 +436,19 @@ def message_to_jsonable(msg: Message) -> dict[str, Any]:
         "receiver": msg.receiver.value,
         "type": msg.type_tag,
         "conversation": msg.conversation_id,
-        "payload": encode_payload(msg.payload),
+        "payload": base64.b64encode(msg.payload).decode("ascii"),
         "sent_at": msg.sent_at,
     }
 
 
 def message_from_jsonable(d: dict[str, Any]) -> Message:
     return Message(
-        sender=AgentId(int(d["sender"])),
-        receiver=AgentId(int(d["receiver"])),
-        type_tag=str(d["type"]),
-        conversation_id=str(d["conversation"]),
-        payload=decode_payload(d["payload"]),
-        sent_at=int(d["sent_at"]),
+        sender=AgentId(read_int(d["sender"], "message sender")),
+        receiver=AgentId(read_int(d["receiver"], "message receiver")),
+        type_tag=read_str(d["type"], "message type"),
+        conversation_id=read_str(d["conversation"], "message conversation"),
+        payload=base64.b64decode(read_str(d["payload"], "message payload")),
+        sent_at=read_int(d["sent_at"], "message sent_at"),
     )
 
 
@@ -455,12 +503,12 @@ def serialize_shell(shell: AgentShell) -> bytes:
 def deserialize_shell(data: bytes) -> AgentShell:
     d = json.loads(data)
     return AgentShell(
-        id=AgentId(int(d["id"])),
+        id=AgentId(read_int(d["id"], "shell id")),
         home=location_from_jsonable(d["home"]),
         current=location_from_jsonable(d["current"]),
-        behaviors=[behavior_from_dict(b) for b in d["behaviors"]],
+        behaviors=[behavior_from_dict(b) for b in read_list(d["behaviors"], "shell behaviors")],
         state=d["state"],
-        inbox=deque(message_from_jsonable(m) for m in d["inbox"]),
+        inbox=deque(message_from_jsonable(m) for m in read_list(d["inbox"], "shell inbox")),
     )
 
 
@@ -683,11 +731,11 @@ class AgentContext:
             return False, error
 
     def run_action(self, descriptor: Any, message: Message | None = None) -> bytes | None:
-        fn = resolve_action(descriptor.name)
+        fn = actions.resolve_action(descriptor.name)
         return fn(self, descriptor.params, message)
 
     def run_predicate(self, descriptor: Any) -> bool:
-        fn = resolve_predicate(descriptor.name)
+        fn = actions.resolve_predicate(descriptor.name)
         return bool(fn(self, descriptor.params))
 
 

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from .errors import MalformedRepository, ScenarioError
-from .model import AgentId, Behavior, LocationId, Ticks, behavior_from_dict, behavior_kinds, location_to_jsonable
+from .model import AgentId, Behavior, LocationId, Ticks, _is_int, behavior_from_dict, behavior_kinds, location_to_jsonable
 from .repository import load_tests
 from .simulator import Fixed, LatencyModel, PerLink, SimConfig, SimPlatform, UniformRange
 
@@ -39,10 +39,6 @@ _LATENCY_KINDS = ("fixed", "uniform", "per_link")
 
 # The nodes the binder walks into; every other value is a leaf, kept as is.
 _NODES = (dict, list)
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _suggest(name: str, known: list[str]) -> str:

@@ -25,6 +25,9 @@ Why each generator exists:
   fixed, also runs the same on the mock.
 * ``route_decode``: ``Route.from_jsonable``'s fast path against the
   per-objective reference decode, diagnostics included.
+* ``decode_exact``: every decoder uses each value it accepts as written, on
+  behaviors, messages and shells taken from running worlds with one field
+  replaced by junk, deleted or wrapped.
 
 To register a generator, write beside it a check that calls it on a seed and
 lists what disagrees, a range of tier-1 seeds from 0 and a test parametrized
@@ -37,6 +40,7 @@ from typing import Callable, NamedTuple
 
 import test_composites
 import test_itinerary
+import test_model
 import test_scenario_cli
 import test_simulator
 
@@ -53,6 +57,7 @@ GENERATORS = {
     "fsm_wait": Generator(test_composites.fsm_rules_agree, test_composites.FSM_WAIT_SEEDS, range(200, 2200)),
     "document_fuzz": Generator(test_scenario_cli.document_holds, test_scenario_cli.DOCUMENT_SEEDS, range(200, 2200)),
     "route_decode": Generator(test_itinerary.route_decodes_as_the_reference, test_itinerary.ROUTE_SEEDS, range(200, 2200)),
+    "decode_exact": Generator(test_model.decodes_as_written, test_model.DECODE_SEEDS, range(200, 2200)),
 }
 
 
@@ -91,6 +96,7 @@ def test_the_ci_seeds_continue_the_tier_1_seeds():
         "fsm_wait": list(range(2200)),
         "document_fuzz": list(range(2200)),
         "route_decode": list(range(2200)),
+        "decode_exact": list(range(2200)),
     }
 
 

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import agentry as ag
 from agentry import simulator
-from agentry.model import AgentShell, deserialize_shell, serialize_shell
+from agentry.model import AgentShell, deserialize_shell, read_int, read_list, read_str, serialize_shell
 from agentry.scenario import build_platform, render_trace, validate_scenario_doc
 from agentry.trace import EventKind
 
@@ -447,22 +447,22 @@ def stop(value, name, earliest=0, latest=None, tasks=()):
 
 
 def test_a_malformed_route_reports_its_first_problem_in_objective_order():
-    # Objective 0's window is checked before objective 1 is converted.
+    # Objective 0's window is checked before objective 1 is read.
     bad_window = stop(1, "a", earliest=-1)
     no_value = {"location": {"name": "b"}, "earliest": 2, "latest": None, "tasks": []}
     with pytest.raises(ValueError, match="^earliest_offset must be non-negative$"):
         ag.Route.from_jsonable(route_doc(bad_window, no_value))
     with pytest.raises(KeyError, match="value"):
         ag.Route.from_jsonable(route_doc(stop(1, "a"), no_value, bad_window))
-    # Every window is checked before base_time is converted.
+    # Every window is checked before base_time is read.
     swapped = stop(1, "a", earliest=5, latest=4)
     with pytest.raises(ValueError, match="^latest_offset must be >= earliest_offset$"):
         ag.Route.from_jsonable(route_doc(stop(2, "b"), swapped, base_time="x"))
-    with pytest.raises(ValueError, match="invalid literal for int"):
+    with pytest.raises(ValueError, match="^route base_time must be null or an integer, got 'x'$"):
         ag.Route.from_jsonable(route_doc(stop(2, "b"), stop(1, "a", 5, 6), base_time="x"))
     with pytest.raises(ag.EmptyRoute):
         ag.Route.from_jsonable(route_doc())
-    with pytest.raises(ValueError, match="invalid literal for int"):
+    with pytest.raises(ValueError, match="^route base_time must be null or an integer, got 'x'$"):
         ag.Route.from_jsonable(route_doc(base_time="x"))
 
 
@@ -472,17 +472,18 @@ def test_a_malformed_route_reports_its_first_problem_in_objective_order():
 
 
 def _per_objective_route(d):
-    """The reference decode: each objective converted, then built, in route
-    order, then base_time converted, then the route built."""
+    """The reference decode: each objective's fields read, then the objective
+    built, in route order, then base_time read, then the route built."""
     objectives = []
-    for o in d["objectives"]:
-        tasks = o.get("tasks", [])
-        location = ag.LocationId(int(o["location"]["value"]), str(o["location"]["name"]))
-        earliest = int(o.get("earliest", 0))
-        latest = None if o.get("latest") is None else int(o["latest"])
+    for o in read_list(d["objectives"], "route objectives"):
+        where = o["location"]
+        location = ag.LocationId(read_int(where["value"], "location value"), read_str(where["name"], "location name"))
+        earliest = read_int(o.get("earliest", 0), "objective earliest")
+        latest = read_int(o.get("latest"), "objective latest", null=True)
+        tasks = read_list(o.get("tasks", []), "objective tasks")
         tasks = tuple(ag.ActionDescriptor.from_jsonable(t) for t in tasks)
         objectives.append(ag.Objective(location, earliest, latest, tasks))
-    return ag.Route(tuple(objectives), None if d.get("base_time") is None else int(d["base_time"]))
+    return ag.Route(tuple(objectives), read_int(d.get("base_time"), "route base_time", null=True))
 
 
 # JSON values that are wrong in a route, or right by accident.
@@ -634,6 +635,24 @@ def test_a_negative_link_estimate_is_reported():
     ]
     with pytest.raises(ValueError, match="link estimates must be non-negative"):
         ag.DelayEstimator(links={("a", "b"): Fraction(-1, 3)})
+
+
+def test_an_estimator_is_read_as_to_jsonable_writes_it():
+    # Only a lowest-terms pair of ints decodes; [2, 4] would read back as [1, 2].
+    for alpha in ([True, 2], [1, True], [2, 4], [0, 2], [1, -2], [1, 0], [1.0, 2]):
+        estimator = {"alpha": alpha, "default": [0, 1], "links": []}
+        assert validate_scenario_doc(edited_itinerary_doc(estimator=estimator)) == [
+            f"{AT}: estimator alpha must be [numerator, denominator] in lowest terms, got {alpha!r}"
+        ]
+    # Links are written sorted, each once.
+    links = [["loc2", "loc3", [1, 1]], ["loc1", "loc2", [1, 1]]]
+    for written in (links, [links[1], links[1]]):
+        estimator = {"alpha": [1, 2], "default": [0, 1], "links": written}
+        assert validate_scenario_doc(edited_itinerary_doc(estimator=estimator)) == [
+            f"{AT}: estimator links must be sorted by link, each once, got {written!r}"
+        ]
+    estimator = ag.DelayEstimator(Fraction(1, 3), Fraction(5, 2), {("a", "b"): Fraction(7, 4), ("b", "a"): Fraction(2)})
+    assert ag.DelayEstimator.from_jsonable(estimator.to_jsonable()) == estimator
 
 
 # ---------------------------------------------------------------------------

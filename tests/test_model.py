@@ -1,6 +1,10 @@
 """The data layer: messages, wake conditions, serialization round trips."""
 
+import functools
 import json
+import os
+import random
+import tempfile
 from collections import deque
 from dataclasses import dataclass
 
@@ -19,6 +23,9 @@ from agentry.model import (
     serialize_shell,
     wake_satisfied,
 )
+from agentry.scenario import build_platform
+from agentry.simulator import _MIGRATING
+from test_scenario_cli import JUNK, SHIPPED, _document_base, _slots
 
 L1 = ag.LocationId(1, "one")
 L2 = ag.LocationId(2, "two")
@@ -36,6 +43,11 @@ def msg(type_tag="PING", conversation="", payload=b"", sent_at=0):
 def test_empty_type_tag_rejected():
     with pytest.raises(ag.EmptyTypeTag):
         ag.make_message(ag.AgentId(1), ag.AgentId(2), "", "")
+    # No decode would read these back, so no message is made with them.
+    with pytest.raises(ValueError, match="^message type must be a string, got 5$"):
+        ag.make_message(ag.AgentId(1), ag.AgentId(2), 5, "")
+    with pytest.raises(ValueError, match="^message conversation must be a string, got None$"):
+        ag.make_message(ag.AgentId(1), ag.AgentId(2), "PING", None)
 
 
 def test_message_matches_exact_and_wildcard():
@@ -344,3 +356,95 @@ def test_stepping_finished_behavior_raises():
     finished = ag.behavior_from_dict(d)
     with pytest.raises(ag.SteppingDone):
         finished.step(None)
+
+
+# ---------------------------------------------------------------------------
+# Seeded decode fuzz: each accepted value is used as written
+# ---------------------------------------------------------------------------
+
+
+def _held_shells(platform):
+    """The serialized shell of every agent a platform holds, in transit or not,
+    and the messages queued in an inbox or still in flight."""
+    shells, messages = [], [m for *_, m in platform._heap]
+    for rec in platform._agents.values():
+        shells.append(rec.blob if rec.status == _MIGRATING else serialize_shell(rec.shell))
+        messages += rec.shell.inbox
+    return shells, messages
+
+
+@functools.lru_cache(maxsize=None)
+def _decode_bases():
+    """(decoder, JSON value) pairs: each behavior tree, message and shell of
+    the small bench worlds, a world resumed mid-run and the shipped scenario,
+    at a few ``run(until=k)`` points. The shipped scenario runs in a fresh
+    working directory: its courier appends to a report store there."""
+    bases = {}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            for kind in ("fanin", "fleet", "fsm_mesh", "mid_run", "shipped"):
+                for until in (0, 3, 12, 40):
+                    platform = build_platform(json.loads(_document_base(kind, 0)), base_dir=SHIPPED.parent)
+                    platform.run(until)
+                    shells, messages = _held_shells(platform)
+                    for blob in shells:
+                        shell = json.loads(blob)
+                        bases[blob] = ("shell", shell)
+                        for b in shell["behaviors"]:
+                            bases[ag.canonical_json(b)] = ("behavior", b)
+                    for m in messages:
+                        d = message_to_jsonable(m)
+                        bases[ag.canonical_json(d)] = ("message", d)
+        finally:
+            os.chdir(home)
+    return [bases[key] for key in sorted(bases)]
+
+
+DECODERS = {
+    "behavior": lambda d: ag.behavior_from_dict(d).to_dict(),
+    "message": lambda d: message_to_jsonable(message_from_jsonable(d)),
+    "shell": lambda d: json.loads(serialize_shell(deserialize_shell(ag.canonical_json(d)))),
+}
+
+
+def _as_written(written, read):
+    """True when ``read`` holds every key ``written`` has, with the same JSON
+    at each leaf. Leaves compare as canonical JSON, as ``True == 1``."""
+    if isinstance(written, dict):
+        return isinstance(read, dict) and all(k in read and _as_written(v, read[k]) for k, v in written.items())
+    if isinstance(written, list):
+        return isinstance(read, list) and len(read) == len(written) and all(map(_as_written, written, read))
+    return ag.canonical_json(written) == ag.canonical_json(read)
+
+
+def decodes_as_written(seed):
+    """The differential check ``(seed) -> problems`` for the decoders: one
+    field of a base replaced by JSON junk, deleted or wrapped in a list, an
+    object or a marker. The decoder must raise, or give back every key the
+    input has as written."""
+    rng = random.Random(seed)
+    decoder, base = rng.choice(_decode_bases())
+    written = json.loads(json.dumps(base))
+    container, key = rng.choice(list(_slots(written)))
+    op = rng.random()
+    if op < 0.15:
+        del container[key]
+    elif op < 0.3:
+        container[key] = rng.choice([[container[key]], {"value": container[key]}, {"$state": container[key]}])
+    else:
+        container[key] = json.loads(json.dumps(rng.choice(JUNK)))
+    try:
+        read = DECODERS[decoder](json.loads(json.dumps(written)))
+    except Exception:
+        return []
+    return [] if _as_written(written, read) else [f"{decoder} read {read!r} from {written!r}"]
+
+
+DECODE_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", DECODE_SEEDS)
+def test_a_decoded_value_is_used_as_written(seed):
+    assert decodes_as_written(seed) == []

@@ -300,6 +300,42 @@ MISTYPED_FIELDS = {
         {**SEQUENTIAL, "children": [NOOP, {**NOOP, "done": [False]}], "done": "x"},
         "done must be true or false, got [False]",
     ),
+    "client_phase_int": (
+        {**CLIENT, "server": 0, "phase": 7},
+        "client phase must be one of ('init', 'await_ack', 'await_result'), got 7",
+    ),
+    "client_phase_unknown": (
+        {**CLIENT, "server": 0, "phase": "done"},
+        "client phase must be one of ('init', 'await_ack', 'await_result'), got 'done'",
+    ),
+    "itinerary_arrival_class_unknown": (
+        {**ITINERARY, "arrival_class": "late"},
+        "itinerary arrival_class must be one of ('', 'early', 'on_time'), got 'late'",
+    ),
+    "itinerary_arrival_class_null": (
+        {**ITINERARY, "arrival_class": None},
+        "itinerary arrival_class must be one of ('', 'early', 'on_time'), got None",
+    ),
+    "itinerary_arrival_str": ({**ITINERARY, "arrival": "4"}, "itinerary arrival must be null or an integer, got '4'"),
+    "itinerary_arrival_bool": ({**ITINERARY, "arrival": True}, "itinerary arrival must be null or an integer, got True"),
+    "observer_period_bool": ({**OBSERVER, "period": True}, "observer period must be an integer, got True"),
+    "sequential_children_str": ({**SEQUENTIAL, "children": ""}, "sequential children must be a list, got ''"),
+    "itinerary_missed_behavior_false": (
+        {**ITINERARY, "config": {**ITINERARY["config"], "missed_behavior": False}},
+        "behavior must be an object, got False",
+    ),
+    "objective_earliest_bool": (
+        {**ITINERARY, "config": {"route": {"objectives": [{"location": {"$location": "away"}, "earliest": True}]}}},
+        "objective earliest must be an integer, got True",
+    ),
+    "objective_tasks_str": (
+        {**ITINERARY, "config": {"route": {"objectives": [{"location": {"$location": "away"}, "tasks": ""}]}}},
+        "objective tasks must be a list, got ''",
+    ),
+    "route_base_time_bool": (
+        {**ITINERARY, "config": {"route": {**ITINERARY["config"]["route"], "base_time": True}}},
+        "route base_time must be null or an integer, got True",
+    ),
 }
 
 

@@ -329,3 +329,46 @@ def test_a_client_whose_marker_names_no_state_fails_through_on_failure_on_both_p
         assert K.SEND not in kinds(p)
         runs.append((p.trace().to_jsonl(), p.now()))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# An agent reference is read as written: a value that is not an int fails
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [True, 2.9, "3"], ids=["true", "float", "str"])
+def test_an_agent_reference_that_is_not_an_int_addresses_no_agent_on_both_platforms(value):
+    # Agents 1 to 3 exist, so a converted reference would reach one of them.
+    set_ref = act("set_state", {"key": "ref", "value": value})
+    send = act("send", {"to": {"$state": "ref"}, "type": "PING"})
+    runs = []
+    for make in (make_sim, make_mock):
+        p = make()
+        home = p.create_location("home")
+        p.spawn_agent(home, [ag.Server()])
+        sender = p.spawn_agent(home, [ag.Sequential([ag.Task(set_ref), ag.Task(send)])])
+        client = ag.Client({"$state": "ref"}, ag.RequestEnvelope(act("noop")), on_failure=act("t.beh.mark", {"tag": "fail"}))
+        asker = p.spawn_agent(home, [ag.Sequential([ag.Task(set_ref), client])])
+        p.run(None)
+        message = f"agent reference must be an integer, got {value!r}"
+        assert errors(p) == [
+            {"error": f"send to must be an integer, got {value!r}", "action": "send"},
+            {"error": message, "request": "noop"},
+        ]
+        assert p.agent_state(asker)["marks"] == [["fail", 1]]
+        assert K.SEND not in kinds(p) and sender.value == 2
+        runs.append((p.trace().to_jsonl(), p.now()))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("field", ["type", "conversation"])
+def test_a_send_whose_type_or_conversation_is_not_a_string_fails_on_both_platforms(field):
+    # make_message rejects it: a message with a type of 5 would fail to
+    # decode once its receiver migrated with it queued.
+    send = act("send", {"to": 1, "type": "PING", field: 5})
+    for make in (make_sim, make_mock):
+        p = make()
+        p.spawn_agent(p.create_location("home"), [ag.Task(send)])
+        p.run(None)
+        assert errors(p) == [{"error": f"message {field} must be a string, got 5", "action": "send"}]
+        assert K.SEND not in kinds(p)
