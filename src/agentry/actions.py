@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import DuplicateAction, UnknownAction
-from .model import read_str
+from .model import read_object, read_str
 
 if TYPE_CHECKING:
     from .model import AgentContext, Message
@@ -28,12 +28,15 @@ class ActionDescriptor:
     name: str
     params: Any = None
 
+    def __post_init__(self) -> None:
+        read_str(self.name, "action name")
+
     def to_jsonable(self) -> dict[str, Any]:
         return {"name": self.name, "params": self.params}
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ActionDescriptor":
-        return cls(read_str(d["name"], "action name"), d.get("params"))
+        return cls(read_object(d, "action")["name"], d.get("params"))
 
 
 _BUILTIN_ACTIONS: dict[str, ActionFn] = {}

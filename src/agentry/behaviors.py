@@ -41,6 +41,7 @@ from .model import (
     read_action,
     read_int,
     read_list,
+    read_object,
     read_one_of,
     read_str,
 )
@@ -152,14 +153,14 @@ class Observer(Behavior):
         _next_check: int = 0,
     ):
         super().__init__()
-        if period < 1:
-            raise ZeroPeriod(f"observer period must be >= 1, got {period}")
-        self.period = period
+        self.period = read_int(period, "observer period")
         self.trigger = trigger
         self.handler = handler
+        self._start = read_int(_start, "observer start", null=True)
+        self._next_check = read_int(_next_check, "observer next_check")
+        if period < 1:
+            raise ZeroPeriod(f"observer period must be >= 1, got {period}")
         self.mode = read_one_of(mode, "mode", _MODES)
-        self._start = _start
-        self._next_check = _next_check
 
     def _wait(self) -> StepOutcome:
         """Blocked until the next check; built again only when it moved."""
@@ -201,12 +202,12 @@ class Observer(Behavior):
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Observer":
         return cls(
-            period=read_int(d["period"], "observer period"),
+            period=d["period"],
             trigger=ActionDescriptor.from_jsonable(d["trigger"]),
             handler=ActionDescriptor.from_jsonable(d["handler"]),
             mode=d.get("mode", ONE_SHOT),
-            _start=read_int(d.get("start"), "observer start", null=True),
-            _next_check=read_int(d.get("next_check", 0), "observer next_check"),
+            _start=d.get("start"),
+            _next_check=d.get("next_check", 0),
         )
 
 
@@ -227,9 +228,10 @@ class Listener(Behavior):
 
     def __init__(self, type_filter: str, callbacks: list[ActionDescriptor], mode: str = CYCLIC):
         super().__init__()
+        # No message type matches "": such a listener would never hear.
+        self.type_filter = read_str(type_filter, "listener filter", nonempty=True)
         if not callbacks:
             raise NoCallbacks("listener needs at least one callback")
-        self.type_filter = type_filter
         self.callbacks = list(callbacks)
         self.mode = read_one_of(mode, "mode", _MODES)
 
@@ -253,8 +255,7 @@ class Listener(Behavior):
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Listener":
         return cls(
-            # No message type matches "": such a listener would never hear.
-            type_filter=read_str(d["filter"], "listener filter", nonempty=True),
+            type_filter=d["filter"],
             callbacks=[ActionDescriptor.from_jsonable(c) for c in read_list(d["callbacks"], "listener callbacks")],
             mode=d.get("mode", CYCLIC),
         )
@@ -322,12 +323,15 @@ class RequestEnvelope:
     task: ActionDescriptor
     result_slot: str = ""
 
+    def __post_init__(self) -> None:
+        read_str(self.result_slot, "request result_slot")
+
     def to_jsonable(self) -> dict[str, Any]:
         return {"task": self.task.to_jsonable(), "result_slot": self.result_slot}
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "RequestEnvelope":
-        return cls(ActionDescriptor.from_jsonable(d["task"]), read_str(d.get("result_slot", ""), "request result_slot"))
+        return cls(ActionDescriptor.from_jsonable(read_object(d, "request")["task"]), d.get("result_slot", ""))
 
 
 _INIT = "init"
@@ -362,17 +366,20 @@ class Client(Behavior):
         _deadline: int = 0,
     ):
         super().__init__()
-        if ack_timeout < 1 or result_timeout < 1:
-            raise ValueError("timeouts must be >= 1 tick")
-        self.server = server  # id value or {"$state": key}
+        marker = isinstance(server, dict) and set(server) == {"$state"} and isinstance(server["$state"], str)
+        if not (_is_int(server) or marker):
+            raise ValueError(f'client server must be an agent id value or a {{"$state": key}} marker, got {server!r}')
+        self.server = server
         self.request = request
-        self.ack_timeout = ack_timeout
-        self.result_timeout = result_timeout
+        self.ack_timeout = read_int(ack_timeout, "client ack_timeout")
+        self.result_timeout = read_int(result_timeout, "client result_timeout")
         self.on_result = on_result
         self.on_failure = on_failure
-        self._phase = _phase
-        self._conversation = _conversation
-        self._deadline = _deadline
+        self._phase = read_one_of(_phase, "client phase", (_INIT, _AWAIT_ACK, _AWAIT_RESULT))
+        self._conversation = read_str(_conversation, "client conversation")
+        self._deadline = read_int(_deadline, "client deadline")
+        if ack_timeout < 1 or result_timeout < 1:
+            raise ValueError("timeouts must be >= 1 tick")
 
     def _finish(self, ctx: AgentContext, callback: Optional[ActionDescriptor], message: Optional[Message]) -> StepOutcome:
         if callback is not None:
@@ -430,22 +437,16 @@ class Client(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Client":
-        server = d["server"]
-        marker = isinstance(server, dict) and set(server) == {"$state"} and isinstance(server["$state"], str)
-        if not (_is_int(server) or marker):
-            raise ValueError(
-                f'client server must be an agent id value or a {{"$state": key}} marker, got {server!r}'
-            )
         return cls(
-            server=server,
+            server=d["server"],
             request=RequestEnvelope.from_jsonable(d["request"]),
-            ack_timeout=read_int(d.get("ack_timeout", 50), "client ack_timeout"),
-            result_timeout=read_int(d.get("result_timeout", 500), "client result_timeout"),
+            ack_timeout=d.get("ack_timeout", 50),
+            result_timeout=d.get("result_timeout", 500),
             on_result=read_action(d.get("on_result"), "client on_result"),
             on_failure=read_action(d.get("on_failure"), "client on_failure"),
-            _phase=read_one_of(d.get("phase", _INIT), "client phase", (_INIT, _AWAIT_ACK, _AWAIT_RESULT)),
-            _conversation=read_str(d.get("conversation", ""), "client conversation"),
-            _deadline=read_int(d.get("deadline", 0), "client deadline"),
+            _phase=d.get("phase", _INIT),
+            _conversation=d.get("conversation", ""),
+            _deadline=d.get("deadline", 0),
         )
 
 

@@ -27,6 +27,7 @@ from .model import (
     read_bool,
     read_int,
     read_list,
+    read_object,
     read_one_of,
     read_str,
 )
@@ -52,8 +53,9 @@ class Sequential(Behavior):
     def __init__(self, children: list[Behavior], *, _index: int = 0, _current_started: bool = False):
         super().__init__()
         self.children = list(children)
-        self._index = _index
-        self._current_started = _current_started
+        # A finished sequence serializes index == len(children).
+        self._index = read_int(_index, "sequential index", 0, len(self.children))
+        self._current_started = read_bool(_current_started, "current_started")
 
     @property
     def current_index(self) -> int:
@@ -100,9 +102,7 @@ class Sequential(Behavior):
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Sequential":
         children = [behavior_from_dict(c) for c in read_list(d["children"], "sequential children")]
-        # A finished sequence serializes index == len(children).
-        index = read_int(d.get("index", 0), "sequential index", 0, len(children))
-        return cls(children, _index=index, _current_started=read_bool(d.get("current_started", False), "current_started"))
+        return cls(children, _index=d.get("index", 0), _current_started=d.get("current_started", False))
 
 
 class Parallel(Behavior):
@@ -199,9 +199,11 @@ class FsmDefinition:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "FsmDefinition":
+        states = {name: ActionDescriptor.from_jsonable(a) for name, a in read_object(d["states"], "fsm states").items()}
+        transitions = read_object(d.get("transitions", {}), "fsm transitions")
         return cls(
-            states={name: ActionDescriptor.from_jsonable(a) for name, a in d["states"].items()},
-            transitions={s: {**by} for s, by in d.get("transitions", {}).items()},
+            states=states,
+            transitions={s: {**read_object(by, "fsm transitions")} for s, by in transitions.items()},
             start=d["start"],
             terminals=frozenset(read_list(d.get("terminals", []), "fsm terminals")),
         )
@@ -239,10 +241,15 @@ class Fsm(Behavior):
         _pending_label: Optional[str] = None,
     ):
         super().__init__()
+        if _current is not None and not (isinstance(_current, str) and _current in definition.states):
+            raise InvalidFsm(f"current state {_current!r} not among states")
         self.definition = definition
         self._current = _current if _current is not None else definition.start
-        self._entered = _entered
-        self._pending_label = _pending_label
+        self._entered = read_bool(_entered, "entered")
+        self._pending_label = read_str(_pending_label, "pending_label", null=True)
+        if _pending_label is not None and not _entered:
+            # Only entering a state sets a label, so a blob never holds one otherwise.
+            raise InvalidFsm(f"pending_label {_pending_label!r} needs entered: true")
 
     @property
     def current_state(self) -> str:
@@ -286,12 +293,4 @@ class Fsm(Behavior):
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Fsm":
         definition = FsmDefinition.from_jsonable(d["definition"])
-        current = d["current"]
-        if current is not None and not (isinstance(current, str) and current in definition.states):
-            raise InvalidFsm(f"current state {current!r} not among states")
-        entered = read_bool(d.get("entered", False), "entered")
-        label = read_str(d.get("pending_label"), "pending_label", null=True)
-        if label is not None and not entered:
-            # Only entering a state sets a label, so a blob never holds one otherwise.
-            raise InvalidFsm(f"pending_label {label!r} needs entered: true")
-        return cls(definition, _current=current, _entered=entered, _pending_label=label)
+        return cls(definition, _current=d["current"], _entered=d.get("entered", False), _pending_label=d.get("pending_label"))

@@ -22,16 +22,7 @@ from .composites import Sequential
 from .errors import UnknownLocation
 from .grading import Exam, ExamReport, Submission, Test, grade
 from .itinerary import Itinerary, ItineraryConfig, Objective, Route
-from .model import (
-    AgentContext,
-    AgentId,
-    CancelBehavior,
-    LocationId,
-    Message,
-    Ticks,
-    canonical_json,
-    make_message,
-)
+from .model import AgentContext, AgentId, CancelBehavior, LocationId, Message, Ticks, canonical_json, make_message, read_int
 from .repository import PathLike, load_reports, store_report
 
 SUBMISSION = "SUBMISSION"
@@ -170,7 +161,7 @@ def _user_task(ctx: AgentContext, params: Any, message: Optional[Message]) -> No
     ctx.send(
         make_message(
             ctx.agent_id,
-            AgentId(int(params["report_to"])),
+            AgentId(read_int(params["report_to"], "report_to")),
             SUBMISSION,
             "",
             canonical_json(submission.to_jsonable()),

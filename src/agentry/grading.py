@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional, Union
 
 from .errors import UnknownQuestionId
-from .model import AgentId, Ticks
+from .model import AgentId, Ticks, read_int, read_list, read_object, read_str
 
 SINGLE_CHOICE = "single_choice"
 MULTIPLE_CHOICE = "multiple_choice"
@@ -55,6 +55,9 @@ class Question:
     options: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
+        read_str(self.id, "question id")
+        read_str(self.kind, "question kind")
+        read_str(self.prompt, "question prompt")
         object.__setattr__(self, "options", tuple(self.options))
         object.__setattr__(self, "weight", parse_weight(self.weight))
         if self.kind not in _KINDS:
@@ -107,12 +110,12 @@ class Question:
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Question":
         return cls(
-            id=str(d["id"]),
-            kind=str(d["kind"]),
-            prompt=str(d.get("prompt", "")),
+            id=d["id"],
+            kind=d["kind"],
+            prompt=d.get("prompt", ""),
             key=d["key"],
             weight=parse_weight(d["weight"]),
-            options=tuple(d.get("options", ())),
+            options=read_list(d.get("options", []), "question options"),
         )
 
 
@@ -139,7 +142,7 @@ TestKind = Union[SelfAssessment, Exam]
 
 def test_kind_from_jsonable(d: dict[str, Any]) -> TestKind:
     if d["kind"] == "exam":
-        return Exam(scheduled_at=int(d["scheduled_at"]))
+        return Exam(scheduled_at=read_int(d["scheduled_at"], "exam scheduled_at"))
     if d["kind"] == "self_assessment":
         return SelfAssessment()
     raise ValueError(f"unknown test kind {d['kind']!r}")
@@ -153,6 +156,8 @@ class Test:
     kind: TestKind = field(default_factory=SelfAssessment)
 
     def __post_init__(self) -> None:
+        read_str(self.id, "test id")
+        read_str(self.title, "test title")
         object.__setattr__(self, "questions", tuple(self.questions))
         if not self.questions:
             raise ValueError(f"test {self.id!r}: needs at least one question")
@@ -183,9 +188,9 @@ class Test:
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Test":
         return cls(
-            id=str(d["id"]),
-            title=str(d.get("title", "")),
-            questions=tuple(Question.from_jsonable(q) for q in d["questions"]),
+            id=d["id"],
+            title=d.get("title", ""),
+            questions=[Question.from_jsonable(q) for q in read_list(d["questions"], "test questions")],
             kind=test_kind_from_jsonable(d.get("kind", {"kind": "self_assessment"})),
         )
 
@@ -268,6 +273,8 @@ class Submission:
     graded_at: Ticks
 
     def __post_init__(self) -> None:
+        read_str(self.test_id, "submission test_id")
+        read_int(self.graded_at, "submission graded_at")
         if not 0 <= self.score <= self.max_score:
             raise ValueError("score must lie within [0, max_score]")
 
@@ -284,12 +291,12 @@ class Submission:
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Submission":
         return cls(
-            test_id=str(d["test_id"]),
-            student=AgentId(int(d["student"])),
-            answers=dict(d["answers"]),
+            test_id=d["test_id"],
+            student=AgentId(read_int(d["student"], "submission student")),
+            answers=read_object(d["answers"], "submission answers"),
             score=parse_weight(d["score"]),
             max_score=parse_weight(d["max_score"]),
-            graded_at=int(d["graded_at"]),
+            graded_at=d["graded_at"],
         )
 
 
@@ -303,6 +310,7 @@ class ExamReport:
     submissions: tuple[Submission, ...]
 
     def __post_init__(self) -> None:
+        read_str(self.test_id, "report test_id")
         object.__setattr__(self, "delivered", tuple(self.delivered))
         object.__setattr__(self, "missed", tuple(self.missed))
         object.__setattr__(self, "submissions", tuple(self.submissions))
@@ -321,10 +329,10 @@ class ExamReport:
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ExamReport":
         return cls(
-            test_id=str(d["test_id"]),
-            delivered=tuple(d.get("delivered", ())),
-            missed=tuple(d.get("missed", ())),
-            submissions=tuple(Submission.from_jsonable(s) for s in d.get("submissions", ())),
+            test_id=d["test_id"],
+            delivered=read_list(d.get("delivered", []), "report delivered"),
+            missed=read_list(d.get("missed", []), "report missed"),
+            submissions=[Submission.from_jsonable(s) for s in read_list(d.get("submissions", []), "report submissions")],
         )
 
 
@@ -349,8 +357,8 @@ class ProgressRecord:
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ProgressRecord":
         return cls(
-            student=AgentId(int(d["student"])),
-            test_id=str(d["test_id"]),
+            student=AgentId(read_int(d["student"], "progress student")),
+            test_id=read_str(d["test_id"], "progress test_id"),
             score=parse_weight(d["score"]),
-            at=int(d["at"]),
+            at=read_int(d["at"], "progress at"),
         )

@@ -35,6 +35,7 @@ from .model import (
     read_bool,
     read_int,
     read_list,
+    read_object,
     read_one_of,
 )
 
@@ -55,6 +56,8 @@ class Objective:
     stop_tasks: tuple[ActionDescriptor, ...] = ()
 
     def __post_init__(self) -> None:
+        read_int(self.earliest_offset, "objective earliest")
+        read_int(self.latest_offset, "objective latest", null=True)
         if not isinstance(self.stop_tasks, tuple):
             object.__setattr__(self, "stop_tasks", tuple(self.stop_tasks))
         if self.earliest_offset < 0:
@@ -73,13 +76,10 @@ class Objective:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Objective":
-        location = location_from_jsonable(d["location"])
-        earliest = read_int(d.get("earliest", 0), "objective earliest")
-        latest = read_int(d.get("latest"), "objective latest", null=True)
-        tasks = read_list(d.get("tasks", []), "objective tasks")
-        if not tasks:
-            return _task_free_objective(location.value, location.name, earliest, latest)
-        return cls(location, earliest, latest, tuple(ActionDescriptor.from_jsonable(t) for t in tasks))
+        location = location_from_jsonable(read_object(d, "objective")["location"])
+        tasks = tuple(ActionDescriptor.from_jsonable(t) for t in read_list(d.get("tasks", []), "objective tasks"))
+        rows = None if tasks else _task_free_rows([d])
+        return _task_free_objective(*rows[0]) if rows else cls(location, d.get("earliest", 0), d.get("latest"), tasks)
 
 
 # An objective without stop tasks holds only a frozen LocationId, ints and an
@@ -103,8 +103,8 @@ def _task_free_route(rows: tuple[ObjectiveRow, ...], base_time: Optional[Ticks])
 
 def _task_free_rows(objectives: Any) -> Optional[tuple[ObjectiveRow, ...]]:
     """The (location value, name, earliest, latest) of each objective; None
-    unless each has no stop tasks and fields Objective.from_jsonable's readers
-    accept. The checks are inline, as this loop runs on every hop."""
+    unless each has no stop tasks and fields the Objective constructor's
+    readers accept. The checks are inline, as this loop runs on every hop."""
     if type(objectives) is not list:
         return None
     rows = []
@@ -131,6 +131,7 @@ class Route:
     base_time: Optional[Ticks] = 0
 
     def __post_init__(self) -> None:
+        read_int(self.base_time, "route base_time", null=True)
         object.__setattr__(self, "objectives", tuple(self.objectives))
         if not self.objectives:
             raise EmptyRoute("a route needs at least one objective")
@@ -158,10 +159,8 @@ class Route:
             rows = None
         if rows is not None and (base_time is None or type(base_time) is int):
             return _task_free_route(rows, base_time)
-        return cls(
-            objectives=tuple(Objective.from_jsonable(o) for o in read_list(d["objectives"], "route objectives")),
-            base_time=read_int(d.get("base_time"), "route base_time", null=True),
-        )
+        objectives = read_list(read_object(d, "route")["objectives"], "route objectives")
+        return cls(tuple(Objective.from_jsonable(o) for o in objectives), d.get("base_time"))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +265,10 @@ class DelayEstimator:
         # one exact Fraction instead of four Fraction operations.
         links = dict(self.links)
         links[link] = _fraction(an * observed * ed + (ad - an) * en, ad * ed)
-        return DelayEstimator(self.alpha, self.default_estimate, links)
+        # Built past __post_init__: it would only check values already checked.
+        updated = object.__new__(DelayEstimator)
+        updated.__dict__.update(alpha=self.alpha, default_estimate=self.default_estimate, links=links)
+        return updated
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -280,7 +282,7 @@ class DelayEstimator:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "DelayEstimator":
-        alpha = _fraction_from_jsonable(d["alpha"], "estimator alpha")
+        alpha = _fraction_from_jsonable(read_object(d, "estimator")["alpha"], "estimator alpha")
         default = _fraction_from_jsonable(d["default"], "estimator default")
         written = read_list(d.get("links", []), "estimator links")
         links = {(src, dst): _fraction_from_jsonable(value, "link estimate") for src, dst, value in written}
@@ -336,7 +338,7 @@ class ItineraryConfig:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ItineraryConfig":
-        missed = d.get("missed_behavior")
+        missed = read_object(d, "itinerary config").get("missed_behavior")
         return cls(
             route=Route.from_jsonable(d["route"]),
             reached_listeners=[ActionDescriptor.from_jsonable(l) for l in read_list(d.get("listeners", []), "itinerary listeners")],
@@ -386,13 +388,15 @@ class Itinerary(Behavior):
     ):
         super().__init__()
         self.config = config
-        self.planned_departures = planned_departures
+        self._phase = read_one_of(_phase, "itinerary phase", _PHASES)
+        self._index = read_int(_index, "itinerary index")
+        if _phase != _START and not isinstance(_base, int):
+            raise ValueError(f"itinerary base must be an integer past {_START!r}, got {_base!r}")
+        self.planned_departures = read_bool(planned_departures, "itinerary planned")
         self.estimator = estimator if estimator is not None else DelayEstimator()
-        self._base = _base
-        self._index = _index
-        self._phase = _phase
-        self._arrival = _arrival
-        self._arrival_class = _arrival_class
+        self._base = read_int(_base, "itinerary base", null=True)
+        self._arrival = read_int(_arrival, "itinerary arrival", null=True)
+        self._arrival_class = read_one_of(_arrival_class, "itinerary arrival_class", ("", "early", "on_time"))
         self._missed_clone = _missed_clone
 
     # Stepping --------------------------------------------------------------
@@ -523,28 +527,24 @@ class Itinerary(Behavior):
     def _from_dict_body(cls, d: dict[str, Any]) -> "Itinerary":
         config = ItineraryConfig.from_jsonable(d["config"])
         estimator = DelayEstimator.from_jsonable(d["estimator"])
-        base, clone = d.get("base"), d.get("missed_clone")
-        missed_clone = None if clone is None else behavior_from_dict(clone)
-        # Reject any progress _step could not resume from. A finished
-        # itinerary never steps again; it may rest one past the last objective.
+        missed_clone = None if d.get("missed_clone") is None else behavior_from_dict(d["missed_clone"])
         done = read_bool(d.get("done", False), "done")
-        stops = len(config.route.objectives)
-        phase = read_one_of(d.get("phase", _START), "itinerary phase", _PHASES)
-        index = read_int(d.get("index", 0), "itinerary index")
-        if not (0 <= index < stops or (done and index == stops)):
-            raise ValueError(f"itinerary index {index} out of range for {stops} objectives")
-        if phase != _START and not isinstance(base, int):
-            raise ValueError(f"itinerary base must be an integer past {_START!r}, got {base!r}")
-        if phase == _MISSED and not done and missed_clone is None:
-            raise ValueError(f"itinerary phase {_MISSED!r} needs a missed_clone")
-        return cls(
+        itinerary = cls(
             config,
-            planned_departures=read_bool(d.get("planned", False), "itinerary planned"),
+            planned_departures=d.get("planned", False),
             estimator=estimator,
-            _base=read_int(base, "itinerary base", null=True),
-            _index=index,
-            _phase=phase,
-            _arrival=read_int(d.get("arrival"), "itinerary arrival", null=True),
-            _arrival_class=read_one_of(d.get("arrival_class", ""), "itinerary arrival_class", ("", "early", "on_time")),
+            _base=d.get("base"),
+            _index=d.get("index", 0),
+            _phase=d.get("phase", _START),
+            _arrival=d.get("arrival"),
+            _arrival_class=d.get("arrival_class", ""),
             _missed_clone=missed_clone,
         )
+        # Reject any progress _step could not resume from. A finished
+        # itinerary never steps again; it may rest one past the last objective.
+        index, stops = itinerary._index, len(config.route.objectives)
+        if not (0 <= index < stops or (done and index == stops)):
+            raise ValueError(f"itinerary index {index} out of range for {stops} objectives")
+        if itinerary._phase == _MISSED and not done and missed_clone is None:
+            raise ValueError(f"itinerary phase {_MISSED!r} needs a missed_clone")
+        return itinerary

@@ -351,9 +351,10 @@ def clone_behavior(behavior: Behavior) -> Behavior:
 
 
 # ---------------------------------------------------------------------------
-# Field readers: every decoder reads each JSON field through one of these. A
-# value is used as written or rejected as "<label> must be <what>, got
-# <value!r>"; nothing converts, so true is not 1 and 5 is not "5".
+# Field readers: a constructor reads each scalar argument through one of these,
+# and a decoder each object and list it unpacks, so both accept the same
+# values. A value is used as written or rejected as "<label> must be <what>,
+# got <value!r>"; nothing converts, so true is not 1 and 5 is not "5".
 # ---------------------------------------------------------------------------
 
 
@@ -397,6 +398,12 @@ def read_list(value: Any, label: str) -> list[Any]:
     raise _mistyped(label, "a list", value)
 
 
+def read_object(value: Any, label: str) -> dict[str, Any]:
+    if isinstance(value, dict):
+        return value
+    raise _mistyped(label, "an object", value)
+
+
 def read_action(value: Any, label: str) -> Optional[actions.ActionDescriptor]:
     """An action descriptor, or None for null."""
     if value is None:
@@ -427,7 +434,7 @@ def _location(value: int, name: str) -> LocationId:
 
 def location_from_jsonable(d: dict[str, Any]) -> LocationId:
     # LocationId is immutable, so every decode of the same pair may share one.
-    return _location(read_int(d["value"], "location value"), read_str(d["name"], "location name"))
+    return _location(read_int(read_object(d, "location")["value"], "location value"), read_str(d["name"], "location name"))
 
 
 def message_to_jsonable(msg: Message) -> dict[str, Any]:

@@ -177,6 +177,8 @@ def _behavior(spec: Any, path: str, binder: _Binder, known: dict[str, Any], prob
         if len(problems) == n_problems:
             try:
                 return behavior_from_dict(bound)
+            except KeyError as exc:  # what indexing an object for a required field raises
+                problems.append(f"{path}: missing field {exc}")
             except Exception as exc:
                 problems.append(f"{path}: {exc}")
     return None

@@ -475,8 +475,9 @@ class SimPlatform:
     def _finish_due_arrivals(self, tick: Ticks, first_step: Ticks) -> bool:
         arrived = False
         while self._arrivals and self._arrivals[0][0] <= tick:
-            _, _, agent_id = heapq.heappop(self._arrivals)
-            self._finish_arrival(agent_id, tick, first_step)
+            # Popped once landed, so a shell that fails to decode stays due.
+            self._finish_arrival(self._arrivals[0][2], tick, first_step)
+            heapq.heappop(self._arrivals)
             arrived = True
         return arrived
 

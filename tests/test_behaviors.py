@@ -59,7 +59,7 @@ def test_unknown_action_is_traced(platform_factory):
 
 
 def test_observer_rejects_zero_period():
-    with pytest.raises(ag.ZeroPeriod):
+    with pytest.raises(ag.ZeroPeriod, match="^observer period must be >= 1, got 0$"):
         ag.Observer(0, ag.ActionDescriptor("always"), ag.ActionDescriptor("noop"))
 
 
@@ -141,7 +141,7 @@ def test_observer_grid_survives_migration(platform_factory):
 
 
 def test_listener_requires_callbacks():
-    with pytest.raises(ag.NoCallbacks):
+    with pytest.raises(ag.NoCallbacks, match="^listener needs at least one callback$"):
         ag.Listener("X", [])
 
 
@@ -295,6 +295,62 @@ def test_markers_inside_lists_and_dicts_resolve():
     params = [{"$state": "k"}, [{"$self": True}, "s"], {"n": [{"$state": "k"}], "m": None}, 2.5]
     assert resolve_params(ctx, params) == [5, [1, "s"], {"n": [5], "m": None}, 2.5]
     assert params[0] == {"$state": "k"}
+
+
+# ---------------------------------------------------------------------------
+# A constructor rejects what its decoder rejects, with the same message
+# ---------------------------------------------------------------------------
+
+NOOP = ag.ActionDescriptor("noop")
+
+# Each case: a build from one argument, the key that argument is serialized
+# under, a good and a bad value, and the message both entry points give for
+# the bad one. Each bad value once built and ran, then raised from run() only
+# when its agent landed after a move.
+BUILT_AND_DECODED = {
+    "observer_period_float": (
+        lambda v: ag.Observer(v, NOOP, NOOP), "period", 2, 2.0, "observer period must be an integer, got 2.0"
+    ),
+    "objective_earliest_float": (
+        lambda v: ag.Objective(ag.LocationId(1, "a"), v), "earliest", 1, 1.5, "objective earliest must be an integer, got 1.5"
+    ),
+    "listener_filter_empty": (
+        lambda v: ag.Listener(v, [NOOP]), "filter", "A", "", "listener filter must be a non-empty string, got ''"
+    ),
+    "action_name_int": (lambda v: ag.ActionDescriptor(v), "name", "noop", 5, "action name must be a string, got 5"),
+    "sequential_index_bool": (
+        lambda v: ag.Sequential([ag.Task(NOOP)], _index=v), "index", 0, True, "sequential index must be an integer from 0 to 1, got True"
+    ),
+    "client_server_float": (
+        lambda v: ag.Client(v, ag.RequestEnvelope(NOOP)),
+        "server",
+        3,
+        2.0,
+        """client server must be an agent id value or a {"$state": key} marker, got 2.0""",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILT_AND_DECODED))
+def test_a_constructor_rejects_what_its_decoder_rejects(case):
+    build, key, good, bad, message = BUILT_AND_DECODED[case]
+    with pytest.raises(ValueError) as built:
+        build(bad)
+    value = build(good)
+    if isinstance(value, ag.Behavior):
+        d, decode = value.to_dict(), ag.behavior_from_dict
+    else:
+        d, decode = value.to_jsonable(), type(value).from_jsonable
+    d[key] = bad
+    with pytest.raises(ValueError) as decoded:
+        decode(d)
+    assert str(built.value) == str(decoded.value) == message
+
+
+def test_a_client_server_that_is_an_agent_id_raises_where_it_is_built():
+    # It used to build, then fail its first migrate: an AgentId is not JSON.
+    with pytest.raises(ValueError, match=r"^client server must be .* marker, got AgentId\(3\)$"):
+        ag.Client(ag.AgentId(3), ag.RequestEnvelope(NOOP))
 
 
 # ---------------------------------------------------------------------------

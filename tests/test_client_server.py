@@ -193,9 +193,9 @@ def test_result_slot_pins_the_conversation(platform_factory):
 
 
 def test_client_rejects_non_positive_timeouts():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^timeouts must be >= 1 tick$"):
         make_client(1, ack_timeout=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^timeouts must be >= 1 tick$"):
         make_client(1, result_timeout=0)
 
 

@@ -28,6 +28,9 @@ Why each generator exists:
 * ``decode_exact``: every decoder uses each value it accepts as written, on
   behaviors, messages and shells taken from running worlds with one field
   replaced by junk, deleted or wrapped.
+* ``construct_round_trip``: a constructor accepts exactly what its decoder
+  accepts, so a value built with one scalar argument set to JSON junk either
+  raises where it is built or reads back equal after a trip through JSON.
 
 To register a generator, write beside it a check that calls it on a seed and
 lists what disagrees, a range of tier-1 seeds from 0 and a test parametrized
@@ -58,6 +61,7 @@ GENERATORS = {
     "document_fuzz": Generator(test_scenario_cli.document_holds, test_scenario_cli.DOCUMENT_SEEDS, range(200, 2200)),
     "route_decode": Generator(test_itinerary.route_decodes_as_the_reference, test_itinerary.ROUTE_SEEDS, range(200, 2200)),
     "decode_exact": Generator(test_model.decodes_as_written, test_model.DECODE_SEEDS, range(200, 2200)),
+    "construct_round_trip": Generator(test_model.constructs_round_trip, test_model.CONSTRUCT_SEEDS, range(200, 2200)),
 }
 
 
@@ -97,6 +101,7 @@ def test_the_ci_seeds_continue_the_tier_1_seeds():
         "document_fuzz": list(range(2200)),
         "route_decode": list(range(2200)),
         "decode_exact": list(range(2200)),
+        "construct_round_trip": list(range(2200)),
     }
 
 

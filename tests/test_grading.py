@@ -6,6 +6,7 @@ the same generator and oracle at a larger case count.
 """
 
 import decimal
+import re
 import random
 from fractions import Fraction
 
@@ -435,3 +436,47 @@ def test_progress_record_round_trips_and_stays_minimal():
     assert ag.ProgressRecord.from_jsonable(record.to_jsonable()) == record
     # The persisted shape carries no answers and no scale, by design.
     assert set(record.to_jsonable()) == {"student", "test_id", "score", "at"}
+
+
+def _written(value, **edits):
+    return {**value.to_jsonable(), **edits}
+
+
+_SUB = ag.Submission("t", AgentId(7), {"a": 1}, Fraction(1), Fraction(2), 3)
+_QUESTION = ag.Question("q", "single_choice", "?", 0, 1, ("x", "y"))
+_TEST = ag.Test("t", "title", (_QUESTION,), ag.Exam(scheduled_at=5))
+
+# Each record field once converted with str(), int() or tuple(): 5 became
+# "5", "3" agent 3 and "ns" the locations ("n", "s").
+LOSSY_RECORDS = {
+    "question_id_int": (ag.Question, _written(_QUESTION, id=5), "question id must be a string, got 5"),
+    "question_prompt_null": (ag.Question, _written(_QUESTION, prompt=None), "question prompt must be a string, got None"),
+    "question_options_str": (ag.Question, _written(_QUESTION, options="xy"), "question options must be a list, got 'xy'"),
+    "test_title_list": (ag.Test, _written(_TEST, title=["t"]), "test title must be a string, got ['t']"),
+    "test_questions_object": (ag.Test, _written(_TEST, questions={}), "test questions must be a list, got {}"),
+    "exam_scheduled_at_str": (
+        ag.Test,
+        _written(_TEST, kind={"kind": "exam", "scheduled_at": "5"}),
+        "exam scheduled_at must be an integer, got '5'",
+    ),
+    "submission_student_str": (ag.Submission, _written(_SUB, student="7"), "submission student must be an integer, got '7'"),
+    "submission_answers_list": (ag.Submission, _written(_SUB, answers=[["a", 1]]), "submission answers must be an object, got [['a', 1]]"),
+    "submission_graded_at_float": (ag.Submission, _written(_SUB, graded_at=3.0), "submission graded_at must be an integer, got 3.0"),
+    "report_delivered_str": (
+        ag.ExamReport,
+        _written(ag.ExamReport("t", (), (), ()), delivered="ns"),
+        "report delivered must be a list, got 'ns'",
+    ),
+    "progress_at_bool": (
+        ag.ProgressRecord,
+        _written(ag.ProgressRecord(AgentId(3), "t9", Fraction(1), at=4), at=True),
+        "progress at must be an integer, got True",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOSSY_RECORDS))
+def test_a_record_field_is_read_as_written(case):
+    cls, written, message = LOSSY_RECORDS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls.from_jsonable(written)

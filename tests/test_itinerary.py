@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import agentry as ag
 from agentry import simulator
-from agentry.model import AgentShell, deserialize_shell, read_int, read_list, read_str, serialize_shell
+from agentry.model import AgentShell, deserialize_shell, read_int, read_list, read_object, read_str, serialize_shell
 from agentry.scenario import build_platform, render_trace, validate_scenario_doc
 from agentry.trace import EventKind
 
@@ -191,6 +191,32 @@ def test_integer_validation_accepts_what_fraction_comparisons_accepted(value):
     assert accepted(alpha=value) == (0 <= Fraction(value) <= 1)
     assert accepted(default_estimate=value) == (Fraction(value) >= 0)
     assert accepted(links={("a", "b"): Fraction(value)}) == (value >= 0)
+
+
+def _written_fraction(value):
+    value = Fraction(value)
+    return [value.numerator, value.denominator]
+
+
+@given(alpha=bounds_probes, default=bounds_probes, link=bounds_probes, observed=st.integers(min_value=0, max_value=10**6))
+def test_an_estimator_is_checked_where_it_is_built_and_not_on_update(alpha, default, link, observed):
+    """A bad alpha, default or link raises from the constructor and from
+    from_jsonable; an update, which skips the check, equals the public build
+    of its values."""
+    links = {("a", "b"): Fraction(link)}
+    written = {"alpha": _written_fraction(alpha), "default": _written_fraction(default)}
+    written["links"] = [["a", "b", _written_fraction(link)]]
+    builds = (lambda: ag.DelayEstimator(alpha, default, links), lambda: ag.DelayEstimator.from_jsonable(written))
+    if not (0 <= Fraction(alpha) <= 1 and default >= 0 and link >= 0):
+        for build in builds:
+            with pytest.raises(ValueError):
+                build()
+        return
+    for build in builds:
+        est = build()
+        for key in (("a", "b"), ("b", "a")):
+            expected = Fraction(alpha) * observed + (1 - Fraction(alpha)) * est.estimate(key)
+            assert est.updated(key, observed) == ag.DelayEstimator(alpha, default, {**links, key: expected})
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +498,17 @@ def test_a_malformed_route_reports_its_first_problem_in_objective_order():
 
 
 def _per_objective_route(d):
-    """The reference decode: each objective's fields read, then the objective
-    built, in route order, then base_time read, then the route built."""
+    """The reference decode: each objective's location and stop tasks read,
+    then the objective built (its constructor reads the window), in route
+    order, then the route built (its constructor reads base_time)."""
     objectives = []
-    for o in read_list(d["objectives"], "route objectives"):
-        where = o["location"]
+    for o in read_list(read_object(d, "route")["objectives"], "route objectives"):
+        where = read_object(read_object(o, "objective")["location"], "location")
         location = ag.LocationId(read_int(where["value"], "location value"), read_str(where["name"], "location name"))
-        earliest = read_int(o.get("earliest", 0), "objective earliest")
-        latest = read_int(o.get("latest"), "objective latest", null=True)
         tasks = read_list(o.get("tasks", []), "objective tasks")
         tasks = tuple(ag.ActionDescriptor.from_jsonable(t) for t in tasks)
-        objectives.append(ag.Objective(location, earliest, latest, tasks))
-    return ag.Route(tuple(objectives), read_int(d.get("base_time"), "route base_time", null=True))
+        objectives.append(ag.Objective(location, o.get("earliest", 0), o.get("latest"), tasks))
+    return ag.Route(tuple(objectives), d.get("base_time"))
 
 
 # JSON values that are wrong in a route, or right by accident.

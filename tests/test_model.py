@@ -448,3 +448,91 @@ DECODE_SEEDS = range(200)
 @pytest.mark.parametrize("seed", DECODE_SEEDS)
 def test_a_decoded_value_is_used_as_written(seed):
     assert decodes_as_written(seed) == []
+
+
+# ---------------------------------------------------------------------------
+# Seeded construct fuzz: what a constructor accepts survives the round trip
+# ---------------------------------------------------------------------------
+
+
+def _constructions():
+    """(class, valid constructor arguments, the scalar ones among them) for
+    each class whose constructor reads its scalar arguments: every behavior
+    and value type a decoder builds with such arguments. Built fresh per call,
+    as behaviors are mutable."""
+    here, noop = L1, ag.ActionDescriptor("noop", {"k": [1]})
+    definition = ag.FsmDefinition({"s0": noop, "s1": noop}, {"s0": {"go": "s1"}}, "s0")
+    config = ag.ItineraryConfig(ag.Route((ag.Objective(here), ag.Objective(L2, 5, 9))))
+    return [
+        (ag.ActionDescriptor, dict(name="noop", params={"k": [1]}), ["name"]),
+        (ag.RequestEnvelope, dict(task=noop, result_slot="slot"), ["result_slot"]),
+        (
+            ag.Observer,
+            dict(period=3, trigger=noop, handler=noop, mode=ag.CYCLIC, _start=2, _next_check=5),
+            ["period", "mode", "_start", "_next_check"],
+        ),
+        (ag.Listener, dict(type_filter="PING", callbacks=[noop], mode=ag.ONE_SHOT), ["type_filter", "mode"]),
+        (
+            ag.Client,
+            dict(
+                server=4,
+                request=ag.RequestEnvelope(noop),
+                ack_timeout=5,
+                result_timeout=9,
+                on_failure=noop,
+                _phase="await_ack",
+                _conversation="c1",
+                _deadline=7,
+            ),
+            ["server", "ack_timeout", "result_timeout", "_phase", "_conversation", "_deadline"],
+        ),
+        (ag.Sequential, dict(children=[ag.Task(noop), ag.Task(noop)], _index=1, _current_started=True), ["_index", "_current_started"]),
+        (ag.Fsm, dict(definition=definition, _current="s0", _entered=True, _pending_label="go"), ["_current", "_entered", "_pending_label"]),
+        (ag.Objective, dict(location=here, earliest_offset=2, latest_offset=6, stop_tasks=(noop,)), ["earliest_offset", "latest_offset"]),
+        (ag.Route, dict(objectives=(ag.Objective(here),), base_time=3), ["base_time"]),
+        (
+            ag.Itinerary,
+            dict(config=config, planned_departures=True, _base=0, _index=1, _phase="window_wait", _arrival=4, _arrival_class="early"),
+            ["planned_departures", "_base", "_index", "_phase", "_arrival", "_arrival_class"],
+        ),
+    ]
+
+
+# JSON junk in a scalar argument: wrong types, and values right by accident
+# for some argument (a marker, a state name, a phase, an arrival class).
+CONSTRUCT_JUNK = [2.0, 2.5, -1.5, True, False, None, "", "x", "s1", "early", "await_result", "cyclic"]
+CONSTRUCT_JUNK += [[], [1], {}, {"k": 1}, {"$state": "k"}]
+
+
+def constructs_round_trip(seed):
+    """The differential check ``(seed) -> problems`` for the constructors: one
+    scalar argument of a valid build replaced by JSON junk. The constructor
+    must raise a ValueError or an AgentryError, or build a value that its
+    decoder reads back equal from canonical JSON."""
+    rng = random.Random(seed)
+    cls, kwargs, scalars = rng.choice(_constructions())
+    name = rng.choice(scalars)
+    kwargs[name] = json.loads(json.dumps(rng.choice(CONSTRUCT_JUNK)))
+    built = f"{cls.__name__}({name}={kwargs[name]!r})"
+    try:
+        value = cls(**kwargs)
+    except (ValueError, ag.AgentryError):
+        return []
+    except Exception as exc:
+        return [f"{built} raises {type(exc).__name__}: {exc}"]
+    try:
+        if isinstance(value, ag.Behavior):
+            back = ag.behavior_from_dict(json.loads(ag.canonical_json(value.to_dict())))
+        else:
+            back = cls.from_jsonable(json.loads(ag.canonical_json(value.to_jsonable())))
+    except Exception as exc:
+        return [f"{built} builds, but its round trip raises {type(exc).__name__}: {exc}"]
+    return [] if back == value else [f"{built} builds, but reads back as {back!r}"]
+
+
+CONSTRUCT_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", CONSTRUCT_SEEDS)
+def test_a_built_value_round_trips_or_its_constructor_raises(seed):
+    assert constructs_round_trip(seed) == []

@@ -240,6 +240,43 @@ def test_a_step_outcome_is_recorded_before_its_effects_apply_on_both_platforms()
     assert runs[0] == runs[1]
 
 
+class _MovesAndNeverLands(ag.Behavior):
+    """Moves to ``dest`` on its first step; its serialized form never decodes,
+    so the agent cannot land."""
+
+    kind = "t.faults.moves_and_never_lands"
+
+    def __init__(self, dest):
+        super().__init__()
+        self.dest = dest
+
+    def _step(self, ctx):
+        ctx.request_migration(self.dest)
+        return ag.Blocked(ag.Never())
+
+    def _to_dict_body(self):
+        return {}
+
+    @classmethod
+    def _from_dict_body(cls, d):
+        raise ValueError("no way to land")
+
+
+def test_an_arrival_that_cannot_be_decoded_raises_on_every_run_on_both_platforms():
+    # A raising decode leaves the arrival due, so no later run() can pass
+    # over an agent that never landed.
+    runs = []
+    for make in (make_sim, make_mock):
+        p = make()
+        agent = p.spawn_agent(p.create_location("a"), [_MovesAndNeverLands(p.create_location("b"))])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^no way to land$"):
+                p.run(None)
+            assert p.agent_location(agent) is None
+        runs.append((p.trace().to_jsonl(), p.now()))
+    assert runs[0] == runs[1]
+
+
 def test_a_spawn_then_an_attach_to_the_child_in_one_step_on_both_platforms():
     # The attach targets an agent that the same step's spawn creates; both
     # of the child's slots first step at tick 1.
