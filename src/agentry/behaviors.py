@@ -554,7 +554,7 @@ def _never(ctx: AgentContext, params: Any) -> bool:
 
 @builtin_predicate("clock_at_least")
 def _clock_at_least(ctx: AgentContext, params: Any) -> bool:
-    return ctx.now >= int(params["tick"])
+    return ctx.now >= read_int(params["tick"], "clock_at_least tick")
 
 
 @builtin_predicate("state_equals")

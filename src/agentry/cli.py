@@ -104,6 +104,9 @@ def run(scenario: str, seed: Optional[int], trace_out: Optional[str], until: str
             click.echo(f"--until must be a non-negative tick count or 'quiescent', got {until!r}", err=True)
             sys.exit(EXIT_INVALID)
         until = tick  # type: ignore[assignment]
+    if seed is not None and seed < 0:  # SimConfig's rule for a seed
+        click.echo(f"--seed must be an integer of at least 0, got {seed}", err=True)
+        sys.exit(EXIT_INVALID)
     if trace_out is None and os.environ.get(TRACE_DIR_ENV):
         trace_out = str(Path(os.environ[TRACE_DIR_ENV]) / (Path(scenario).stem + ".trace.jsonl"))
     sys.exit(run_scenario(scenario, seed=seed, trace_out=trace_out, until=until))

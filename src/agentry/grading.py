@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Any, Mapping, Optional, Union
 
 from .errors import UnknownQuestionId
-from .model import AgentId, Ticks, read_int, read_list, read_object, read_str
+from .model import AgentId, Ticks, _is_int, read_int, read_list, read_object, read_str
 
 SINGLE_CHOICE = "single_choice"
 MULTIPLE_CHOICE = "multiple_choice"
@@ -23,6 +23,8 @@ FILL_NUMERIC = "fill_numeric"
 FILL_TEXT = "fill_text"
 
 _CHOICE_KINDS = (SINGLE_CHOICE, MULTIPLE_CHOICE)
+# What a multiple-choice key or answer may hold its option indices in.
+_INDEX_SETS = (list, tuple, set, frozenset)
 _KINDS = (SINGLE_CHOICE, MULTIPLE_CHOICE, TRUE_FALSE, FILL_NUMERIC, FILL_TEXT)
 
 
@@ -67,18 +69,13 @@ class Question:
         if self.kind in _CHOICE_KINDS:
             if not self.options:
                 raise ValueError(f"question {self.id!r}: choice question needs options")
-            indices = self.key if self.kind == MULTIPLE_CHOICE else [self.key]
-            try:
-                values = sorted(int(i) for i in indices)
-            except (TypeError, ValueError):
-                raise ValueError(f"question {self.id!r}: key must hold option indices") from None
-            if self.kind == MULTIPLE_CHOICE:
-                object.__setattr__(self, "key", frozenset(values))
+            label, last = f"question {self.id!r} key index", len(self.options) - 1
+            if self.kind == SINGLE_CHOICE:
+                read_int(self.key, label, 0, last)
+            elif isinstance(self.key, _INDEX_SETS):
+                object.__setattr__(self, "key", frozenset(read_int(i, label, 0, last) for i in self.key))
             else:
-                object.__setattr__(self, "key", values[0])
-            for i in values:
-                if not 0 <= i < len(self.options):
-                    raise ValueError(f"question {self.id!r}: key index {i} out of range")
+                raise ValueError(f"question {self.id!r}: key must be a list of option indices, got {self.key!r}")
         elif self.kind == TRUE_FALSE:
             if not isinstance(self.key, bool):
                 raise ValueError(f"question {self.id!r}: key must be a boolean")
@@ -210,14 +207,9 @@ def _numbers_equal(a: Any, b: Any) -> bool:
 def answer_matches(question: Question, answer: Any) -> bool:
     """Full credit test for one answer; wrong shape simply earns nothing."""
     if question.kind == SINGLE_CHOICE:
-        return isinstance(answer, int) and not isinstance(answer, bool) and answer == question.key
+        return _is_int(answer) and answer == question.key
     if question.kind == MULTIPLE_CHOICE:
-        if isinstance(answer, (list, tuple, set, frozenset)):
-            try:
-                return frozenset(int(i) for i in answer) == question.key
-            except (TypeError, ValueError):
-                return False
-        return False
+        return isinstance(answer, _INDEX_SETS) and all(_is_int(i) for i in answer) and frozenset(answer) == question.key
     if question.kind == TRUE_FALSE:
         return isinstance(answer, bool) and answer == question.key
     if question.kind == FILL_NUMERIC:

@@ -265,10 +265,7 @@ class DelayEstimator:
         # one exact Fraction instead of four Fraction operations.
         links = dict(self.links)
         links[link] = _fraction(an * observed * ed + (ad - an) * en, ad * ed)
-        # Built past __post_init__: it would only check values already checked.
-        updated = object.__new__(DelayEstimator)
-        updated.__dict__.update(alpha=self.alpha, default_estimate=self.default_estimate, links=links)
-        return updated
+        return DelayEstimator(self.alpha, self.default_estimate, links)
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -289,10 +286,6 @@ class DelayEstimator:
         if len(links) != len(written) or list(links) != sorted(links):  # as to_jsonable writes them
             raise ValueError(f"estimator links must be sorted by link, each once, got {written!r}")
         return cls(alpha, default, links)
-
-
-def observe_and_update_delay(est: DelayEstimator, link: Link, observed: Ticks) -> DelayEstimator:
-    return est.updated(link, observed)
 
 
 def next_departure_plan(

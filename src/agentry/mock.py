@@ -46,6 +46,7 @@ from .model import (
     Running,
     Ticks,
     deserialize_shell,
+    read_int,
     serialize_shell,
 )
 from .trace import EventKind, TraceLog
@@ -84,11 +85,9 @@ class MockPlatform:
         migration_delay: Ticks = 1,
         max_ticks: Ticks = 10_000,
     ) -> None:
-        if message_delay < 0 or migration_delay < 0:
-            raise ValueError("delays must be non-negative")
-        self.message_delay = message_delay
-        self.migration_delay = migration_delay
-        self.max_ticks = max_ticks
+        self.message_delay = read_int(message_delay, "message_delay", 0)
+        self.migration_delay = read_int(migration_delay, "migration_delay", 0)
+        self.max_ticks = read_int(max_ticks, "max_ticks", 0)
         self._locations: list[LocationId] = []
         self._entries: dict[AgentId, _Entry] = {}
         self._mail: list[_Mail] = []

@@ -9,7 +9,6 @@ can be detached, serialized, moved, and resumed at another location.
 from __future__ import annotations
 
 import base64
-import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -368,10 +367,12 @@ def _is_int(value: Any) -> bool:
 
 
 def read_int(value: Any, label: str, lo: Optional[int] = None, hi: Optional[int] = None, *, null: bool = False) -> Any:
-    """An int that is not a bool, from ``lo`` to ``hi`` when they are given."""
-    if _is_int(value) and (lo is None or lo <= value <= hi) or null and value is None:
+    """An int that is not a bool, at least ``lo`` when it is given and at
+    most ``hi`` when that is given too."""
+    if _is_int(value) and (lo is None or lo <= value and (hi is None or value <= hi)) or null and value is None:
         return value
-    raise _mistyped(label, "an integer" if lo is None else f"an integer from {lo} to {hi}", value, null)
+    what = "an integer" if lo is None else f"an integer of at least {lo}" if hi is None else f"an integer from {lo} to {hi}"
+    raise _mistyped(label, what, value, null)
 
 
 def read_bool(value: Any, label: str) -> bool:
@@ -409,7 +410,7 @@ def read_action(value: Any, label: str) -> Optional[actions.ActionDescriptor]:
     if value is None:
         return None
     if isinstance(value, dict):
-        return actions.ActionDescriptor.from_jsonable(value)
+        return actions.ActionDescriptor(value["name"], value.get("params"))  # from_jsonable, past the check just made
     raise _mistyped(label, "an action", value, null=True)
 
 
@@ -427,14 +428,8 @@ def location_to_jsonable(loc: LocationId) -> dict[str, Any]:
     return {"value": loc.value, "name": loc.name}
 
 
-@functools.lru_cache(maxsize=1024)
-def _location(value: int, name: str) -> LocationId:
-    return LocationId(value, name)
-
-
 def location_from_jsonable(d: dict[str, Any]) -> LocationId:
-    # LocationId is immutable, so every decode of the same pair may share one.
-    return _location(read_int(read_object(d, "location")["value"], "location value"), read_str(d["name"], "location name"))
+    return LocationId(read_int(read_object(d, "location")["value"], "location value"), read_str(d["name"], "location name"))
 
 
 def message_to_jsonable(msg: Message) -> dict[str, Any]:

@@ -26,10 +26,10 @@ import difflib
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .errors import MalformedRepository, ScenarioError
-from .model import AgentId, Behavior, LocationId, Ticks, _is_int, behavior_from_dict, behavior_kinds, location_to_jsonable
+from .model import AgentId, Behavior, LocationId, _is_int, behavior_from_dict, behavior_kinds, location_to_jsonable, read_int, read_list, read_str
 from .repository import load_tests
 from .simulator import Fixed, LatencyModel, PerLink, SimConfig, SimPlatform, UniformRange
 
@@ -110,26 +110,21 @@ def _resolve(path: str, base_dir: Optional[Path]) -> Path:
     return Path(path) if base_dir is None else base_dir / path
 
 
-def _ticks(value: Any, name: str) -> Ticks:
-    if not _is_int(value):
-        raise TypeError(f"{name} must be an integer number of ticks, not {value!r}")
-    return value
-
-
-def _is_link(link: Any) -> bool:
-    return isinstance(link, list) and len(link) == 3 and isinstance(link[0], str) and isinstance(link[1], str) and _is_int(link[2])
-
-
 def _parse_latency(spec: dict) -> LatencyModel:
+    """Map a latency spec's keys to its model's constructor arguments, as a
+    decoder does; the model reads them."""
     kind = spec["kind"]
     if kind == "fixed":
-        return Fixed(_ticks(spec["ticks"], "ticks"))
+        return Fixed(spec["ticks"])
     if kind == "uniform":
-        return UniformRange(_ticks(spec["lo"], "lo"), _ticks(spec["hi"], "hi"))
-    links = spec.get("links", [])
-    if not isinstance(links, list) or not all(_is_link(link) for link in links):
-        raise TypeError("links must be a list of [source name, destination name, ticks] entries")
-    return PerLink({(src, dst): ticks for src, dst, ticks in links}, default=_ticks(spec.get("default", 1), "default"))
+        return UniformRange(spec["lo"], spec["hi"])
+    table = {}
+    for link in read_list(spec.get("links", []), "per_link latency links"):
+        if not isinstance(link, list) or len(link) != 3:
+            raise ValueError(f"per_link latency link must be [source, destination, ticks], got {link!r}")
+        # A name is read before it becomes a dict key, which must be hashable.
+        table[read_str(link[0], "per_link latency source"), read_str(link[1], "per_link latency destination")] = link[2]
+    return PerLink(table, spec.get("default", 1))
 
 
 def _check_links(links: list, path: str, names: list[str], problems: list[str]) -> None:
@@ -145,6 +140,19 @@ def _check_links(links: list, path: str, names: list[str], problems: list[str]) 
         first.setdefault((src, dst), i)
 
 
+def _built(path: str, problems: list[str], build: Callable[..., Any], *args: Any) -> Any:
+    """``build(*args)``, or None with what it raised reported at ``path``; a
+    missing required field, the KeyError of indexing an object for it, reads
+    ``missing field '<key>'``."""
+    try:
+        return build(*args)
+    except KeyError as exc:
+        problems.append(f"{path}: missing field {exc}")
+    except Exception as exc:
+        problems.append(f"{path}: {exc}")
+    return None
+
+
 def _latency(spec: Any, path: str, names: list[str], problems: list[str]) -> Optional[LatencyModel]:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(spec, dict):
@@ -152,14 +160,10 @@ def _latency(spec: Any, path: str, names: list[str], problems: list[str]) -> Opt
     elif kind not in _LATENCY_KINDS:
         problems.append(f"{path}/kind: unknown latency kind {kind!r}{_suggest(str(kind), list(_LATENCY_KINDS))}")
     else:
-        try:
-            model = _parse_latency(spec)
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"{path}: {exc}")
-        else:
-            if kind == "per_link":
-                _check_links(spec.get("links", []), path, names, problems)
-            return model
+        model = _built(path, problems, _parse_latency, spec)
+        if model is not None and kind == "per_link":
+            _check_links(spec.get("links", []), path, names, problems)
+        return model
     return None
 
 
@@ -175,12 +179,7 @@ def _behavior(spec: Any, path: str, binder: _Binder, known: dict[str, Any], prob
         n_problems = len(problems)
         bound = binder.bind(spec, path)
         if len(problems) == n_problems:
-            try:
-                return behavior_from_dict(bound)
-            except KeyError as exc:  # what indexing an object for a required field raises
-                problems.append(f"{path}: missing field {exc}")
-            except Exception as exc:
-                problems.append(f"{path}: {exc}")
+            return _built(path, problems, behavior_from_dict, bound)
     return None
 
 
@@ -235,9 +234,10 @@ def _read(doc: Any, base_dir: Optional[Path]) -> tuple[list[str], SimConfig, lis
         if key not in known_keys:
             problems.append(f"/{key}: unknown field{_suggest(key, sorted(known_keys))}")
 
+    # Read as SimConfig reads them; a value that fails is left out of the config.
     seed = doc.get("seed")
-    if seed is not None and (not _is_int(seed) or seed < 0):
-        problems.append(f"/seed: must be a non-negative integer, got {seed!r}")
+    if seed is not None:
+        seed = _built("/seed", problems, read_int, seed, "seed", 0)
 
     # Config checks link names against the locations, whose problems follow.
     location_problems: list[str] = []
@@ -251,8 +251,8 @@ def _read(doc: Any, base_dir: Optional[Path]) -> tuple[list[str], SimConfig, lis
             problems.append(f"/config/{key}: unknown field{_suggest(key, ['message_latency', 'migration_latency', 'max_ticks'])}")
     latencies = {f: _latency(config[f], f"/config/{f}", names, problems) for f in ("message_latency", "migration_latency") if f in config}
     max_ticks = config.get("max_ticks")
-    if max_ticks is not None and (not _is_int(max_ticks) or max_ticks < 1):
-        problems.append(f"/config/max_ticks: must be a positive integer, got {max_ticks!r}")
+    if max_ticks is not None:
+        max_ticks = _built("/config/max_ticks", problems, read_int, max_ticks, "max_ticks", 0)
 
     problems += location_problems
 
@@ -349,7 +349,7 @@ def effective_seed(doc: dict, override: Optional[int] = None) -> int:
     if override is not None:
         return override
     seed = doc.get("seed")
-    return 0 if seed is None else int(seed)
+    return 0 if seed is None else seed
 
 
 def build_platform(

@@ -91,6 +91,8 @@ from .model import (
     Running,
     Ticks,
     deserialize_shell,
+    read_int,
+    read_str,
     serialize_shell,
     wake_satisfied,
 )
@@ -103,13 +105,12 @@ class LatencyModel(Protocol):
 
 @dataclass(frozen=True)
 class Fixed:
-    """Constant latency in ticks."""
+    """Constant latency: ``ticks``, an int >= 0."""
 
     ticks: Ticks
 
     def __post_init__(self) -> None:
-        if self.ticks < 0:
-            raise ValueError("latency must be non-negative")
+        read_int(self.ticks, "fixed latency ticks", 0)
 
     def sample(self, rng: random.Random, src: LocationId, dst: LocationId) -> Ticks:
         return self.ticks
@@ -117,14 +118,14 @@ class Fixed:
 
 @dataclass(frozen=True)
 class UniformRange:
-    """Latency drawn uniformly from [lo, hi] (inclusive) per send/migration."""
+    """Latency drawn uniformly from [lo, hi] (inclusive) per send/migration;
+    ``lo`` and ``hi`` are ints with 0 <= lo <= hi."""
 
     lo: Ticks
     hi: Ticks
 
     def __post_init__(self) -> None:
-        if not 0 <= self.lo <= self.hi:
-            raise ValueError("require 0 <= lo <= hi")
+        read_int(self.hi, "uniform latency hi", read_int(self.lo, "uniform latency lo", 0))
 
     def sample(self, rng: random.Random, src: LocationId, dst: LocationId) -> Ticks:
         return rng.randint(self.lo, self.hi)
@@ -132,14 +133,20 @@ class UniformRange:
 
 @dataclass(frozen=True)
 class PerLink:
-    """Fixed latency per ordered (source name, destination name) pair."""
+    """Fixed latency per ordered (source name, destination name) pair, and
+    ``default`` for every other pair; all ticks are ints >= 0."""
 
     table: dict[tuple[str, str], Ticks]
     default: Ticks = 1
 
     def __post_init__(self) -> None:
-        if self.default < 0 or any(ticks < 0 for ticks in self.table.values()):
-            raise ValueError("latency must be non-negative")
+        for link, ticks in self.table.items():
+            if type(link) is not tuple or len(link) != 2:
+                raise ValueError(f"per_link latency link must be a (source, destination) pair, got {link!r}")
+            read_str(link[0], "per_link latency source")
+            read_str(link[1], "per_link latency destination")
+            read_int(ticks, "per_link latency ticks", 0)
+        read_int(self.default, "per_link latency default", 0)
 
     def sample(self, rng: random.Random, src: LocationId, dst: LocationId) -> Ticks:
         return self.table.get((src.name, dst.name), self.default)
@@ -147,10 +154,17 @@ class PerLink:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A run's seed (an int >= 0), its latency models and ``max_ticks``, the
+    tick budget of a run to quiescence (an int >= 0)."""
+
     seed: int = 0
     message_latency: LatencyModel = Fixed(1)
     migration_latency: LatencyModel = Fixed(1)
     max_ticks: Ticks = 10_000
+
+    def __post_init__(self) -> None:
+        read_int(self.seed, "seed", 0)
+        read_int(self.max_ticks, "max_ticks", 0)
 
 
 @dataclass

@@ -31,6 +31,10 @@ Why each generator exists:
 * ``construct_round_trip``: a constructor accepts exactly what its decoder
   accepts, so a value built with one scalar argument set to JSON junk either
   raises where it is built or reads back equal after a trip through JSON.
+* ``config_accepts``: a latency model or ``SimConfig`` accepts exactly the
+  config fields scenario validation accepts, so a spec with one field set to
+  JSON junk raises where it is built exactly when validation reports its
+  path, and otherwise builds the config the scenario reads.
 
 To register a generator, write beside it a check that calls it on a seed and
 lists what disagrees, a range of tier-1 seeds from 0 and a test parametrized
@@ -62,6 +66,7 @@ GENERATORS = {
     "route_decode": Generator(test_itinerary.route_decodes_as_the_reference, test_itinerary.ROUTE_SEEDS, range(200, 2200)),
     "decode_exact": Generator(test_model.decodes_as_written, test_model.DECODE_SEEDS, range(200, 2200)),
     "construct_round_trip": Generator(test_model.constructs_round_trip, test_model.CONSTRUCT_SEEDS, range(200, 2200)),
+    "config_accepts": Generator(test_model.config_accepts, test_model.CONFIG_SEEDS, range(200, 2200)),
 }
 
 
@@ -102,6 +107,7 @@ def test_the_ci_seeds_continue_the_tier_1_seeds():
         "route_decode": list(range(2200)),
         "decode_exact": list(range(2200)),
         "construct_round_trip": list(range(2200)),
+        "config_accepts": list(range(2200)),
     }
 
 

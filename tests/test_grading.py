@@ -37,13 +37,9 @@ def oracle_credit(question, answer):
     if question.kind == MULTIPLE_CHOICE:
         if not isinstance(answer, (list, tuple, set, frozenset)):
             return False
-        chosen = set()
-        for element in answer:
-            try:
-                chosen.add(int(element))
-            except (TypeError, ValueError):
-                return False
-        return chosen == set(question.key)
+        if any(type(element) is not int for element in answer):
+            return False
+        return set(answer) == set(question.key)
     if question.kind == TRUE_FALSE:
         return type(answer) is bool and answer == question.key
     if question.kind == FILL_NUMERIC:
@@ -107,13 +103,13 @@ def _correct_answer(rng, q):
     if q.kind == MULTIPLE_CHOICE:
         chosen = list(q.key)
         rng.shuffle(chosen)
-        shape = rng.choice(["list", "tuple", "set", "strings", "dupes"])
+        shape = rng.choice(["list", "tuple", "set", "frozenset", "dupes"])
         if shape == "tuple":
             return tuple(chosen)
         if shape == "set":
             return set(chosen)
-        if shape == "strings":
-            return [str(i) for i in chosen]
+        if shape == "frozenset":
+            return frozenset(chosen)
         if shape == "dupes":
             return chosen + chosen[:1]
         return chosen
@@ -237,6 +233,23 @@ def test_choice_key_must_index_the_options():
         q(SINGLE_CHOICE, "a", options=("a", "b"))
 
 
+@pytest.mark.parametrize(
+    "kind, key, message",
+    [
+        (SINGLE_CHOICE, "1", "question 'q1' key index must be an integer from 0 to 2, got '1'"),
+        (SINGLE_CHOICE, True, "question 'q1' key index must be an integer from 0 to 2, got True"),
+        (MULTIPLE_CHOICE, [True, 0.0], "question 'q1' key index must be an integer from 0 to 2, got True"),
+        (MULTIPLE_CHOICE, [0, 3], "question 'q1' key index must be an integer from 0 to 2, got 3"),
+        (MULTIPLE_CHOICE, "01", "question 'q1': key must be a list of option indices, got '01'"),
+    ],
+)
+def test_a_choice_key_holds_option_indices_as_written(kind, key, message):
+    # int() used to read "1" as 1 and [True, 0.0] as {0, 1}.
+    with pytest.raises(ValueError) as err:
+        q(kind, key, options=("a", "b", "c"))
+    assert str(err.value) == message
+
+
 def test_multiple_choice_key_normalizes_to_a_set():
     question = q(MULTIPLE_CHOICE, [2, 0], options=("a", "b", "c"))
     assert question.key == frozenset({0, 2})
@@ -330,12 +343,15 @@ def test_multiple_choice_matching_is_set_equality():
     assert ag.answer_matches(question, (0, 2))
     assert ag.answer_matches(question, {0, 2})
     assert ag.answer_matches(question, [0, 2, 0])  # duplicates collapse
-    assert ag.answer_matches(question, ["0", "2"])  # digits count as indices
+    assert not ag.answer_matches(question, ["0", "2"])  # digits are not indices
+    assert not ag.answer_matches(question, [0.0, 2])  # nor are floats
+    assert not ag.answer_matches(question, [False, 2])  # nor bools
     assert not ag.answer_matches(question, [0])  # subset earns nothing
     assert not ag.answer_matches(question, [0, 1, 2])  # superset too
     assert not ag.answer_matches(question, 0)
     assert not ag.answer_matches(question, "02")
     assert not ag.answer_matches(question, [0, "x"])
+    assert not ag.answer_matches(q(MULTIPLE_CHOICE, [0, 1], options=("a", "b")), ["1", 0.9])
 
 
 def test_true_false_matching():

@@ -139,7 +139,7 @@ def test_estimator_round_trips_exactly():
 def test_ema_matches_its_closed_form(alpha, default, observations):
     est = ag.DelayEstimator(alpha=alpha, default_estimate=default)
     for d in observations:
-        est = ag.observe_and_update_delay(est, ("a", "b"), d)
+        est = est.updated(("a", "b"), d)
     n = len(observations)
     decay = 1 - alpha
     expected = decay**n * default + alpha * sum(

@@ -20,12 +20,13 @@ from agentry.model import (
     location_to_jsonable,
     message_from_jsonable,
     message_to_jsonable,
+    read_int,
     serialize_shell,
     wake_satisfied,
 )
-from agentry.scenario import build_platform
+from agentry.scenario import _read, build_platform
 from agentry.simulator import _MIGRATING
-from test_scenario_cli import JUNK, SHIPPED, _document_base, _slots
+from test_scenario_cli import JUNK, SHIPPED, _document_base, _slots, base_doc
 
 L1 = ag.LocationId(1, "one")
 L2 = ag.LocationId(2, "two")
@@ -345,6 +346,24 @@ def test_location_jsonable_round_trip():
     assert location_from_jsonable(location_to_jsonable(loc)).name == "lab"
 
 
+@pytest.mark.parametrize(
+    "value, bounds, what",
+    [
+        (-1, (0,), "an integer of at least 0"),
+        (True, (0,), "an integer of at least 0"),
+        (3, (0, 2), "an integer from 0 to 2"),
+        (-1, (0, 2), "an integer from 0 to 2"),
+        (1.0, (), "an integer"),
+    ],
+)
+def test_read_int_rejects_a_value_outside_its_bounds(value, bounds, what):
+    # With lo alone it used to compare the value with a missing hi.
+    assert read_int(5, "x", 0) == 5 and read_int(2, "x", 0, 2) == 2
+    with pytest.raises(ValueError) as err:
+        read_int(value, "x", *bounds)
+    assert str(err.value) == f"x must be {what}, got {value!r}"
+
+
 def test_stepping_finished_behavior_raises():
     sim = ag.SimPlatform()
     loc = sim.create_location("l")
@@ -536,3 +555,79 @@ CONSTRUCT_SEEDS = range(200)
 @pytest.mark.parametrize("seed", CONSTRUCT_SEEDS)
 def test_a_built_value_round_trips_or_its_constructor_raises(seed):
     assert constructs_round_trip(seed) == []
+
+
+# ---------------------------------------------------------------------------
+# Seeded config fuzz: a config constructor and the scenario reader agree
+# ---------------------------------------------------------------------------
+
+# The fields of each config value a scenario builds through a constructor.
+CONFIG_FIELDS = {
+    "fixed": ["ticks"],
+    "uniform": ["lo", "hi"],
+    "per_link": ["source", "destination", "ticks", "default"],
+    "max_ticks": ["max_ticks"],
+}
+
+
+def _config(kind, v):
+    """The config document entry for ``kind`` with the field values ``v``,
+    and the call that builds the same SimConfig from Python. A null
+    ``max_ticks`` is absent, as the scenario reads it; a name that cannot be
+    a dict key makes building the PerLink table raise a TypeError."""
+    if kind == "max_ticks":
+        kwargs = {} if v["max_ticks"] is None else {"max_ticks": v["max_ticks"]}
+        return {"max_ticks": v["max_ticks"]}, lambda: ag.SimConfig(**kwargs)
+    key = v["key"]
+    if kind == "fixed":
+        spec, build = {"ticks": v["ticks"]}, lambda: ag.Fixed(v["ticks"])
+    elif kind == "uniform":
+        spec, build = {"lo": v["lo"], "hi": v["hi"]}, lambda: ag.UniformRange(v["lo"], v["hi"])
+    else:
+        spec = {"links": [[v["source"], v["destination"], v["ticks"]]], "default": v["default"]}
+        build = lambda: ag.PerLink({(v["source"], v["destination"]): v["ticks"]}, v["default"])
+    return {key: {"kind": kind, **spec}}, lambda: ag.SimConfig(**{key: build()})
+
+
+def config_accepts(seed):
+    """The differential check ``(seed) -> problems`` for the config
+    constructors: a latency spec or ``max_ticks`` with one field set to JSON
+    junk, or left valid on one seed in five. The constructor must raise a
+    ValueError exactly when validation reports a problem at the config
+    field's path, and otherwise build the config the scenario reads."""
+    rng = random.Random(seed)
+    kind = rng.choice(sorted(CONFIG_FIELDS))
+    lo = rng.randint(0, 2)
+    v = dict(ticks=rng.randint(0, 4), lo=lo, hi=lo + rng.randint(0, 2), default=rng.randint(0, 4), max_ticks=rng.randint(0, 500))
+    v.update(source="home", destination="away", key=rng.choice(["message_latency", "migration_latency"]))
+    field = rng.choice(CONFIG_FIELDS[kind])
+    if rng.random() < 0.8:
+        v[field] = json.loads(json.dumps(rng.choice(CONSTRUCT_JUNK)))
+    config, build = _config(kind, v)
+    (key,) = config
+    path, built = f"/config/{key}", f"{kind} with {field}={v[field]!r}"
+    try:
+        model = build()
+    except ValueError:
+        model = None
+    except TypeError as exc:
+        if field not in ("source", "destination") or not isinstance(v[field], (list, dict)):
+            return [f"{built} raises TypeError: {exc}"]
+        model = None
+    except Exception as exc:
+        return [f"{built} raises {type(exc).__name__}: {exc}"]
+    problems, read, _, _ = _read(base_doc(seed=0, config=config), None)
+    reported = [p for p in problems if p.startswith(f"{path}: ")]
+    if model is None:
+        return [] if reported else [f"{built} raises, but validation reports nothing at {path}"]
+    if reported:
+        return [f"{built} builds, but validation reports {reported}"]
+    return [] if read == model else [f"{built} builds {model!r}, but the scenario reads {read!r}"]
+
+
+CONFIG_SEEDS = range(200)
+
+
+@pytest.mark.parametrize("seed", CONFIG_SEEDS)
+def test_a_config_constructor_raises_exactly_when_validation_reports_its_field(seed):
+    assert config_accepts(seed) == []

@@ -104,7 +104,7 @@ def test_config_problems():
         config={
             "message_latency": {"kind": "fixd", "ticks": 1},
             "migration_latency": {"kind": "uniform", "lo": 1},
-            "max_ticks": 0,
+            "max_ticks": -1,
             "mystery": 1,
         }
     )
@@ -407,7 +407,7 @@ def test_a_tests_marker_argument_other_than_true_is_reported_at_the_marker(tmp_p
 
 def test_per_link_negative_latency_is_a_config_problem():
     doc = base_doc(config={"migration_latency": {"kind": "per_link", "links": [["home", "lab", -3]]}})
-    assert validate_scenario_doc(doc) == ["/config/migration_latency: latency must be non-negative"]
+    assert validate_scenario_doc(doc) == ["/config/migration_latency: per_link latency ticks must be an integer of at least 0, got -3"]
 
 
 AT_LINKS = "/config/migration_latency/links"
@@ -438,12 +438,12 @@ def test_a_per_link_entry_must_name_declared_locations_once(case):
     # replaced the earlier entry for its pair. Its lines come in the config's
     # place: after /seed, before /config/max_ticks and the location problems.
     links, lines = UNKNOWN_LINK_NAMES[case]
-    config = {"migration_latency": {"kind": "per_link", "links": links}, "max_ticks": 0}
+    config = {"migration_latency": {"kind": "per_link", "links": links}, "max_ticks": -1}
     doc = base_doc(seed=-1, config=config, locations=["home", "away", "home"])
     assert validate_scenario_doc(doc) == [
-        "/seed: must be a non-negative integer, got -1",
+        "/seed: seed must be an integer of at least 0, got -1",
         *lines,
-        "/config/max_ticks: must be a positive integer, got 0",
+        "/config/max_ticks: max_ticks must be an integer of at least 0, got -1",
         "/locations/2: duplicate location name 'home'",
     ]
 
@@ -456,22 +456,23 @@ def test_per_link_names_are_not_checked_without_declared_locations():
     ]
 
 
-LINKS_MESSAGE = "links must be a list of [source name, destination name, ticks] entries"
+AT_LEAST_0 = "must be an integer of at least 0, got"
+LINK_SHAPE = "per_link latency link must be [source, destination, ticks], got"
 
 # Each spec used to build through a lossy int()/str() conversion.
 LOSSY_LATENCIES = {
-    "fixed_float": ({"kind": "fixed", "ticks": 2.9}, "ticks must be an integer number of ticks, not 2.9"),
-    "fixed_bool": ({"kind": "fixed", "ticks": True}, "ticks must be an integer number of ticks, not True"),
-    "fixed_str": ({"kind": "fixed", "ticks": "5"}, "ticks must be an integer number of ticks, not '5'"),
-    "uniform_float": ({"kind": "uniform", "lo": 0.5, "hi": 3}, "lo must be an integer number of ticks, not 0.5"),
-    "uniform_str": ({"kind": "uniform", "lo": 0, "hi": "3"}, "hi must be an integer number of ticks, not '3'"),
-    "per_link_default_bool": ({"kind": "per_link", "default": False}, "default must be an integer number of ticks, not False"),
-    "per_link_str_entry": ({"kind": "per_link", "links": ["ab1"]}, LINKS_MESSAGE),
-    "per_link_dict": ({"kind": "per_link", "links": {"xy3": 1}}, LINKS_MESSAGE),
-    "per_link_float_ticks": ({"kind": "per_link", "links": [["a", "b", 1.5]]}, LINKS_MESSAGE),
-    "per_link_bool_ticks": ({"kind": "per_link", "links": [["a", "b", True]]}, LINKS_MESSAGE),
-    "per_link_int_name": ({"kind": "per_link", "links": [[1, "b", 1]]}, LINKS_MESSAGE),
-    "per_link_short_entry": ({"kind": "per_link", "links": [["a", "b"]]}, LINKS_MESSAGE),
+    "fixed_float": ({"kind": "fixed", "ticks": 2.9}, f"fixed latency ticks {AT_LEAST_0} 2.9"),
+    "fixed_bool": ({"kind": "fixed", "ticks": True}, f"fixed latency ticks {AT_LEAST_0} True"),
+    "fixed_str": ({"kind": "fixed", "ticks": "5"}, f"fixed latency ticks {AT_LEAST_0} '5'"),
+    "uniform_float": ({"kind": "uniform", "lo": 0.5, "hi": 3}, f"uniform latency lo {AT_LEAST_0} 0.5"),
+    "uniform_str": ({"kind": "uniform", "lo": 0, "hi": "3"}, f"uniform latency hi {AT_LEAST_0} '3'"),
+    "per_link_default_bool": ({"kind": "per_link", "default": False}, f"per_link latency default {AT_LEAST_0} False"),
+    "per_link_str_entry": ({"kind": "per_link", "links": ["ab1"]}, f"{LINK_SHAPE} 'ab1'"),
+    "per_link_dict": ({"kind": "per_link", "links": {"xy3": 1}}, "per_link latency links must be a list, got {'xy3': 1}"),
+    "per_link_float_ticks": ({"kind": "per_link", "links": [["a", "b", 1.5]]}, f"per_link latency ticks {AT_LEAST_0} 1.5"),
+    "per_link_bool_ticks": ({"kind": "per_link", "links": [["a", "b", True]]}, f"per_link latency ticks {AT_LEAST_0} True"),
+    "per_link_int_name": ({"kind": "per_link", "links": [[1, "b", 1]]}, "per_link latency source must be a string, got 1"),
+    "per_link_short_entry": ({"kind": "per_link", "links": [["a", "b"]]}, f"{LINK_SHAPE} ['a', 'b']"),
 }
 
 
@@ -483,6 +484,15 @@ def test_a_latency_spec_that_is_not_int_ticks_is_a_config_problem(case):
     with pytest.raises(ag.ScenarioError) as err:
         build_platform(doc)
     assert err.value.problems == validate_scenario_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "spec, key", [({"kind": "fixed"}, "ticks"), ({"kind": "uniform", "lo": 1}, "hi")], ids=["fixed", "uniform"]
+)
+def test_a_latency_spec_without_a_required_field_names_it(spec, key):
+    # It was the bare KeyError text: "/config/message_latency: 'ticks'".
+    doc = base_doc(config={"message_latency": spec})
+    assert validate_scenario_doc(doc) == [f"/config/message_latency: missing field '{key}'"]
 
 
 def test_int_latency_specs_build_their_exact_models():
@@ -1163,6 +1173,13 @@ def test_cli_run_with_flags(tmp_path):
     done = cli("run", str(path), "--trace", "out.jsonl", "--seed", "3", cwd=tmp_path)
     assert done.returncode == EXIT_OK, done.stderr
     assert (tmp_path / "out.jsonl").exists()
+
+
+def test_cli_run_reports_a_negative_seed(tmp_path):
+    path = write_scenario(tmp_path, seeded_doc())
+    res = cli("run", str(path), "--seed", "-1", cwd=tmp_path)
+    assert res.returncode == EXIT_INVALID
+    assert res.stderr == "--seed must be an integer of at least 0, got -1\n"
 
 
 def test_cli_rejects_a_malformed_until(tmp_path):

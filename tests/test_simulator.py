@@ -334,8 +334,35 @@ def test_last_migration_reports_the_tick_each_trip_landed(platform_factory):
     "table, default", [({("a", "b"): -3}, 1), ({}, -1)], ids=["link", "default"]
 )
 def test_per_link_latency_rejects_negative_ticks(table, default):
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="must be an integer of at least 0, got -"):
         ag.PerLink(table, default=default)
+
+
+NOT_INT_TICKS = {
+    "fixed_float": (lambda: ag.Fixed(1.5), "fixed latency ticks must be an integer of at least 0, got 1.5"),
+    "fixed_bool": (lambda: ag.Fixed(True), "fixed latency ticks must be an integer of at least 0, got True"),
+    "uniform_float": (lambda: ag.UniformRange(0.5, 3), "uniform latency lo must be an integer of at least 0, got 0.5"),
+    "uniform_reversed": (lambda: ag.UniformRange(3, 2), "uniform latency hi must be an integer of at least 3, got 2"),
+    "per_link_float": (lambda: ag.PerLink({("a", "b"): 1.5}), "per_link latency ticks must be an integer of at least 0, got 1.5"),
+    "per_link_name": (lambda: ag.PerLink({("a", 2): 1}), "per_link latency destination must be a string, got 2"),
+    "per_link_key": (lambda: ag.PerLink({"ab": 1}), "per_link latency link must be a (source, destination) pair, got 'ab'"),
+    "sim_max_ticks": (lambda: ag.SimConfig(max_ticks="9"), "max_ticks must be an integer of at least 0, got '9'"),
+    "sim_seed": (lambda: ag.SimConfig(seed=-1), "seed must be an integer of at least 0, got -1"),
+    "mock_delay": (lambda: ag.MockPlatform(message_delay=0.5), "message_delay must be an integer of at least 0, got 0.5"),
+    "mock_migration": (lambda: ag.MockPlatform(migration_delay=-1), "migration_delay must be an integer of at least 0, got -1"),
+    "mock_max_ticks": (lambda: ag.MockPlatform(max_ticks=None), "max_ticks must be an integer of at least 0, got None"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_INT_TICKS))
+def test_a_config_value_that_is_not_an_int_tick_raises_where_it_is_built(case):
+    # Fixed(1.5) traced sends at tick 1.5, UniformRange(0.5, 3) raised out of
+    # the run from a send, and SimConfig(max_ticks="9") raised a TypeError
+    # only when the run compared the clock with it.
+    build, message = NOT_INT_TICKS[case]
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_migration_round_trips_state(platform_factory):
