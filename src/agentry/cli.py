@@ -39,9 +39,10 @@ def run_scenario(
     *,
     seed: Optional[int] = None,
     trace_out: Optional[Union[str, Path]] = None,
-    until: Union[int, str] = "quiescent",
+    until: Optional[int] = None,
 ) -> int:
-    """Run one scenario file and return the process exit code.
+    """Run one scenario file to tick ``until``, or to quiescence when it is
+    None, and return the process exit code.
 
     The trace file is written before the golden comparison, so a scenario
     whose ``expected`` points at its own ``--trace`` output establishes the
@@ -57,7 +58,7 @@ def run_scenario(
         return EXIT_INVALID
     code = EXIT_OK
     try:
-        platform.run(None if until == "quiescent" else int(until))
+        platform.run(until)
     except TickBudgetExceeded as exc:
         print(f"tick budget exceeded: {exc}", file=sys.stderr)
         code = EXIT_TICK_BUDGET
@@ -95,21 +96,19 @@ def main() -> None:
 @click.option("--until", default="quiescent", show_default=True, help="Stop at this tick, or run to quiescence.")
 def run(scenario: str, seed: Optional[int], trace_out: Optional[str], until: str) -> None:
     """Build the scenario's world and run it."""
-    if until != "quiescent":
-        try:
-            tick = int(until)
-        except ValueError:
-            tick = -1
-        if tick < 0:
-            click.echo(f"--until must be a non-negative tick count or 'quiescent', got {until!r}", err=True)
-            sys.exit(EXIT_INVALID)
-        until = tick  # type: ignore[assignment]
+    try:
+        tick = None if until == "quiescent" else int(until)
+    except ValueError:
+        tick = -1
+    if tick is not None and tick < 0:
+        click.echo(f"--until must be a non-negative tick count or 'quiescent', got {until!r}", err=True)
+        sys.exit(EXIT_INVALID)
     if seed is not None and seed < 0:  # SimConfig's rule for a seed
         click.echo(f"--seed must be an integer of at least 0, got {seed}", err=True)
         sys.exit(EXIT_INVALID)
     if trace_out is None and os.environ.get(TRACE_DIR_ENV):
         trace_out = str(Path(os.environ[TRACE_DIR_ENV]) / (Path(scenario).stem + ".trace.jsonl"))
-    sys.exit(run_scenario(scenario, seed=seed, trace_out=trace_out, until=until))
+    sys.exit(run_scenario(scenario, seed=seed, trace_out=trace_out, until=tick))
 
 
 @main.command()

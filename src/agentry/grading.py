@@ -11,10 +11,10 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Union
 
 from .errors import UnknownQuestionId
-from .model import AgentId, Ticks, _is_int, read_int, read_list, read_object, read_str
+from .model import AgentId, Ticks, _is_int, _mistyped, read_bool, read_fraction, read_int, read_list, read_object, read_one_of, read_str
 
 SINGLE_CHOICE = "single_choice"
 MULTIPLE_CHOICE = "multiple_choice"
@@ -28,17 +28,18 @@ _INDEX_SETS = (list, tuple, set, frozenset)
 _KINDS = (SINGLE_CHOICE, MULTIPLE_CHOICE, TRUE_FALSE, FILL_NUMERIC, FILL_TEXT)
 
 
-def parse_weight(value: Union[int, float, str, Fraction]) -> Fraction:
-    """Accept ints, decimal literals, and "a/b" strings; always exact."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise ValueError("weight must be a number")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(str(value))
-    return Fraction(value)
+def _read_names(values: Any, label: str) -> tuple[str, ...]:
+    """A list or tuple of strings, as a tuple."""
+    if not isinstance(values, (list, tuple)):
+        raise _mistyped(label, "a list", values)
+    return tuple(read_str(value, f"{label} entry") for value in values)
+
+
+def _read_student(student: Any, label: str) -> None:
+    """An AgentId holding an int, as the decoders build it."""
+    if not isinstance(student, AgentId):
+        raise _mistyped(label, "an AgentId", student)
+    read_int(student.value, label)
 
 
 def weight_to_jsonable(value: Fraction) -> Union[int, str]:
@@ -58,12 +59,10 @@ class Question:
 
     def __post_init__(self) -> None:
         read_str(self.id, "question id")
-        read_str(self.kind, "question kind")
+        read_one_of(self.kind, f"question {self.id!r} kind", _KINDS)
         read_str(self.prompt, "question prompt")
-        object.__setattr__(self, "options", tuple(self.options))
-        object.__setattr__(self, "weight", parse_weight(self.weight))
-        if self.kind not in _KINDS:
-            raise ValueError(f"question {self.id!r}: unknown kind {self.kind!r}")
+        object.__setattr__(self, "options", _read_names(self.options, "question options"))
+        object.__setattr__(self, "weight", read_fraction(self.weight, f"question {self.id!r} weight"))
         if self.weight <= 0:
             raise ValueError(f"question {self.id!r}: weight must be positive")
         if self.kind in _CHOICE_KINDS:
@@ -77,27 +76,23 @@ class Question:
             else:
                 raise ValueError(f"question {self.id!r}: key must be a list of option indices, got {self.key!r}")
         elif self.kind == TRUE_FALSE:
-            if not isinstance(self.key, bool):
-                raise ValueError(f"question {self.id!r}: key must be a boolean")
+            read_bool(self.key, f"question {self.id!r} key")
         elif self.kind == FILL_NUMERIC:
             try:
-                decimal.Decimal(str(self.key))
+                finite = decimal.Decimal(str(self.key)).is_finite()
             except decimal.InvalidOperation:
-                raise ValueError(f"question {self.id!r}: key must be numeric") from None
-        elif self.kind == FILL_TEXT:
-            if not isinstance(self.key, str):
-                raise ValueError(f"question {self.id!r}: key must be a string")
+                finite = False
+            if not finite:  # NaN equals nothing, so no answer could match it
+                raise _mistyped(f"question {self.id!r} key", "a finite decimal", self.key)
+        else:
+            read_str(self.key, f"question {self.id!r} key")
 
     def to_jsonable(self) -> dict[str, Any]:
-        if self.kind == MULTIPLE_CHOICE:
-            key: Any = sorted(self.key)
-        else:
-            key = self.key
         d: dict[str, Any] = {
             "id": self.id,
             "kind": self.kind,
             "prompt": self.prompt,
-            "key": key,
+            "key": sorted(self.key) if self.kind == MULTIPLE_CHOICE else self.key,
             "weight": weight_to_jsonable(self.weight),
         }
         if self.options:
@@ -106,14 +101,7 @@ class Question:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Question":
-        return cls(
-            id=d["id"],
-            kind=d["kind"],
-            prompt=d.get("prompt", ""),
-            key=d["key"],
-            weight=parse_weight(d["weight"]),
-            options=read_list(d.get("options", []), "question options"),
-        )
+        return cls(read_object(d, "question")["id"], d["kind"], d.get("prompt", ""), d["key"], d["weight"], d.get("options", []))
 
 
 @dataclass(frozen=True)
@@ -130,6 +118,9 @@ class Exam:
 
     scheduled_at: Ticks
 
+    def __post_init__(self) -> None:
+        read_int(self.scheduled_at, "exam scheduled_at")
+
     def to_jsonable(self) -> dict[str, Any]:
         return {"kind": "exam", "scheduled_at": self.scheduled_at}
 
@@ -138,8 +129,8 @@ TestKind = Union[SelfAssessment, Exam]
 
 
 def test_kind_from_jsonable(d: dict[str, Any]) -> TestKind:
-    if d["kind"] == "exam":
-        return Exam(scheduled_at=read_int(d["scheduled_at"], "exam scheduled_at"))
+    if read_object(d, "test kind")["kind"] == "exam":
+        return Exam(scheduled_at=d["scheduled_at"])
     if d["kind"] == "self_assessment":
         return SelfAssessment()
     raise ValueError(f"unknown test kind {d['kind']!r}")
@@ -184,12 +175,9 @@ class Test:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Test":
-        return cls(
-            id=d["id"],
-            title=d.get("title", ""),
-            questions=[Question.from_jsonable(q) for q in read_list(d["questions"], "test questions")],
-            kind=test_kind_from_jsonable(d.get("kind", {"kind": "self_assessment"})),
-        )
+        d = read_object(d, "test")
+        questions = [Question.from_jsonable(q) for q in read_list(d["questions"], "test questions")]
+        return cls(d["id"], d.get("title", ""), questions, test_kind_from_jsonable(d.get("kind", {"kind": "self_assessment"})))
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +201,8 @@ def answer_matches(question: Question, answer: Any) -> bool:
     if question.kind == TRUE_FALSE:
         return isinstance(answer, bool) and answer == question.key
     if question.kind == FILL_NUMERIC:
-        if isinstance(answer, bool) or answer is None:
-            return False
-        return _numbers_equal(answer, question.key)
-    if question.kind == FILL_TEXT:
-        if not isinstance(answer, str):
-            return False
-        return answer.strip().casefold() == question.key.strip().casefold()
-    return False
+        return not isinstance(answer, bool) and answer is not None and _numbers_equal(answer, question.key)
+    return isinstance(answer, str) and answer.strip().casefold() == question.key.strip().casefold()  # FILL_TEXT
 
 
 @dataclass(frozen=True)
@@ -266,6 +248,10 @@ class Submission:
 
     def __post_init__(self) -> None:
         read_str(self.test_id, "submission test_id")
+        _read_student(self.student, "submission student")
+        read_object(self.answers, "submission answers")
+        object.__setattr__(self, "score", read_fraction(self.score, "submission score"))
+        object.__setattr__(self, "max_score", read_fraction(self.max_score, "submission max_score"))
         read_int(self.graded_at, "submission graded_at")
         if not 0 <= self.score <= self.max_score:
             raise ValueError("score must lie within [0, max_score]")
@@ -282,14 +268,7 @@ class Submission:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Submission":
-        return cls(
-            test_id=d["test_id"],
-            student=AgentId(read_int(d["student"], "submission student")),
-            answers=read_object(d["answers"], "submission answers"),
-            score=parse_weight(d["score"]),
-            max_score=parse_weight(d["max_score"]),
-            graded_at=d["graded_at"],
-        )
+        return cls(read_object(d, "submission")["test_id"], AgentId(d["student"]), d["answers"], d["score"], d["max_score"], d["graded_at"])
 
 
 @dataclass(frozen=True)
@@ -303,8 +282,8 @@ class ExamReport:
 
     def __post_init__(self) -> None:
         read_str(self.test_id, "report test_id")
-        object.__setattr__(self, "delivered", tuple(self.delivered))
-        object.__setattr__(self, "missed", tuple(self.missed))
+        object.__setattr__(self, "delivered", _read_names(self.delivered, "report delivered"))
+        object.__setattr__(self, "missed", _read_names(self.missed, "report missed"))
         object.__setattr__(self, "submissions", tuple(self.submissions))
         overlap = set(self.delivered) & set(self.missed)
         if overlap:
@@ -320,12 +299,9 @@ class ExamReport:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ExamReport":
-        return cls(
-            test_id=d["test_id"],
-            delivered=read_list(d.get("delivered", []), "report delivered"),
-            missed=read_list(d.get("missed", []), "report missed"),
-            submissions=[Submission.from_jsonable(s) for s in read_list(d.get("submissions", []), "report submissions")],
-        )
+        d = read_object(d, "report")
+        submissions = [Submission.from_jsonable(s) for s in read_list(d.get("submissions", []), "report submissions")]
+        return cls(d["test_id"], d.get("delivered", []), d.get("missed", []), submissions)
 
 
 @dataclass(frozen=True)
@@ -338,6 +314,12 @@ class ProgressRecord:
     score: Fraction
     at: Ticks
 
+    def __post_init__(self) -> None:
+        _read_student(self.student, "progress student")
+        read_str(self.test_id, "progress test_id")
+        object.__setattr__(self, "score", read_fraction(self.score, "progress score"))
+        read_int(self.at, "progress at")
+
     def to_jsonable(self) -> dict[str, Any]:
         return {
             "student": self.student.value,
@@ -348,9 +330,4 @@ class ProgressRecord:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "ProgressRecord":
-        return cls(
-            student=AgentId(read_int(d["student"], "progress student")),
-            test_id=read_str(d["test_id"], "progress test_id"),
-            score=parse_weight(d["score"]),
-            at=read_int(d["at"], "progress at"),
-        )
+        return cls(AgentId(read_object(d, "progress")["student"]), d["test_id"], d["score"], d["at"])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 from .actions import ActionDescriptor
 from .errors import EmptyRoute
@@ -33,6 +33,7 @@ from .model import (
     clone_behavior,
     location_from_jsonable,
     read_bool,
+    read_fraction,
     read_int,
     read_list,
     read_object,
@@ -214,10 +215,10 @@ def _fraction(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator)
 
 
-def _fraction_from_jsonable(pair: Sequence[int], label: str) -> Fraction:
+def _fraction_from_jsonable(pair: Any, label: str) -> Fraction:
     # Only the lowest-terms pair _fraction_to_jsonable writes. Fraction is
     # immutable, so every decode of a pair may share one.
-    numerator, denominator = pair
+    numerator, denominator = pair if type(pair) is list and len(pair) == 2 else (None, None)
     value = _fraction(numerator, denominator) if type(numerator) is int and type(denominator) is int and denominator > 0 else None
     if value is None or value.numerator != numerator or value.denominator != denominator:
         raise ValueError(f"{label} must be [numerator, denominator] in lowest terms, got {pair!r}")
@@ -239,18 +240,25 @@ class DelayEstimator:
     links: dict[Link, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alpha, Fraction):
-            object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if not isinstance(self.default_estimate, Fraction):
-            object.__setattr__(self, "default_estimate", Fraction(self.default_estimate))
+        object.__setattr__(self, "alpha", read_fraction(self.alpha, "estimator alpha"))
+        object.__setattr__(self, "default_estimate", read_fraction(self.default_estimate, "estimator default"))
         # A Fraction's denominator is always positive, so integer comparisons
         # of its parts decide these bounds without Fraction arithmetic.
         if not 0 <= self.alpha.numerator <= self.alpha.denominator:
             raise ValueError("alpha must lie in [0, 1]")
         if self.default_estimate.numerator < 0:
             raise ValueError("default_estimate must be non-negative")
-        if any(value.numerator < 0 for value in self.links.values()):
-            raise ValueError("link estimates must be non-negative")
+        # A copy, so the caller's table neither changes nor changes this one.
+        # The checks are inline, as updated builds through here on every hop.
+        links = dict(read_object(self.links, "estimator links"))
+        object.__setattr__(self, "links", links)
+        for link, value in links.items():
+            if type(link) is not tuple or len(link) != 2 or type(link[0]) is not str or type(link[1]) is not str:
+                raise ValueError(f"estimator link must be a (source, destination) pair of strings, got {link!r}")
+            if type(value) is not Fraction:
+                value = links[link] = read_fraction(value, "link estimate")
+            if value.numerator < 0:
+                raise ValueError("link estimates must be non-negative")
 
     def estimate(self, link: Link) -> Fraction:
         return self.links.get(link, self.default_estimate)
@@ -282,7 +290,12 @@ class DelayEstimator:
         alpha = _fraction_from_jsonable(read_object(d, "estimator")["alpha"], "estimator alpha")
         default = _fraction_from_jsonable(d["default"], "estimator default")
         written = read_list(d.get("links", []), "estimator links")
-        links = {(src, dst): _fraction_from_jsonable(value, "link estimate") for src, dst, value in written}
+        links = {}
+        for link in written:
+            # Names are read before they become a dict key, which must be hashable.
+            if type(link) is not list or len(link) != 3 or type(link[0]) is not str or type(link[1]) is not str:
+                raise ValueError(f"estimator link must be [source name, destination name, [n, d]], got {link!r}")
+            links[link[0], link[1]] = _fraction_from_jsonable(link[2], "link estimate")
         if len(links) != len(written) or list(links) != sorted(links):  # as to_jsonable writes them
             raise ValueError(f"estimator links must be sorted by link, each once, got {written!r}")
         return cls(alpha, default, links)

@@ -12,6 +12,7 @@ import base64
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional
 
 from . import actions  # the module: actions imports this one's readers
@@ -391,6 +392,23 @@ def read_one_of(value: Any, label: str, choices: tuple[str, ...]) -> str:
     if isinstance(value, str) and value in choices:
         return value
     raise _mistyped(label, f"one of {choices}", value)
+
+
+def read_fraction(value: Any, label: str) -> Fraction:
+    """The one rule for an exact number: a Fraction as it is, an int that is
+    not a bool, or a decimal or "a/b" literal. A float reads as its shortest
+    decimal literal, so 0.3 is 3/10, not the double nearest it. Anything
+    else, "1/0", nan and inf included, raises."""
+    if isinstance(value, Fraction):
+        return value
+    if _is_int(value):
+        return Fraction(value)
+    if isinstance(value, (float, str)):
+        try:
+            return Fraction(repr(value) if isinstance(value, float) else value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise _mistyped(label, "an int, a finite float, or a decimal or 'a/b' literal", value)
 
 
 def read_list(value: Any, label: str) -> list[Any]:

@@ -30,8 +30,8 @@ from .behaviors import (
     Task,
 )
 from .composites import ANY, Parallel, Sequential
-from .grading import ProgressRecord, Test, grade, parse_weight, weight_to_jsonable
-from .model import AgentContext, AgentId, Behavior, CancelBehavior, LocationId, Message, canonical_json, read_int
+from .grading import ProgressRecord, Test, grade, weight_to_jsonable
+from .model import AgentContext, AgentId, Behavior, CancelBehavior, LocationId, Message, canonical_json
 from .repository import PathLike, find_test, load_tests, store_progress
 
 CMD = "CMD"
@@ -279,12 +279,7 @@ def _get_test(ctx: AgentContext, params: Any, message: Optional[Message]) -> byt
 
 @builtin_action("session.record_progress")
 def _record_progress(ctx: AgentContext, params: Any, message: Optional[Message]) -> bytes:
-    record = ProgressRecord(
-        student=AgentId(read_int(params["student"], "student")),
-        test_id=params["test_id"],
-        score=parse_weight(params["score"]),
-        at=ctx.now,
-    )
+    record = ProgressRecord(AgentId(params["student"]), params["test_id"], params["score"], at=ctx.now)
     store_progress(record, params["store"])
     return canonical_json({"recorded": record.test_id})
 

@@ -29,8 +29,10 @@ Why each generator exists:
   behaviors, messages and shells taken from running worlds with one field
   replaced by junk, deleted or wrapped.
 * ``construct_round_trip``: a constructor accepts exactly what its decoder
-  accepts, so a value built with one scalar argument set to JSON junk either
-  raises where it is built or reads back equal after a trip through JSON.
+  accepts, so a behavior, value type, grading record or ``DelayEstimator``
+  built with one argument it reads (a scalar, or a list or object such as
+  options or links) set to JSON junk either raises where it is built or
+  reads back equal after a trip through JSON.
 * ``config_accepts``: a latency model or ``SimConfig`` accepts exactly the
   config fields scenario validation accepts, so a spec with one field set to
   JSON junk raises where it is built exactly when validation reports its

@@ -21,7 +21,7 @@ from agentry.grading import (
     TRUE_FALSE,
     test_kind_from_jsonable as kind_from_jsonable,
 )
-from agentry.model import AgentId
+from agentry.model import AgentId, read_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -174,26 +174,25 @@ def test_grade_matches_the_oracle_on_random_tests(seed):
 # ---------------------------------------------------------------------------
 
 
-def test_parse_weight_forms():
-    assert ag.parse_weight(3) == Fraction(3)
-    assert ag.parse_weight(1.5) == Fraction(3, 2)
-    assert ag.parse_weight("3/4") == Fraction(3, 4)
-    assert ag.parse_weight("2.5") == Fraction(5, 2)
-    assert ag.parse_weight(Fraction(7, 3)) == Fraction(7, 3)
+def test_read_fraction_forms():
+    assert read_fraction(3, "weight") == Fraction(3)
+    assert read_fraction(1.5, "weight") == Fraction(3, 2)
+    assert read_fraction(0.3, "weight") == Fraction(3, 10)  # the literal, not the double
+    assert read_fraction("3/4", "weight") == Fraction(3, 4)
+    assert read_fraction("2.5", "weight") == Fraction(5, 2)
+    assert read_fraction(Fraction(7, 3), "weight") == Fraction(7, 3)
 
 
-def test_parse_weight_rejects_booleans_and_garbage():
-    with pytest.raises(ValueError):
-        ag.parse_weight(True)
-    with pytest.raises(ValueError):
-        ag.parse_weight(False)
-    with pytest.raises(ValueError):
-        ag.parse_weight("three")
+def test_read_fraction_rejects_booleans_and_garbage():
+    for value in [True, False, "three", "1/0", [1], None, float("nan"), float("inf"), "nan", "-inf"]:
+        message = f"weight must be an int, a finite float, or a decimal or 'a/b' literal, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_fraction(value, "weight")
 
 
 def test_weight_jsonable_round_trips():
     for w in [Fraction(3), Fraction(3, 2), Fraction(-1, 4), Fraction(0)]:
-        assert ag.parse_weight(ag.weight_to_jsonable(w)) == w
+        assert read_fraction(ag.weight_to_jsonable(w), "weight") == w
     assert ag.weight_to_jsonable(Fraction(3)) == 3
     assert ag.weight_to_jsonable(Fraction(3, 2)) == "3/2"
 
@@ -496,3 +495,81 @@ def test_a_record_field_is_read_as_written(case):
     cls, written, message = LOSSY_RECORDS[case]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls.from_jsonable(written)
+
+
+_EXACT = "an int, a finite float, or a decimal or 'a/b' literal"
+
+# Each record reads its own fields where it is built. Each of these built
+# once, to fail later in to_jsonable or in the record's own decoder, or
+# raised ZeroDivisionError or TypeError instead of ValueError.
+BUILT_RECORDS = {
+    "question_kind_unknown": (
+        lambda: q("essay", "anything"),
+        f"question 'q1' kind must be one of {ag.grading._KINDS}, got 'essay'",
+    ),
+    "question_weight_zero_denominator": (lambda: q(TRUE_FALSE, True, weight="1/0"), f"question 'q1' weight must be {_EXACT}, got '1/0'"),
+    "question_weight_list": (lambda: q(TRUE_FALSE, True, weight=[1]), f"question 'q1' weight must be {_EXACT}, got [1]"),
+    "question_true_false_key_int": (lambda: q(TRUE_FALSE, 1), "question 'q1' key must be true or false, got 1"),
+    "question_text_key_int": (lambda: q(FILL_TEXT, 42), "question 'q1' key must be a string, got 42"),
+    "question_numeric_key_nan": (lambda: q(FILL_NUMERIC, "NaN"), "question 'q1' key must be a finite decimal, got 'NaN'"),
+    "question_numeric_key_infinity": (lambda: q(FILL_NUMERIC, "Infinity"), "question 'q1' key must be a finite decimal, got 'Infinity'"),
+    "question_numeric_key_snan": (lambda: q(FILL_NUMERIC, "sNaN"), "question 'q1' key must be a finite decimal, got 'sNaN'"),
+    "question_numeric_key_word": (lambda: q(FILL_NUMERIC, "half"), "question 'q1' key must be a finite decimal, got 'half'"),
+    "question_options_int": (lambda: q(SINGLE_CHOICE, 0, options=(1,)), "question options entry must be a string, got 1"),
+    "question_options_float": (lambda: ag.Question("q1", SINGLE_CHOICE, "?", 0, 1, 2.0), "question options must be a list, got 2.0"),
+    "exam_scheduled_at_str": (lambda: ag.Exam(scheduled_at="3"), "exam scheduled_at must be an integer, got '3'"),
+    "submission_student_int": (
+        lambda: ag.Submission("t", 1, {}, Fraction(1), Fraction(2), 0),
+        "submission student must be an AgentId, got 1",
+    ),
+    "submission_answers_list": (
+        lambda: ag.Submission("t", AgentId(1), [], Fraction(1), Fraction(2), 0),
+        "submission answers must be an object, got []",
+    ),
+    "submission_score_list": (
+        lambda: ag.Submission("t", AgentId(1), {}, [1], Fraction(2), 0),
+        f"submission score must be {_EXACT}, got [1]",
+    ),
+    "report_delivered_int": (lambda: ag.ExamReport("t", (1,), (), ()), "report delivered entry must be a string, got 1"),
+    "report_missed_str": (lambda: ag.ExamReport("t", (), "ns", ()), "report missed must be a list, got 'ns'"),
+    "progress_test_id_int": (lambda: ag.ProgressRecord(AgentId(1), test_id=5, score=Fraction(1), at=0), "progress test_id must be a string, got 5"),
+    "progress_student_value_str": (
+        lambda: ag.ProgressRecord(AgentId("1"), "t", Fraction(1), at=0),
+        "progress student must be an integer, got '1'",
+    ),
+    "progress_score_bool": (lambda: ag.ProgressRecord(AgentId(1), "t", True, at=0), f"progress score must be {_EXACT}, got True"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILT_RECORDS))
+def test_a_record_raises_where_it_is_built(case):
+    build, message = BUILT_RECORDS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_float_score_reads_as_its_decimal_literal():
+    # A float score used to build and then break to_jsonable.
+    sub = ag.Submission("t", AgentId(1), {}, 0.5, 1.5, 0)
+    assert (sub.score, sub.max_score) == (Fraction(1, 2), Fraction(3, 2))
+    assert ag.Submission.from_jsonable(sub.to_jsonable()) == sub
+    record = ag.ProgressRecord(AgentId(1), "t", 0.3, at=0)
+    assert record.score == Fraction(3, 10)
+    assert ag.ProgressRecord.from_jsonable(record.to_jsonable()) == record
+
+
+@pytest.mark.parametrize("weight", ["1/0", [1], None, "nan", True])
+def test_a_question_decode_reads_its_weight_once(weight):
+    written = _written(_QUESTION, weight=weight)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'question {_QUESTION.id!r} weight must be {_EXACT}, got {weight!r}')}$"):
+        ag.Question.from_jsonable(written)
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [ag.Question.from_jsonable, ag.Test.from_jsonable, kind_from_jsonable, ag.Submission.from_jsonable, ag.ExamReport.from_jsonable, ag.ProgressRecord.from_jsonable],
+)
+def test_a_record_decoder_given_junk_raises_value_error(decode):
+    for junk in (5, "x", [], None, True):
+        with pytest.raises(ValueError, match="must be an object, got "):
+            decode(junk)

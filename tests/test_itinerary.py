@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from collections import deque
 from fractions import Fraction
 
@@ -660,6 +661,47 @@ def test_a_negative_link_estimate_is_reported():
     ]
     with pytest.raises(ValueError, match="link estimates must be non-negative"):
         ag.DelayEstimator(links={("a", "b"): Fraction(-1, 3)})
+
+
+_EXACT = "an int, a finite float, or a decimal or 'a/b' literal"
+
+
+def test_a_float_alpha_reads_as_its_decimal_literal():
+    # Fraction(0.3) was the double nearest 0.3, 5404319552844595/18014398509481984.
+    assert ag.DelayEstimator(alpha=0.3).alpha == Fraction(3, 10)
+    assert ag.DelayEstimator(default_estimate="5/2", links={("a", "b"): 1.5}).estimate(("a", "b")) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(alpha=True), f"estimator alpha must be {_EXACT}, got True"),
+        (dict(default_estimate="1/0"), f"estimator default must be {_EXACT}, got '1/0'"),
+        (dict(links={("a", "b"): None}), f"link estimate must be {_EXACT}, got None"),
+        (dict(links={(1, "b"): Fraction(1)}), "estimator link must be a (source, destination) pair of strings, got (1, 'b')"),
+        (dict(links={"ab": Fraction(1)}), "estimator link must be a (source, destination) pair of strings, got 'ab'"),
+        (dict(links=[("a", "b", Fraction(1))]), "estimator links must be an object, got [('a', 'b', Fraction(1, 1))]"),
+    ],
+)
+def test_an_estimator_reads_its_fields_where_it_is_built(kw, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ag.DelayEstimator(**kw)
+
+
+@pytest.mark.parametrize(
+    "link, message",
+    [
+        ([1, "b", [1, 1]], "estimator link must be [source name, destination name, [n, d]], got [1, 'b', [1, 1]]"),
+        (["a", ["b"], [1, 1]], "estimator link must be [source name, destination name, [n, d]], got ['a', ['b'], [1, 1]]"),
+        (["a", "b"], "estimator link must be [source name, destination name, [n, d]], got ['a', 'b']"),
+        ("ab1", "estimator link must be [source name, destination name, [n, d]], got 'ab1'"),
+        (["a", "b", 1], "link estimate must be [numerator, denominator] in lowest terms, got 1"),
+    ],
+)
+def test_an_estimator_link_entry_is_read_before_it_becomes_a_key(link, message):
+    # [1, "b", ...] used to build a link keyed (1, 'b'), and a list name raised TypeError.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ag.DelayEstimator.from_jsonable({"alpha": [1, 2], "default": [0, 1], "links": [link]})
 
 
 def test_an_estimator_is_read_as_to_jsonable_writes_it():

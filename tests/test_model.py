@@ -7,13 +7,16 @@ import random
 import tempfile
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agentry as ag
+from agentry.grading import test_kind_from_jsonable as kind_from_jsonable
 from agentry.model import (
+    AgentId,
     AgentShell,
     deserialize_shell,
     location_from_jsonable,
@@ -475,13 +478,16 @@ def test_a_decoded_value_is_used_as_written(seed):
 
 
 def _constructions():
-    """(class, valid constructor arguments, the scalar ones among them) for
-    each class whose constructor reads its scalar arguments: every behavior
-    and value type a decoder builds with such arguments. Built fresh per call,
-    as behaviors are mutable."""
+    """(class, valid constructor arguments, the scalar ones among them and
+    the lists or objects the constructor reads) for each class whose
+    constructor reads its arguments: every behavior, value type and grading
+    record a decoder builds with such arguments. Built fresh per call, as
+    behaviors are mutable."""
     here, noop = L1, ag.ActionDescriptor("noop", {"k": [1]})
     definition = ag.FsmDefinition({"s0": noop, "s1": noop}, {"s0": {"go": "s1"}}, "s0")
     config = ag.ItineraryConfig(ag.Route((ag.Objective(here), ag.Objective(L2, 5, 9))))
+    question = ag.Question("q", ag.SINGLE_CHOICE, "?", 1, "3/2", ("a", "b"))
+    submission = ag.Submission("t", AgentId(3), {"q": 1}, Fraction(1, 2), Fraction(2), 5)
     return [
         (ag.ActionDescriptor, dict(name="noop", params={"k": [1]}), ["name"]),
         (ag.RequestEnvelope, dict(task=noop, result_slot="slot"), ["result_slot"]),
@@ -514,6 +520,25 @@ def _constructions():
             dict(config=config, planned_departures=True, _base=0, _index=1, _phase="window_wait", _arrival=4, _arrival_class="early"),
             ["planned_departures", "_base", "_index", "_phase", "_arrival", "_arrival_class"],
         ),
+        (
+            ag.Question,
+            dict(id="q", kind=ag.SINGLE_CHOICE, prompt="?", key=1, weight="3/2", options=("a", "b")),
+            ["id", "kind", "prompt", "key", "weight", "options"],
+        ),
+        (ag.Test, dict(id="t", title="T", questions=(question,), kind=ag.Exam(4)), ["id", "title"]),
+        (ag.Exam, dict(scheduled_at=4), ["scheduled_at"]),
+        (
+            ag.Submission,
+            dict(test_id="t", student=AgentId(3), answers={"q": 1}, score=Fraction(1, 2), max_score=Fraction(2), graded_at=5),
+            ["test_id", "student", "answers", "score", "max_score", "graded_at"],
+        ),
+        (ag.ExamReport, dict(test_id="t", delivered=("n",), missed=("r",), submissions=(submission,)), ["test_id", "delivered", "missed"]),
+        (ag.ProgressRecord, dict(student=AgentId(3), test_id="t", score=Fraction(7, 2), at=6), ["student", "test_id", "score", "at"]),
+        (
+            ag.DelayEstimator,
+            dict(alpha=Fraction(1, 3), default_estimate=2, links={("a", "b"): Fraction(5, 2)}),
+            ["alpha", "default_estimate", "links"],
+        ),
     ]
 
 
@@ -543,7 +568,8 @@ def constructs_round_trip(seed):
         if isinstance(value, ag.Behavior):
             back = ag.behavior_from_dict(json.loads(ag.canonical_json(value.to_dict())))
         else:
-            back = cls.from_jsonable(json.loads(ag.canonical_json(value.to_jsonable())))
+            decode = kind_from_jsonable if cls is ag.Exam else cls.from_jsonable
+            back = decode(json.loads(ag.canonical_json(value.to_jsonable())))
     except Exception as exc:
         return [f"{built} builds, but its round trip raises {type(exc).__name__}: {exc}"]
     return [] if back == value else [f"{built} builds, but reads back as {back!r}"]

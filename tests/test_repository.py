@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,18 @@ def test_broken_question_entries_are_named(tmp_path):
     }
     path.write_text(json.dumps(doc))
     with pytest.raises(ag.MalformedRepository, match="q9"):
+        ag.load_tests(path)
+
+
+@pytest.mark.parametrize("weight", ["1/0", [1], None])
+def test_a_bad_weight_is_a_malformed_repository(tmp_path, weight):
+    # "1/0" raised ZeroDivisionError and [1] TypeError out of load_tests.
+    path = tmp_path / "repo.json"
+    entry = sample_tests()[1].to_jsonable()
+    entry["questions"][0]["weight"] = weight
+    path.write_text(json.dumps({"tests": [entry]}))
+    message = f"test 'exam-1': question 'q1' weight must be an int, a finite float, or a decimal or 'a/b' literal, got {weight!r}"
+    with pytest.raises(ag.MalformedRepository, match=re.escape(message)):
         ag.load_tests(path)
 
 

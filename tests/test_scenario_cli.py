@@ -1158,6 +1158,17 @@ def test_cli_validate(tmp_path):
     assert "/locations" in broken.stderr
 
 
+@pytest.mark.parametrize("weight", ["1/0", [1], None])
+def test_cli_validate_reports_a_bad_weight_in_the_test_repository(tmp_path, weight):
+    # "1/0" printed a ZeroDivisionError traceback and exited 1.
+    question = {"id": "q", "kind": "true_false", "key": True, "weight": weight}
+    (tmp_path / "bank.json").write_text(json.dumps({"tests": [{"id": "t", "questions": [question]}]}))
+    res = cli("validate", str(write_scenario(tmp_path, base_doc(tests="bank.json"))), cwd=tmp_path)
+    assert res.returncode == EXIT_INVALID, res.stderr
+    assert res.stderr.startswith("/tests: ")
+    assert f"test 't': question 'q' weight must be an int, a finite float, or a decimal or 'a/b' literal, got {weight!r}" in res.stderr
+
+
 def test_cli_reports_a_scenario_path_that_names_a_directory(tmp_path):
     folder = tmp_path / "not_a_file"
     folder.mkdir()
