@@ -8,11 +8,10 @@ logic at its destination by name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import DuplicateAction, UnknownAction
-from .model import read_object, read_str
+from .model import column, read_str, record
 
 if TYPE_CHECKING:
     from .model import AgentContext, Message
@@ -21,22 +20,12 @@ ActionFn = Callable[["AgentContext", Any, Optional["Message"]], Optional[bytes]]
 PredicateFn = Callable[["AgentContext", Any], bool]
 
 
-@dataclass(frozen=True)
+@record(frozen=True, noun="action")
 class ActionDescriptor:
     """Reference to a registered action: a name and JSON-typed parameters."""
 
-    name: str
-    params: Any = None
-
-    def __post_init__(self) -> None:
-        read_str(self.name, "action name")
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"name": self.name, "params": self.params}
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "ActionDescriptor":
-        return cls(read_object(d, "action")["name"], d.get("params"))
+    name: str = column(read_str, "action name")
+    params: Any = column(default=None)  # opaque JSON, handed to the action as is
 
 
 _BUILTIN_ACTIONS: dict[str, ActionFn] = {}

@@ -16,8 +16,7 @@ effects buffered before the cancel stay.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, ClassVar, Optional
 
 from .actions import ActionDescriptor, builtin_action, builtin_predicate
 from .adapter import PlatformAdapter
@@ -34,16 +33,18 @@ from .model import (
     OnMessage,
     StepOutcome,
     _is_int,
+    _mistyped,
     canonical_json,
+    column,
     make_message,
     message_from_jsonable,
     message_to_jsonable,
-    read_action,
+    nested,
+    nested_list,
     read_int,
-    read_list,
-    read_object,
     read_one_of,
     read_str,
+    record,
 )
 
 ONE_SHOT = "one_shot"
@@ -100,6 +101,7 @@ def resolve_agent_ref(ctx: AgentContext, ref: Any) -> AgentId:
 # ---------------------------------------------------------------------------
 
 
+@record(eq=False, repr=False)
 class Task(Behavior):
     """One-shot behavior: run the action once, then expire.
 
@@ -108,21 +110,11 @@ class Task(Behavior):
     """
 
     kind = "task"
-
-    def __init__(self, action: ActionDescriptor):
-        super().__init__()
-        self.action = action
+    action: ActionDescriptor = nested(ActionDescriptor, "task action")
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
         ctx.attempt(ctx.run_action, self.action, None, action=self.action.name)
         return DONE
-
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {"action": self.action.to_jsonable()}
-
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Task":
-        return cls(ActionDescriptor.from_jsonable(d["action"]))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +122,7 @@ class Task(Behavior):
 # ---------------------------------------------------------------------------
 
 
+@record(eq=False, repr=False)
 class Observer(Behavior):
     """Check a predicate every ``period`` ticks; fire the handler on truth.
 
@@ -139,28 +132,18 @@ class Observer(Behavior):
     """
 
     kind = "observer"
+    period: int = column(read_int, "observer period")
+    trigger: ActionDescriptor = nested(ActionDescriptor, "observer trigger")
+    handler: ActionDescriptor = nested(ActionDescriptor, "observer handler")
+    mode: str = column(read_one_of, "mode", _MODES, default=ONE_SHOT)
+    _start: Optional[int] = column(read_int, "observer start", null=True, default=None, kw_only=True)
+    _next_check: int = column(read_int, "observer next_check", default=0, kw_only=True)
     # The last wait's outcome: derived, not serialized and not compared.
-    _blocked: Optional[Blocked] = None
+    _blocked: ClassVar[Optional[Blocked]] = None
 
-    def __init__(
-        self,
-        period: int,
-        trigger: ActionDescriptor,
-        handler: ActionDescriptor,
-        mode: str = ONE_SHOT,
-        *,
-        _start: Optional[int] = None,
-        _next_check: int = 0,
-    ):
-        super().__init__()
-        self.period = read_int(period, "observer period")
-        self.trigger = trigger
-        self.handler = handler
-        self._start = read_int(_start, "observer start", null=True)
-        self._next_check = read_int(_next_check, "observer next_check")
-        if period < 1:
-            raise ZeroPeriod(f"observer period must be >= 1, got {period}")
-        self.mode = read_one_of(mode, "mode", _MODES)
+    def _check(self) -> None:
+        if self.period < 1:
+            raise ZeroPeriod(f"observer period must be >= 1, got {self.period}")
 
     def _wait(self) -> StepOutcome:
         """Blocked until the next check; built again only when it moved."""
@@ -189,33 +172,13 @@ class Observer(Behavior):
                 return DONE
         return self._wait()
 
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {
-            "period": self.period,
-            "trigger": self.trigger.to_jsonable(),
-            "handler": self.handler.to_jsonable(),
-            "mode": self.mode,
-            "start": self._start,
-            "next_check": self._next_check,
-        }
-
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Observer":
-        return cls(
-            period=d["period"],
-            trigger=ActionDescriptor.from_jsonable(d["trigger"]),
-            handler=ActionDescriptor.from_jsonable(d["handler"]),
-            mode=d.get("mode", ONE_SHOT),
-            _start=d.get("start"),
-            _next_check=d.get("next_check", 0),
-        )
-
 
 # ---------------------------------------------------------------------------
 # Listener
 # ---------------------------------------------------------------------------
 
 
+@record(eq=False, repr=False)
 class Listener(Behavior):
     """Wait for a message matching ``type_filter`` ("*" grabs everything),
     then fire every callback in registration order with that message.
@@ -225,15 +188,14 @@ class Listener(Behavior):
     """
 
     kind = "listener"
+    # No message type matches "": such a listener would never hear.
+    type_filter: str = column(read_str, "listener filter", key="filter", nonempty=True)
+    callbacks: list[ActionDescriptor] = nested_list(ActionDescriptor, "listener callbacks")
+    mode: str = column(read_one_of, "mode", _MODES, default=CYCLIC)
 
-    def __init__(self, type_filter: str, callbacks: list[ActionDescriptor], mode: str = CYCLIC):
-        super().__init__()
-        # No message type matches "": such a listener would never hear.
-        self.type_filter = read_str(type_filter, "listener filter", nonempty=True)
-        if not callbacks:
+    def _check(self) -> None:
+        if not self.callbacks:
             raise NoCallbacks("listener needs at least one callback")
-        self.callbacks = list(callbacks)
-        self.mode = read_one_of(mode, "mode", _MODES)
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
         msg = ctx.take_message(self.type_filter)
@@ -244,21 +206,6 @@ class Listener(Behavior):
         if self.mode == ONE_SHOT:
             return DONE
         return Blocked(OnMessage(self.type_filter))
-
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {
-            "filter": self.type_filter,
-            "callbacks": [c.to_jsonable() for c in self.callbacks],
-            "mode": self.mode,
-        }
-
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Listener":
-        return cls(
-            type_filter=d["filter"],
-            callbacks=[ActionDescriptor.from_jsonable(c) for c in read_list(d["callbacks"], "listener callbacks")],
-            mode=d.get("mode", CYCLIC),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +261,14 @@ def assign_role(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record(noun="request")
 class RequestEnvelope:
     """What a client asks of a server: a task plus the conversation id under
     which the result will come back. An empty ``result_slot`` means the
     client draws a fresh conversation id when it first steps."""
 
-    task: ActionDescriptor
-    result_slot: str = ""
-
-    def __post_init__(self) -> None:
-        read_str(self.result_slot, "request result_slot")
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"task": self.task.to_jsonable(), "result_slot": self.result_slot}
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "RequestEnvelope":
-        return cls(ActionDescriptor.from_jsonable(read_object(d, "request")["task"]), d.get("result_slot", ""))
+    task: ActionDescriptor = nested(ActionDescriptor, "request task")
+    result_slot: str = column(read_str, "request result_slot", default="")
 
 
 _INIT = "init"
@@ -339,6 +276,13 @@ _AWAIT_ACK = "await_ack"
 _AWAIT_RESULT = "await_result"
 
 
+def _read_server(server: Any, label: str) -> Any:
+    if _is_int(server) or isinstance(server, dict) and set(server) == {"$state"} and isinstance(server["$state"], str):
+        return server
+    raise _mistyped(label, 'an agent id value or a {"$state": key} marker', server)
+
+
+@record(eq=False, repr=False)
 class Client(Behavior):
     """One request/response exchange with timeout-based failure detection.
 
@@ -351,34 +295,18 @@ class Client(Behavior):
     """
 
     kind = "client"
+    server: Any = column(_read_server, "client server")
+    request: RequestEnvelope = nested(RequestEnvelope, "client request")
+    ack_timeout: int = column(read_int, "client ack_timeout", default=50)
+    result_timeout: int = column(read_int, "client result_timeout", default=500)
+    on_result: Optional[ActionDescriptor] = nested(ActionDescriptor, "client on_result", null=True, default=None)
+    on_failure: Optional[ActionDescriptor] = nested(ActionDescriptor, "client on_failure", null=True, default=None)
+    _phase: str = column(read_one_of, "client phase", (_INIT, _AWAIT_ACK, _AWAIT_RESULT), default=_INIT, kw_only=True)
+    _conversation: str = column(read_str, "client conversation", default="", kw_only=True)
+    _deadline: int = column(read_int, "client deadline", default=0, kw_only=True)
 
-    def __init__(
-        self,
-        server: Any,
-        request: RequestEnvelope,
-        ack_timeout: int = 50,
-        result_timeout: int = 500,
-        on_result: Optional[ActionDescriptor] = None,
-        on_failure: Optional[ActionDescriptor] = None,
-        *,
-        _phase: str = _INIT,
-        _conversation: str = "",
-        _deadline: int = 0,
-    ):
-        super().__init__()
-        marker = isinstance(server, dict) and set(server) == {"$state"} and isinstance(server["$state"], str)
-        if not (_is_int(server) or marker):
-            raise ValueError(f'client server must be an agent id value or a {{"$state": key}} marker, got {server!r}')
-        self.server = server
-        self.request = request
-        self.ack_timeout = read_int(ack_timeout, "client ack_timeout")
-        self.result_timeout = read_int(result_timeout, "client result_timeout")
-        self.on_result = on_result
-        self.on_failure = on_failure
-        self._phase = read_one_of(_phase, "client phase", (_INIT, _AWAIT_ACK, _AWAIT_RESULT))
-        self._conversation = read_str(_conversation, "client conversation")
-        self._deadline = read_int(_deadline, "client deadline")
-        if ack_timeout < 1 or result_timeout < 1:
+    def _check(self) -> None:
+        if self.ack_timeout < 1 or self.result_timeout < 1:
             raise ValueError("timeouts must be >= 1 tick")
 
     def _finish(self, ctx: AgentContext, callback: Optional[ActionDescriptor], message: Optional[Message]) -> StepOutcome:
@@ -422,34 +350,8 @@ class Client(Behavior):
             return self._finish(ctx, self.on_failure, None)
         return Blocked(AnyOf([OnMessage(RESULT), AtTime(self._deadline)]))
 
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {
-            "server": self.server,
-            "request": self.request.to_jsonable(),
-            "ack_timeout": self.ack_timeout,
-            "result_timeout": self.result_timeout,
-            "on_result": self.on_result.to_jsonable() if self.on_result else None,
-            "on_failure": self.on_failure.to_jsonable() if self.on_failure else None,
-            "phase": self._phase,
-            "conversation": self._conversation,
-            "deadline": self._deadline,
-        }
 
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Client":
-        return cls(
-            server=d["server"],
-            request=RequestEnvelope.from_jsonable(d["request"]),
-            ack_timeout=d.get("ack_timeout", 50),
-            result_timeout=d.get("result_timeout", 500),
-            on_result=read_action(d.get("on_result"), "client on_result"),
-            on_failure=read_action(d.get("on_failure"), "client on_failure"),
-            _phase=d.get("phase", _INIT),
-            _conversation=d.get("conversation", ""),
-            _deadline=d.get("deadline", 0),
-        )
-
-
+@record(eq=False, repr=False)
 class Server(Behavior):
     """Cyclic request dispatcher: every valid REQUEST spawns a fresh worker
     agent at the server's location, so slow handlers never block the server
@@ -462,10 +364,7 @@ class Server(Behavior):
     """
 
     kind = "server"
-
-    def __init__(self, handler: Optional[ActionDescriptor] = None):
-        super().__init__()
-        self.handler = handler
+    handler: Optional[ActionDescriptor] = nested(ActionDescriptor, "server handler", null=True, default=None)
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
         msg = ctx.take_message(REQUEST)
@@ -489,13 +388,6 @@ class Server(Behavior):
         )
         ctx.spawn(ctx.location, [Task(worker_action)])
         return _AWAIT_REQUEST
-
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {"handler": self.handler.to_jsonable() if self.handler else None}
-
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Server":
-        return cls(read_action(d.get("handler"), "server handler"))
 
 
 @builtin_action("client_server.worker")

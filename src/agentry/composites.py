@@ -7,8 +7,8 @@ stepping contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from dataclasses import MISSING
+from typing import Any, ClassVar, Optional, Sequence
 
 from .actions import ActionDescriptor
 from .errors import InvalidFsm, ReorderStartedChild
@@ -23,13 +23,17 @@ from .model import (
     OnMessage,
     StepOutcome,
     WakeCondition,
-    behavior_from_dict,
+    _mistyped,
+    column,
+    nested,
+    nested_list,
     read_bool,
+    read_instance,
     read_int,
-    read_list,
     read_object,
     read_one_of,
     read_str,
+    record,
 )
 
 ALL = "all"
@@ -41,6 +45,7 @@ FSM_EVENT = "FSM_EVENT"
 _AWAIT_EVENT = Blocked(OnMessage(FSM_EVENT))
 
 
+@record(eq=False, repr=False)
 class Sequential(Behavior):
     """Run children one at a time, in order; finished after the last one.
 
@@ -49,13 +54,14 @@ class Sequential(Behavior):
     """
 
     kind = "sequential"
+    children: list[Behavior] = nested_list(Behavior, "sequential children")
+    # Read by _check, as its range depends on the children. A finished
+    # sequence serializes index == len(children).
+    _index: int = column(default=0, kw_only=True)
+    _current_started: bool = column(read_bool, "current_started", default=False, kw_only=True)
 
-    def __init__(self, children: list[Behavior], *, _index: int = 0, _current_started: bool = False):
-        super().__init__()
-        self.children = list(children)
-        # A finished sequence serializes index == len(children).
-        self._index = read_int(_index, "sequential index", 0, len(self.children))
-        self._current_started = read_bool(_current_started, "current_started")
+    def _check(self) -> None:
+        self._index = read_int(self._index, "sequential index", 0, len(self.children))
 
     @property
     def current_index(self) -> int:
@@ -92,19 +98,8 @@ class Sequential(Behavior):
             return RUNNING
         return outcome
 
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {
-            "children": [c.to_dict() for c in self.children],
-            "index": self._index,
-            "current_started": self._current_started,
-        }
 
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Sequential":
-        children = [behavior_from_dict(c) for c in read_list(d["children"], "sequential children")]
-        return cls(children, _index=d.get("index", 0), _current_started=d.get("current_started", False))
-
-
+@record(eq=False, repr=False)
 class Parallel(Behavior):
     """Step every unfinished child once per composite step, in child order.
 
@@ -116,14 +111,11 @@ class Parallel(Behavior):
     """
 
     kind = "parallel"
+    children: list[Behavior] = nested_list(Behavior, "parallel children")
+    completion: str = column(read_one_of, "completion", (ALL, ANY), default=ALL)
     # Class-level until the first blocked step, so building costs nothing.
-    _wakes: Sequence[WakeCondition] = ()
-    _blocked: Optional[Blocked] = None
-
-    def __init__(self, children: list[Behavior], completion: str = ALL):
-        super().__init__()
-        self.children = list(children)
-        self.completion = read_one_of(completion, "completion", (ALL, ANY))
+    _wakes: ClassVar[Sequence[WakeCondition]] = ()
+    _blocked: ClassVar[Optional[Blocked]] = None
 
     def _step(self, ctx: AgentContext) -> StepOutcome:
         wakes = []
@@ -148,34 +140,43 @@ class Parallel(Behavior):
             self._blocked = Blocked(wakes[0] if len(wakes) == 1 else AnyOf(wakes))
         return self._blocked
 
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {
-            "children": [c.to_dict() for c in self.children],
-            "completion": self.completion,
-        }
 
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Parallel":
-        return cls(
-            [behavior_from_dict(c) for c in read_list(d["children"], "parallel children")],
-            completion=d.get("completion", ALL),
-        )
+def _read_states(states: Any, label: str) -> dict[str, ActionDescriptor]:
+    for action in read_object(states, label).values():
+        if not isinstance(action, ActionDescriptor):
+            read_instance(action, f"{label} entry", ActionDescriptor)
+    return states
 
 
-@dataclass(frozen=True)
+def _read_transitions(transitions: Any, label: str) -> dict[str, dict[str, str]]:
+    """A copy, so the caller's table neither changes nor changes this one."""
+    return {source: {**read_object(by, label)} for source, by in read_object(transitions, label).items()}
+
+
+def _read_terminals(terminals: Any, label: str) -> frozenset[str]:
+    if isinstance(terminals, (list, tuple, set, frozenset)):
+        return frozenset(terminals)
+    raise _mistyped(label, "a list", terminals)
+
+
+@record(frozen=True, noun="fsm definition")
 class FsmDefinition:
     """States with one activity each, labeled transitions, a start state and
     terminal states. Deterministic: at most one transition per (state, label).
     """
 
-    states: dict[str, ActionDescriptor]
-    transitions: dict[str, dict[str, str]]
-    start: str
-    terminals: frozenset[str] = field(default_factory=frozenset)
+    states: dict[str, ActionDescriptor] = column(
+        _read_states,
+        "fsm states",
+        encode=lambda states: {name: action.to_jsonable() for name, action in states.items()},
+        decode=lambda d: {n: ActionDescriptor.from_jsonable(a) for n, a in d.items()} if isinstance(d, dict) else d,
+    )
+    transitions: dict[str, dict[str, str]] = column(_read_transitions, "fsm transitions", absent={})
+    start: str = column()  # read by _check: it must name a state
+    terminals: frozenset[str] = column(_read_terminals, "fsm terminals", encode=sorted, default=frozenset())
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terminals", frozenset(self.terminals))
-        if self.start not in self.states:
+    def _check(self) -> None:
+        if not isinstance(self.start, str) or self.start not in self.states:
             raise InvalidFsm(f"start state {self.start!r} not among states")
         unknown_terminals = self.terminals - set(self.states)
         if unknown_terminals:
@@ -189,25 +190,6 @@ class FsmDefinition:
                 if target not in self.states:
                     raise InvalidFsm(f"transition target {target!r} not among states")
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "states": {name: action.to_jsonable() for name, action in self.states.items()},
-            "transitions": {s: dict(by) for s, by in self.transitions.items()},
-            "start": self.start,
-            "terminals": sorted(self.terminals),
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "FsmDefinition":
-        states = {name: ActionDescriptor.from_jsonable(a) for name, a in read_object(d["states"], "fsm states").items()}
-        transitions = read_object(d.get("transitions", {}), "fsm transitions")
-        return cls(
-            states=states,
-            transitions={s: {**read_object(by, "fsm transitions")} for s, by in transitions.items()},
-            start=d["start"],
-            terminals=frozenset(read_list(d.get("terminals", []), "fsm terminals")),
-        )
-
 
 def _run_activity(ctx: AgentContext, action: ActionDescriptor) -> Optional[str]:
     """Run a state's activity; its output bytes, if any, are the next label."""
@@ -215,6 +197,7 @@ def _run_activity(ctx: AgentContext, action: ActionDescriptor) -> Optional[str]:
     return output.decode() if output else None
 
 
+@record(eq=False, repr=False)
 class Fsm(Behavior):
     """Walk a state machine: run each entered state's activity once, then
     transition on event labels.
@@ -231,25 +214,21 @@ class Fsm(Behavior):
     """
 
     kind = "fsm"
+    definition: FsmDefinition = nested(FsmDefinition, "fsm definition")
+    # Read by _check against the definition's states; None is the start state.
+    _current: Optional[str] = column(default=None, absent=MISSING, kw_only=True)
+    _entered: bool = column(read_bool, "entered", default=False, kw_only=True)
+    _pending_label: Optional[str] = column(read_str, "pending_label", null=True, default=None, kw_only=True)
 
-    def __init__(
-        self,
-        definition: FsmDefinition,
-        *,
-        _current: Optional[str] = None,
-        _entered: bool = False,
-        _pending_label: Optional[str] = None,
-    ):
-        super().__init__()
-        if _current is not None and not (isinstance(_current, str) and _current in definition.states):
-            raise InvalidFsm(f"current state {_current!r} not among states")
-        self.definition = definition
-        self._current = _current if _current is not None else definition.start
-        self._entered = read_bool(_entered, "entered")
-        self._pending_label = read_str(_pending_label, "pending_label", null=True)
-        if _pending_label is not None and not _entered:
+    def _check(self) -> None:
+        current = self._current
+        if current is not None and not (isinstance(current, str) and current in self.definition.states):
+            raise InvalidFsm(f"current state {current!r} not among states")
+        if current is None:
+            self._current = self.definition.start
+        if self._pending_label is not None and not self._entered:
             # Only entering a state sets a label, so a blob never holds one otherwise.
-            raise InvalidFsm(f"pending_label {_pending_label!r} needs entered: true")
+            raise InvalidFsm(f"pending_label {self._pending_label!r} needs entered: true")
 
     @property
     def current_state(self) -> str:
@@ -281,16 +260,3 @@ class Fsm(Behavior):
         self._current = target
         self._entered = False
         return RUNNING
-
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {
-            "definition": self.definition.to_jsonable(),
-            "current": self._current,
-            "entered": self._entered,
-            "pending_label": self._pending_label,
-        }
-
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Fsm":
-        definition = FsmDefinition.from_jsonable(d["definition"])
-        return cls(definition, _current=d["current"], _entered=d.get("entered", False), _pending_label=d.get("pending_label"))

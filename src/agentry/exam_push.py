@@ -203,17 +203,10 @@ def _collect(ctx: AgentContext, params: Any, message: Optional[Message]) -> None
 @builtin_action("push.finalize")
 def _finalize(ctx: AgentContext, params: Any, message: Optional[Message]) -> None:
     """Build and persist the exam report from the courier's own records."""
-    delivered = list(ctx.state.get("delivered", []))
+    delivered = ctx.state.get("delivered", [])
     missed = [name for name in params["planned"] if name not in delivered]
-    submissions = tuple(
-        Submission.from_jsonable(s) for s in ctx.state.get("submissions", [])
-    )
-    report = ExamReport(
-        test_id=params["test_id"],
-        delivered=tuple(delivered),
-        missed=tuple(missed),
-        submissions=submissions,
-    )
+    submissions = [Submission.from_jsonable(s) for s in ctx.state.get("submissions", [])]
+    report = ExamReport(params["test_id"], delivered, missed, submissions)
     store_report(report, params["store"])
     ctx.trace(
         {

@@ -9,12 +9,28 @@ Weights and scores are exact rationals so totals never drift.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Any, Mapping, Union
 
 from .errors import UnknownQuestionId
-from .model import AgentId, Ticks, _is_int, _mistyped, read_bool, read_fraction, read_int, read_list, read_object, read_one_of, read_str
+from .model import (
+    AgentId,
+    Ticks,
+    _is_int,
+    _mistyped,
+    column,
+    nested,
+    nested_list,
+    read_bool,
+    read_fraction,
+    read_int,
+    read_object,
+    read_one_of,
+    read_str,
+    record,
+)
 
 SINGLE_CHOICE = "single_choice"
 MULTIPLE_CHOICE = "multiple_choice"
@@ -35,34 +51,43 @@ def _read_names(values: Any, label: str) -> tuple[str, ...]:
     return tuple(read_str(value, f"{label} entry") for value in values)
 
 
-def _read_student(student: Any, label: str) -> None:
+def _read_student(student: Any, label: str) -> AgentId:
     """An AgentId holding an int, as the decoders build it."""
     if not isinstance(student, AgentId):
         raise _mistyped(label, "an AgentId", student)
     read_int(student.value, label)
+    return student
+
+
+def _read_answers(answers: Any, label: str) -> dict[str, Any]:
+    """An answer map keyed by question id, as JSON writes it."""
+    for qid in read_object(answers, label):
+        read_str(qid, f"{label} key")
+    return answers
 
 
 def weight_to_jsonable(value: Fraction) -> Union[int, str]:
     return value.numerator if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
+def _weight(label: str, **options: Any) -> Any:
+    """A column holding an exact number, written as an int or "a/b"."""
+    return column(read_fraction, label, encode=weight_to_jsonable, **options)
+
+
+@record(frozen=True, noun="question")
 class Question:
     """One exactly-answerable question worth ``weight`` points."""
 
-    id: str
-    kind: str
-    prompt: str
-    key: Any
-    weight: Fraction
-    options: tuple[str, ...] = ()
+    id: str = column(read_str, "question id")
+    kind: str = column(read_one_of, "question {self.id!r} kind", _KINDS)
+    prompt: str = column(read_str, "question prompt", absent="")
+    # Read by _check, as what it may hold depends on the kind.
+    key: Any = column(encode=lambda key: sorted(key) if isinstance(key, frozenset) else key)
+    weight: Fraction = _weight("question {self.id!r} weight")
+    options: tuple[str, ...] = column(_read_names, "question options", encode=list, default=(), omit=True)
 
-    def __post_init__(self) -> None:
-        read_str(self.id, "question id")
-        read_one_of(self.kind, f"question {self.id!r} kind", _KINDS)
-        read_str(self.prompt, "question prompt")
-        object.__setattr__(self, "options", _read_names(self.options, "question options"))
-        object.__setattr__(self, "weight", read_fraction(self.weight, f"question {self.id!r} weight"))
+    def _check(self) -> None:
         if self.weight <= 0:
             raise ValueError(f"question {self.id!r}: weight must be positive")
         if self.kind in _CHOICE_KINDS:
@@ -87,66 +112,42 @@ class Question:
         else:
             read_str(self.key, f"question {self.id!r} key")
 
-    def to_jsonable(self) -> dict[str, Any]:
-        d: dict[str, Any] = {
-            "id": self.id,
-            "kind": self.kind,
-            "prompt": self.prompt,
-            "key": sorted(self.key) if self.kind == MULTIPLE_CHOICE else self.key,
-            "weight": weight_to_jsonable(self.weight),
-        }
-        if self.options:
-            d["options"] = list(self.options)
-        return d
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "Question":
-        return cls(read_object(d, "question")["id"], d["kind"], d.get("prompt", ""), d["key"], d["weight"], d.get("options", []))
-
-
-@dataclass(frozen=True)
-class SelfAssessment:
-    """Pulled by students whenever they choose."""
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"kind": "self_assessment"}
-
-
-@dataclass(frozen=True)
-class Exam:
-    """Pushed to students at a scheduled virtual time."""
-
-    scheduled_at: Ticks
-
-    def __post_init__(self) -> None:
-        read_int(self.scheduled_at, "exam scheduled_at")
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {"kind": "exam", "scheduled_at": self.scheduled_at}
-
-
-TestKind = Union[SelfAssessment, Exam]
-
 
 def test_kind_from_jsonable(d: dict[str, Any]) -> TestKind:
     if read_object(d, "test kind")["kind"] == "exam":
-        return Exam(scheduled_at=d["scheduled_at"])
+        return Exam.from_jsonable(d)
     if d["kind"] == "self_assessment":
         return SelfAssessment()
     raise ValueError(f"unknown test kind {d['kind']!r}")
 
 
-@dataclass(frozen=True)
-class Test:
-    id: str
-    title: str
-    questions: tuple[Question, ...]
-    kind: TestKind = field(default_factory=SelfAssessment)
+class TestKind:
+    """What a test is: an Exam or a SelfAssessment."""
 
-    def __post_init__(self) -> None:
-        read_str(self.id, "test id")
-        read_str(self.title, "test title")
-        object.__setattr__(self, "questions", tuple(self.questions))
+    _noun = "test kind"
+    from_jsonable = staticmethod(test_kind_from_jsonable)
+
+
+@record(frozen=True, noun="test kind", tag="self_assessment")
+class SelfAssessment(TestKind):
+    """Pulled by students whenever they choose."""
+
+
+@record(frozen=True, noun="test kind", tag="exam")
+class Exam(TestKind):
+    """Pushed to students at a scheduled virtual time."""
+
+    scheduled_at: Ticks = column(read_int, "exam scheduled_at")
+
+
+@record(frozen=True, noun="test")
+class Test:
+    id: str = column(read_str, "test id")
+    title: str = column(read_str, "test title", absent="")
+    questions: tuple[Question, ...] = nested_list(Question, "test questions", tuple)
+    kind: TestKind = nested(TestKind, "test kind", default=SelfAssessment())
+
+    def _check(self) -> None:
         if not self.questions:
             raise ValueError(f"test {self.id!r}: needs at least one question")
         seen = set()
@@ -164,20 +165,6 @@ class Test:
             if q.id == qid:
                 return q
         raise UnknownQuestionId(f"test {self.id!r} has no question {qid!r}")
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "title": self.title,
-            "kind": self.kind.to_jsonable(),
-            "questions": [q.to_jsonable() for q in self.questions],
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "Test":
-        d = read_object(d, "test")
-        questions = [Question.from_jsonable(q) for q in read_list(d["questions"], "test questions")]
-        return cls(d["id"], d.get("title", ""), questions, test_kind_from_jsonable(d.get("kind", {"kind": "self_assessment"})))
 
 
 # ---------------------------------------------------------------------------
@@ -235,99 +222,43 @@ def grade(test: Test, answers: Mapping[str, Any]) -> GradeResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True, noun="submission")
 class Submission:
     """A student's graded answers for one test."""
 
-    test_id: str
-    student: AgentId
-    answers: dict[str, Any]
-    score: Fraction
-    max_score: Fraction
-    graded_at: Ticks
+    test_id: str = column(read_str, "submission test_id")
+    student: AgentId = column(_read_student, "submission student", encode=attrgetter("value"), decode=AgentId)
+    answers: dict[str, Any] = column(_read_answers, "submission answers")
+    score: Fraction = _weight("submission score")
+    max_score: Fraction = _weight("submission max_score")
+    graded_at: Ticks = column(read_int, "submission graded_at")
 
-    def __post_init__(self) -> None:
-        read_str(self.test_id, "submission test_id")
-        _read_student(self.student, "submission student")
-        read_object(self.answers, "submission answers")
-        object.__setattr__(self, "score", read_fraction(self.score, "submission score"))
-        object.__setattr__(self, "max_score", read_fraction(self.max_score, "submission max_score"))
-        read_int(self.graded_at, "submission graded_at")
+    def _check(self) -> None:
         if not 0 <= self.score <= self.max_score:
             raise ValueError("score must lie within [0, max_score]")
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "test_id": self.test_id,
-            "student": self.student.value,
-            "answers": self.answers,
-            "score": weight_to_jsonable(self.score),
-            "max_score": weight_to_jsonable(self.max_score),
-            "graded_at": self.graded_at,
-        }
 
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "Submission":
-        return cls(read_object(d, "submission")["test_id"], AgentId(d["student"]), d["answers"], d["score"], d["max_score"], d["graded_at"])
-
-
-@dataclass(frozen=True)
+@record(frozen=True, noun="report")
 class ExamReport:
     """Outcome of one pushed exam: who got it, who was missed, what came back."""
 
-    test_id: str
-    delivered: tuple[str, ...]
-    missed: tuple[str, ...]
-    submissions: tuple[Submission, ...]
+    test_id: str = column(read_str, "report test_id")
+    delivered: tuple[str, ...] = column(_read_names, "report delivered", encode=list, absent=())
+    missed: tuple[str, ...] = column(_read_names, "report missed", encode=list, absent=())
+    submissions: tuple[Submission, ...] = nested_list(Submission, "report submissions", tuple, absent=())
 
-    def __post_init__(self) -> None:
-        read_str(self.test_id, "report test_id")
-        object.__setattr__(self, "delivered", _read_names(self.delivered, "report delivered"))
-        object.__setattr__(self, "missed", _read_names(self.missed, "report missed"))
-        object.__setattr__(self, "submissions", tuple(self.submissions))
+    def _check(self) -> None:
         overlap = set(self.delivered) & set(self.missed)
         if overlap:
             raise ValueError(f"locations both delivered and missed: {sorted(overlap)}")
 
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "test_id": self.test_id,
-            "delivered": list(self.delivered),
-            "missed": list(self.missed),
-            "submissions": [s.to_jsonable() for s in self.submissions],
-        }
 
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "ExamReport":
-        d = read_object(d, "report")
-        submissions = [Submission.from_jsonable(s) for s in read_list(d.get("submissions", []), "report submissions")]
-        return cls(d["test_id"], d.get("delivered", []), d.get("missed", []), submissions)
-
-
-@dataclass(frozen=True)
+@record(frozen=True, noun="progress")
 class ProgressRecord:
     """The only thing a pull session persists: who, which test, what score,
     when. Deliberately no answer map."""
 
-    student: AgentId
-    test_id: str
-    score: Fraction
-    at: Ticks
-
-    def __post_init__(self) -> None:
-        _read_student(self.student, "progress student")
-        read_str(self.test_id, "progress test_id")
-        object.__setattr__(self, "score", read_fraction(self.score, "progress score"))
-        read_int(self.at, "progress at")
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "student": self.student.value,
-            "test_id": self.test_id,
-            "score": weight_to_jsonable(self.score),
-            "at": self.at,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "ProgressRecord":
-        return cls(AgentId(read_object(d, "progress")["student"]), d["test_id"], d["score"], d["at"])
+    student: AgentId = column(_read_student, "progress student", encode=attrgetter("value"), decode=AgentId)
+    test_id: str = column(read_str, "progress test_id")
+    score: Fraction = _weight("progress score")
+    at: Ticks = column(read_int, "progress at")

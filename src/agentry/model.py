@@ -11,9 +11,9 @@ from __future__ import annotations
 import base64
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional, Union
 
 from . import actions  # the module: actions imports this one's readers
 from .errors import EmptyTypeTag, SteppingDone
@@ -267,11 +267,14 @@ class Behavior:
 
     Subclasses set a class-level ``kind`` string (which auto-registers them
     for deserialization) and implement ``_step``, ``_to_dict_body`` and
-    ``_from_dict_body``. Two behaviors compare equal when their serialized
-    forms match, internal progress included.
+    ``_from_dict_body``; a ``@record(eq=False, repr=False)`` subclass declares
+    its fields as columns and gets the last two generated. Two behaviors
+    compare equal when their serialized forms match, internal progress
+    included.
     """
 
     kind: ClassVar[str]
+    _noun = "behavior"
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
@@ -351,10 +354,11 @@ def clone_behavior(behavior: Behavior) -> Behavior:
 
 
 # ---------------------------------------------------------------------------
-# Field readers: a constructor reads each scalar argument through one of these,
-# and a decoder each object and list it unpacks, so both accept the same
-# values. A value is used as written or rejected as "<label> must be <what>,
-# got <value!r>"; nothing converts, so true is not 1 and 5 is not "5".
+# Field readers: each column of a record reads its field through one of
+# these (see ``record``), and a hand-written constructor or decoder reads
+# through them too, so a constructor and a decoder accept the same values. A
+# reader returns the value kept or raises "<label> must be <what>, got
+# <value!r>"; nothing converts, so true is not 1 and 5 is not "5".
 # ---------------------------------------------------------------------------
 
 
@@ -394,18 +398,31 @@ def read_one_of(value: Any, label: str, choices: tuple[str, ...]) -> str:
     raise _mistyped(label, f"one of {choices}", value)
 
 
+def _bounded(literal: str) -> bool:
+    """At most 1,000 characters, with an exponent of at most 1,000 in size:
+    Fraction builds 10**exponent, so "1e999999999" alone would stall."""
+    _, e, exponent = literal.lower().partition("e")
+    try:
+        return len(literal) <= 1000 and (not e or abs(int(exponent)) <= 1000)
+    except ValueError:
+        return True  # not a number at all; Fraction rejects it
+
+
 def read_fraction(value: Any, label: str) -> Fraction:
     """The one rule for an exact number: a Fraction as it is, an int that is
     not a bool, or a decimal or "a/b" literal. A float reads as its shortest
-    decimal literal, so 0.3 is 3/10, not the double nearest it. Anything
-    else, "1/0", nan and inf included, raises."""
+    decimal literal, so 0.3 is 3/10, not the double nearest it. A literal
+    must be at most 1,000 characters long, with an exponent of at most 1,000
+    in size. Anything else, "1/0", nan and inf included, raises."""
     if isinstance(value, Fraction):
         return value
     if _is_int(value):
         return Fraction(value)
     if isinstance(value, (float, str)):
+        literal = repr(value) if isinstance(value, float) else value
         try:
-            return Fraction(repr(value) if isinstance(value, float) else value)
+            if _bounded(literal):
+                return Fraction(literal)
         except (ValueError, ZeroDivisionError):
             pass
     raise _mistyped(label, "an int, a finite float, or a decimal or 'a/b' literal", value)
@@ -423,13 +440,159 @@ def read_object(value: Any, label: str) -> dict[str, Any]:
     raise _mistyped(label, "an object", value)
 
 
-def read_action(value: Any, label: str) -> Optional[actions.ActionDescriptor]:
-    """An action descriptor, or None for null."""
-    if value is None:
-        return None
-    if isinstance(value, dict):
-        return actions.ActionDescriptor(value["name"], value.get("params"))  # from_jsonable, past the check just made
-    raise _mistyped(label, "an action", value, null=True)
+def read_instance(value: Any, label: str, cls: type, *, null: bool = False) -> Any:
+    """An instance of ``cls``, or None when ``null``; an error names ``cls``
+    by its ``_noun`` ("an action")."""
+    if isinstance(value, cls) or null and value is None:
+        return value
+    noun = cls._noun  # type: ignore[attr-defined]
+    raise _mistyped(label, f"{'an' if noun[0] in 'aeiou' else 'a'} {noun}", value, null)
+
+
+def read_items(values: Any, label: str, cls: type, into: type = list) -> Any:
+    """A list or tuple of ``cls`` instances, as an ``into``."""
+    if not isinstance(values, (list, tuple)):
+        raise _mistyped(label, "a list", values)
+    for value in values:
+        if not isinstance(value, cls):
+            read_instance(value, f"{label} entry", cls)
+    return into(values)
+
+
+# ---------------------------------------------------------------------------
+# Columns: a record declares each field once, as a dataclasses.field whose
+# metadata is its column, and ``record`` generates the field reads, the
+# encoder and the decoder from the columns, once per class.
+# ---------------------------------------------------------------------------
+
+_FROM_DEFAULT: Any = object()
+
+
+def column(
+    read: Optional[Callable[..., Any]] = None,
+    label: str = "",
+    *args: Any,
+    key: Optional[str] = None,
+    encode: Union[None, str, Callable[[Any], Any]] = None,
+    decode: Optional[Callable[[Any], Any]] = None,
+    each: bool = False,
+    absent: Any = _FROM_DEFAULT,
+    omit: bool = False,
+    default: Any = MISSING,
+    kw_only: bool = False,
+    **kwargs: Any,
+) -> Any:
+    """A dataclass field (``default`` and ``kw_only`` go to ``field``) whose
+    metadata is its column. ``read(value, label, *args, **kwargs)`` returns
+    what is kept, or raises; without one the value is kept as given, for
+    opaque JSON or for a field ``_check`` reads. ``label`` is an f-string
+    with ``self`` bound. ``encode`` (a function, or the name of a method of
+    the value) makes the kept value JSON and ``decode`` makes JSON an
+    argument, converting what it recognizes and passing the rest on for
+    ``read`` to reject; with ``each`` both apply to each item of a list.
+    ``key`` is the JSON key (the name without leading underscores),
+    ``absent`` the argument for a missing key (MISSING: required) and
+    ``omit`` writes the key only when the value is not it."""
+    absent = default if absent is _FROM_DEFAULT else absent
+    rules = dict(read=read, label=label, args=args, kwargs=kwargs, key=key, each=each)
+    rules.update(encode=encode, decode=decode, absent=absent, omit=omit)
+    return field(default=default, kw_only=kw_only, metadata=rules)
+
+
+def _codec(cls: type) -> tuple[str, Callable[[Any], Any]]:
+    if issubclass(cls, Behavior):
+        return "to_dict", behavior_from_dict
+    return "to_jsonable", cls.from_jsonable  # type: ignore[attr-defined]
+
+
+def nested(cls: type, label: str, *, null: bool = False, **options: Any) -> Any:
+    """A column holding a ``cls`` (a record or a behavior), or None when
+    ``null``, through ``cls``'s own codec. A required one decodes through it,
+    which rejects a non-object under ``cls``'s noun; a nullable one decodes
+    an object and passes anything else on."""
+    to, of = _codec(cls)
+    if not null:
+        return column(read_instance, label, cls, encode=to, decode=of, **options)
+    options["encode"] = lambda v: None if v is None else getattr(v, to)()
+    options["decode"] = lambda v: of(v) if isinstance(v, dict) else v
+    return column(read_instance, label, cls, null=True, **options)
+
+
+def nested_list(cls: type, label: str, into: type = list, **options: Any) -> Any:
+    """A column holding a list of ``cls``, kept as an ``into``."""
+    to, of = _codec(cls)
+    return column(read_items, label, cls, into, encode=to, decode=of, each=True, **options)
+
+
+_RECORDS: list[type] = []
+
+
+def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str] = None, **options: Any) -> Any:
+    """Make ``cls`` a dataclass (``options`` go to ``dataclass``) and generate
+    from its columns, once, as straight-line code: ``__post_init__``, which
+    reads each field in order, then calls ``_check``, if the class has one,
+    for the checks that span fields; ``to_jsonable`` (``_to_dict_body`` for
+    a behavior), which writes ``"kind": tag`` first when given; and
+    ``from_jsonable`` (``_from_dict_body``), which maps keys to arguments.
+    ``noun`` names the record in errors ("<noun> must be an object" from
+    its decoder). A field without a column raises TypeError."""
+    if cls is None:
+        return lambda cls: record(cls, noun=noun, tag=tag, **options)
+    # dataclass decides here whether __init__ calls __post_init__, so the
+    # hook must exist first; the generated one replaces it below.
+    cls.__post_init__ = None
+    cls = dataclass(cls, **options)
+    ns: dict[str, Any] = {"read_object": read_object, "noun": noun, "setattr": object.__setattr__}
+    # Assigning through self.__dict__ would make CPython build the instance's
+    # dict, which slows every later attribute read of it; a frozen record sets
+    # a field again only when its reader returned another value.
+    store = " v = {1}\n if v is not self.{0}: setattr(self, {0!r}, v)" if options.get("frozen") else " self.{0} = {1}"
+    reads, items, omitted, arguments = [], [f"'kind': {tag!r}"] if tag else [], [], []
+    for f in fields(cls):
+        if "read" not in f.metadata:
+            raise TypeError(f"{cls.__name__}.{f.name} has no column")
+        c, n = f.metadata, f.name
+        key = c["key"] or n.lstrip("_")
+        ns.update({f"r_{n}": c["read"], f"e_{n}": c["encode"], f"c_{n}": c["decode"], f"b_{n}": c["absent"]})
+        if c["read"]:
+            call = [f"self.{n}", "f" * ("{" in c["label"]) + repr(c["label"])]
+            for i, arg in enumerate(c["args"]):
+                ns[f"a_{n}_{i}"] = arg
+                call.append(f"a_{n}_{i}")
+            for k, arg in c["kwargs"].items():
+                ns[f"k_{n}_{k}"] = arg
+                call.append(f"{k}=k_{n}_{k}")
+            reads.append(store.format(n, f"r_{n}({', '.join(call)})"))
+        # Method calls and comprehensions are written out, so that a nested
+        # behavior costs the stack frames a hand-written codec would.
+        e, value = c["encode"], "v" if c["each"] else f"self.{n}"
+        value = f"{value}.{e}()" if isinstance(e, str) else f"e_{n}({value})" if e else value
+        value = f"[{value} for v in self.{n}]" if c["each"] else value
+        if c["omit"]:
+            omitted.append(f" if self.{n} != b_{n}: j[{key!r}] = {value}")
+        else:
+            items.append(f"{key!r}: {value}")
+        got = f"c_{n}(j[{key!r}])" if c["decode"] else f"j[{key!r}]"
+        if c["each"]:
+            got = f"([c_{n}(v) for v in x] if isinstance(x := j[{key!r}], list) else x)"
+        if c["absent"] is not MISSING:
+            got = f"{got} if {key!r} in j else b_{n}" if c["decode"] else f"j.get({key!r}, b_{n})"
+        arguments.append(f"{n}={got}" if f.kw_only else got)
+    behavior = issubclass(cls, Behavior)
+    encoder, decoder = ("_to_dict_body", "_from_dict_body") if behavior else ("to_jsonable", "from_jsonable")
+    check = " self._check()" if hasattr(cls, "_check") else ""
+    # A behavior's dataclass __init__ does not call Behavior.__init__.
+    finished = " self._finished = False" if behavior else ""
+    source = ["def __post_init__(self):", finished, *reads, check, " pass"]
+    source += [f"def {encoder}(self):", f" j = {{{', '.join(items)}}}", *omitted, " return j"]
+    unpack = " j = read_object(j, noun)" if noun else ""
+    source += ["@classmethod", f"def {decoder}(cls, j):", unpack, f" return cls({', '.join(arguments)})"]
+    exec("\n".join(source), ns)
+    for name in ("__post_init__", encoder, decoder):
+        setattr(cls, name, ns[name])
+    cls._noun = noun or getattr(cls, "_noun", None)
+    _RECORDS.append(cls)
+    return cls
 
 
 # ---------------------------------------------------------------------------

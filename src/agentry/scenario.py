@@ -320,7 +320,7 @@ def validate_scenario(path: Union[str, Path]) -> list[str]:
 
 def _parse_file(path: Union[str, Path]) -> Any:
     """Read and parse a scenario file once; raise ScenarioError for a file
-    that cannot be read or is not JSON."""
+    that cannot be read, is not JSON or nests too deep to parse."""
     file = Path(path)
     try:
         return json.loads(file.read_text())
@@ -330,6 +330,8 @@ def _parse_file(path: Union[str, Path]) -> Any:
         problem = f"/: cannot read scenario file: {exc}"
     except ValueError as exc:
         problem = f"/: not valid JSON: {exc}"
+    except RecursionError:
+        problem = "/: not valid JSON: nested deeper than the parser's recursion limit"
     raise ScenarioError(f"invalid scenario {path}", [problem])
 
 

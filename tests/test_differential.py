@@ -26,13 +26,14 @@ Why each generator exists:
 * ``route_decode``: ``Route.from_jsonable``'s fast path against the
   per-objective reference decode, diagnostics included.
 * ``decode_exact``: every decoder uses each value it accepts as written, on
-  behaviors, messages and shells taken from running worlds with one field
-  replaced by junk, deleted or wrapped.
+  behaviors, messages and shells taken from running worlds and on a sample
+  of each record outside grading, with one field replaced by junk, deleted
+  or wrapped.
 * ``construct_round_trip``: a constructor accepts exactly what its decoder
-  accepts, so a behavior, value type, grading record or ``DelayEstimator``
-  built with one argument it reads (a scalar, or a list or object such as
-  options or links) set to JSON junk either raises where it is built or
-  reads back equal after a trip through JSON.
+  accepts, so a record (its classes and fields taken from the columns) or
+  one of the hop's hand-read classes, built with one argument set to JSON
+  junk, either raises where it is built or reads back equal after a trip
+  through JSON.
 * ``config_accepts``: a latency model or ``SimConfig`` accepts exactly the
   config fields scenario validation accepts, so a spec with one field set to
   JSON junk raises where it is built exactly when validation reports its

@@ -8,6 +8,7 @@ the same generator and oracle at a larger case count.
 import decimal
 import re
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,18 @@ def test_read_fraction_rejects_booleans_and_garbage():
         message = f"weight must be an int, a finite float, or a decimal or 'a/b' literal, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_fraction(value, "weight")
+
+
+def test_read_fraction_rejects_a_literal_past_its_bounds_quickly():
+    # Fraction builds 10**exponent, so the first one stalled the reader.
+    start = time.perf_counter()
+    for value in ["1e999999999", "1E-1001", "1" * 1001, "1e1_001"]:
+        message = f"weight must be an int, a finite float, or a decimal or 'a/b' literal, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_fraction(value, "weight")
+    assert time.perf_counter() - start < 1
+    assert read_fraction("2e3", "weight") == 2000 and read_fraction("1e-1000", "weight") == Fraction(1, 10**1000)
+    assert read_fraction("1" * 1000, "weight") == int("1" * 1000)
 
 
 def test_weight_jsonable_round_trips():

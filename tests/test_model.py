@@ -4,9 +4,10 @@ import functools
 import json
 import os
 import random
+import re
 import tempfile
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import pytest
@@ -14,16 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import agentry as ag
-from agentry.grading import test_kind_from_jsonable as kind_from_jsonable
+from agentry import model
 from agentry.model import (
     AgentId,
     AgentShell,
+    column,
     deserialize_shell,
     location_from_jsonable,
     location_to_jsonable,
     message_from_jsonable,
     message_to_jsonable,
     read_int,
+    record,
     serialize_shell,
     wake_satisfied,
 )
@@ -399,9 +402,17 @@ def _held_shells(platform):
 def _decode_bases():
     """(decoder, JSON value) pairs: each behavior tree, message and shell of
     the small bench worlds, a world resumed mid-run and the shipped scenario,
-    at a few ``run(until=k)`` points. The shipped scenario runs in a fresh
-    working directory: its courier appends to a report store there."""
+    at a few ``run(until=k)`` points, and each record's sample. The shipped
+    scenario runs in a fresh working directory: its courier appends to a
+    report store there. The grading records read exact numbers from decimal
+    literals, so they are not read as written; ``construct_round_trip``
+    covers them."""
     bases = {}
+    for sample in _samples():
+        if isinstance(sample, ag.Behavior):
+            bases[ag.canonical_json(sample.to_dict())] = ("behavior", sample.to_dict())
+        elif type(sample).__module__ != "agentry.grading":
+            bases[ag.canonical_json(sample.to_jsonable())] = (type(sample).__name__, sample.to_jsonable())
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -428,6 +439,7 @@ DECODERS = {
     "behavior": lambda d: ag.behavior_from_dict(d).to_dict(),
     "message": lambda d: message_to_jsonable(message_from_jsonable(d)),
     "shell": lambda d: json.loads(serialize_shell(deserialize_shell(ag.canonical_json(d)))),
+    **{cls.__name__: lambda d, cls=cls: cls.from_jsonable(d).to_jsonable() for cls in model._RECORDS},
 }
 
 
@@ -477,42 +489,49 @@ def test_a_decoded_value_is_used_as_written(seed):
 # ---------------------------------------------------------------------------
 
 
-def _constructions():
-    """(class, valid constructor arguments, the scalar ones among them and
-    the lists or objects the constructor reads) for each class whose
-    constructor reads its arguments: every behavior, value type and grading
-    record a decoder builds with such arguments. Built fresh per call, as
-    behaviors are mutable."""
-    here, noop = L1, ag.ActionDescriptor("noop", {"k": [1]})
-    definition = ag.FsmDefinition({"s0": noop, "s1": noop}, {"s0": {"go": "s1"}}, "s0")
-    config = ag.ItineraryConfig(ag.Route((ag.Objective(here), ag.Objective(L2, 5, 9))))
+def _samples():
+    """A valid value of each record (every class ``record`` built), built
+    fresh per call, as behaviors are mutable."""
+    noop = ag.ActionDescriptor("noop", {"k": [1]})
+    definition = ag.FsmDefinition({"s0": noop, "s1": noop}, {"s0": {"go": "s1"}}, "s0", frozenset({"s1"}))
     question = ag.Question("q", ag.SINGLE_CHOICE, "?", 1, "3/2", ("a", "b"))
     submission = ag.Submission("t", AgentId(3), {"q": 1}, Fraction(1, 2), Fraction(2), 5)
     return [
-        (ag.ActionDescriptor, dict(name="noop", params={"k": [1]}), ["name"]),
-        (ag.RequestEnvelope, dict(task=noop, result_slot="slot"), ["result_slot"]),
-        (
-            ag.Observer,
-            dict(period=3, trigger=noop, handler=noop, mode=ag.CYCLIC, _start=2, _next_check=5),
-            ["period", "mode", "_start", "_next_check"],
-        ),
-        (ag.Listener, dict(type_filter="PING", callbacks=[noop], mode=ag.ONE_SHOT), ["type_filter", "mode"]),
-        (
-            ag.Client,
-            dict(
-                server=4,
-                request=ag.RequestEnvelope(noop),
-                ack_timeout=5,
-                result_timeout=9,
-                on_failure=noop,
-                _phase="await_ack",
-                _conversation="c1",
-                _deadline=7,
-            ),
-            ["server", "ack_timeout", "result_timeout", "_phase", "_conversation", "_deadline"],
-        ),
-        (ag.Sequential, dict(children=[ag.Task(noop), ag.Task(noop)], _index=1, _current_started=True), ["_index", "_current_started"]),
-        (ag.Fsm, dict(definition=definition, _current="s0", _entered=True, _pending_label="go"), ["_current", "_entered", "_pending_label"]),
+        noop,
+        ag.RequestEnvelope(noop, "slot"),
+        ag.Task(noop),
+        ag.Observer(3, noop, noop, ag.CYCLIC, _start=2, _next_check=5),
+        ag.Listener("PING", [noop], ag.ONE_SHOT),
+        ag.Client(4, ag.RequestEnvelope(noop), 5, 9, on_failure=noop, _phase="await_ack", _conversation="c1", _deadline=7),
+        ag.Server(noop),
+        ag.Sequential([ag.Task(noop), ag.Task(noop)], _index=1, _current_started=True),
+        ag.Parallel([ag.Task(noop), ag.Listener("PING", [noop])], ag.ANY),
+        definition,
+        ag.Fsm(definition, _current="s0", _entered=True, _pending_label="go"),
+        question,
+        ag.Test("t", "T", (question,), ag.Exam(4)),
+        ag.Exam(4),
+        ag.SelfAssessment(),
+        submission,
+        ag.ExamReport("t", ("n",), ("r",), (submission,)),
+        ag.ProgressRecord(AgentId(3), "t", Fraction(7, 2), 6),
+    ]
+
+
+def test_every_record_has_a_sample():
+    samples = [type(sample) for sample in _samples()]
+    assert len(samples) == len(set(samples)) and set(samples) == set(model._RECORDS)
+
+
+def _constructions():
+    """(class, valid constructor arguments, the ones to fuzz) for each class
+    whose constructor reads its arguments. A record's arguments are its
+    sample's fields, each one fuzzed. The hop's classes read by hand, so the
+    scalars or tables they read are named here."""
+    constructions = [(type(s), {f.name: getattr(s, f.name) for f in fields(s)}, [f.name for f in fields(s)]) for s in _samples()]
+    here, noop = L1, ag.ActionDescriptor("noop", {"k": [1]})
+    config = ag.ItineraryConfig(ag.Route((ag.Objective(here), ag.Objective(L2, 5, 9))))
+    return [c for c in constructions if c[2]] + [
         (ag.Objective, dict(location=here, earliest_offset=2, latest_offset=6, stop_tasks=(noop,)), ["earliest_offset", "latest_offset"]),
         (ag.Route, dict(objectives=(ag.Objective(here),), base_time=3), ["base_time"]),
         (
@@ -521,20 +540,6 @@ def _constructions():
             ["planned_departures", "_base", "_index", "_phase", "_arrival", "_arrival_class"],
         ),
         (
-            ag.Question,
-            dict(id="q", kind=ag.SINGLE_CHOICE, prompt="?", key=1, weight="3/2", options=("a", "b")),
-            ["id", "kind", "prompt", "key", "weight", "options"],
-        ),
-        (ag.Test, dict(id="t", title="T", questions=(question,), kind=ag.Exam(4)), ["id", "title"]),
-        (ag.Exam, dict(scheduled_at=4), ["scheduled_at"]),
-        (
-            ag.Submission,
-            dict(test_id="t", student=AgentId(3), answers={"q": 1}, score=Fraction(1, 2), max_score=Fraction(2), graded_at=5),
-            ["test_id", "student", "answers", "score", "max_score", "graded_at"],
-        ),
-        (ag.ExamReport, dict(test_id="t", delivered=("n",), missed=("r",), submissions=(submission,)), ["test_id", "delivered", "missed"]),
-        (ag.ProgressRecord, dict(student=AgentId(3), test_id="t", score=Fraction(7, 2), at=6), ["student", "test_id", "score", "at"]),
-        (
             ag.DelayEstimator,
             dict(alpha=Fraction(1, 3), default_estimate=2, links={("a", "b"): Fraction(5, 2)}),
             ["alpha", "default_estimate", "links"],
@@ -542,15 +547,15 @@ def _constructions():
     ]
 
 
-# JSON junk in a scalar argument: wrong types, and values right by accident
-# for some argument (a marker, a state name, a phase, an arrival class).
+# JSON junk in an argument: wrong types, and values right by accident for
+# some argument (a marker, a state name, a phase, an arrival class).
 CONSTRUCT_JUNK = [2.0, 2.5, -1.5, True, False, None, "", "x", "s1", "early", "await_result", "cyclic"]
 CONSTRUCT_JUNK += [[], [1], {}, {"k": 1}, {"$state": "k"}]
 
 
 def constructs_round_trip(seed):
     """The differential check ``(seed) -> problems`` for the constructors: one
-    scalar argument of a valid build replaced by JSON junk. The constructor
+    argument of a valid build replaced by JSON junk. The constructor
     must raise a ValueError or an AgentryError, or build a value that its
     decoder reads back equal from canonical JSON."""
     rng = random.Random(seed)
@@ -568,8 +573,7 @@ def constructs_round_trip(seed):
         if isinstance(value, ag.Behavior):
             back = ag.behavior_from_dict(json.loads(ag.canonical_json(value.to_dict())))
         else:
-            decode = kind_from_jsonable if cls is ag.Exam else cls.from_jsonable
-            back = decode(json.loads(ag.canonical_json(value.to_jsonable())))
+            back = cls.from_jsonable(json.loads(ag.canonical_json(value.to_jsonable())))
     except Exception as exc:
         return [f"{built} builds, but its round trip raises {type(exc).__name__}: {exc}"]
     return [] if back == value else [f"{built} builds, but reads back as {back!r}"]
@@ -581,6 +585,43 @@ CONSTRUCT_SEEDS = range(200)
 @pytest.mark.parametrize("seed", CONSTRUCT_SEEDS)
 def test_a_built_value_round_trips_or_its_constructor_raises(seed):
     assert constructs_round_trip(seed) == []
+
+
+_NOOP = ag.ActionDescriptor("noop")
+
+# Each of these built, then failed its own round trip: to_jsonable raised
+# AttributeError, or the answers read back with the key "1".
+UNREAD_FIELDS = {
+    "report_submissions": (lambda: ag.ExamReport("t", (), (), (1,)), "report submissions entry must be a submission, got 1"),
+    "task_action": (lambda: ag.Task({"name": "noop"}), "task action must be an action, got {'name': 'noop'}"),
+    "observer_trigger": (lambda: ag.Observer(3, {"name": "noop"}, _NOOP), "observer trigger must be an action, got {'name': 'noop'}"),
+    "listener_callbacks": (
+        lambda: ag.Listener("PING", [{"name": "noop"}]),
+        "listener callbacks entry must be an action, got {'name': 'noop'}",
+    ),
+    "client_on_failure": (
+        lambda: ag.Client(4, ag.RequestEnvelope(_NOOP), on_failure="x"),
+        "client on_failure must be null or an action, got 'x'",
+    ),
+    "request_task": (lambda: ag.RequestEnvelope({"name": "noop"}), "request task must be an action, got {'name': 'noop'}"),
+    "submission_answers": (lambda: ag.Submission("t", AgentId(1), {1: 2}, 0, 1, 0), "submission answers key must be a string, got 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_FIELDS))
+def test_a_field_is_read_where_it_is_built(case):
+    build, message = UNREAD_FIELDS[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_record_field_without_a_column_raises_where_the_class_is_defined():
+    with pytest.raises(TypeError, match="^_Loose.loose has no column$"):
+
+        @record(frozen=True, noun="loose")
+        class _Loose:
+            kept: int = column(read_int, "kept")
+            loose: int = 0
 
 
 # ---------------------------------------------------------------------------

@@ -1179,6 +1179,18 @@ def test_cli_reports_a_scenario_path_that_names_a_directory(tmp_path):
         assert "Traceback" not in res.stderr
 
 
+def test_cli_reports_a_document_nested_too_deep_to_parse(tmp_path):
+    # json's decoder raised RecursionError: a traceback and exit 1, the
+    # code for a golden mismatch.
+    tree = '{"kind": "sequential", "children": [' * 2000 + json.dumps(task_spec("noop")) + "]}" * 2000
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"format_version": 1, "locations": ["home"], "agents": [{{"location": "home", "behavior": {tree}}}]}}')
+    for command in ("validate", "run"):
+        res = cli(command, str(path), cwd=tmp_path)
+        assert res.returncode == EXIT_INVALID, res.stderr
+        assert res.stderr == "/: not valid JSON: nested deeper than the parser's recursion limit\n"
+
+
 def test_cli_run_with_flags(tmp_path):
     path = write_scenario(tmp_path, seeded_doc())
     done = cli("run", str(path), "--trace", "out.jsonl", "--seed", "3", cwd=tmp_path)
