@@ -28,8 +28,9 @@ from .model import (
     nested,
     nested_list,
     read_bool,
-    read_instance,
+    read_items,
     read_int,
+    read_keys,
     read_object,
     read_one_of,
     read_str,
@@ -142,9 +143,7 @@ class Parallel(Behavior):
 
 
 def _read_states(states: Any, label: str) -> dict[str, ActionDescriptor]:
-    for action in read_object(states, label).values():
-        if not isinstance(action, ActionDescriptor):
-            read_instance(action, f"{label} entry", ActionDescriptor)
+    read_items([*read_keys(states, label).values()], label, ActionDescriptor)
     return states
 
 
@@ -155,7 +154,7 @@ def _read_transitions(transitions: Any, label: str) -> dict[str, dict[str, str]]
 
 def _read_terminals(terminals: Any, label: str) -> frozenset[str]:
     if isinstance(terminals, (list, tuple, set, frozenset)):
-        return frozenset(terminals)
+        return frozenset(read_str(name, f"{label} entry") for name in terminals)
     raise _mistyped(label, "a list", terminals)
 
 
@@ -185,9 +184,11 @@ class FsmDefinition:
             if source not in self.states:
                 raise InvalidFsm(f"transition source {source!r} not among states")
             for label, target in by_label.items():
+                if not isinstance(label, str):  # a source that is not a string is not a state
+                    read_str(label, "fsm transitions key")
                 if not label:
                     raise InvalidFsm(f"empty event label on transitions from {source!r}")
-                if target not in self.states:
+                if not isinstance(target, str) or target not in self.states:
                     raise InvalidFsm(f"transition target {target!r} not among states")
 
 

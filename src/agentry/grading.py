@@ -26,6 +26,7 @@ from .model import (
     read_bool,
     read_fraction,
     read_int,
+    read_keys,
     read_object,
     read_one_of,
     read_str,
@@ -57,13 +58,6 @@ def _read_student(student: Any, label: str) -> AgentId:
         raise _mistyped(label, "an AgentId", student)
     read_int(student.value, label)
     return student
-
-
-def _read_answers(answers: Any, label: str) -> dict[str, Any]:
-    """An answer map keyed by question id, as JSON writes it."""
-    for qid in read_object(answers, label):
-        read_str(qid, f"{label} key")
-    return answers
 
 
 def weight_to_jsonable(value: Fraction) -> Union[int, str]:
@@ -114,11 +108,11 @@ class Question:
 
 
 def test_kind_from_jsonable(d: dict[str, Any]) -> TestKind:
-    if read_object(d, "test kind")["kind"] == "exam":
-        return Exam.from_jsonable(d)
-    if d["kind"] == "self_assessment":
-        return SelfAssessment()
-    raise ValueError(f"unknown test kind {d['kind']!r}")
+    kind = read_object(d, "test kind")["kind"]
+    for cls in (Exam, SelfAssessment):
+        if kind == cls._tag:
+            return cls.from_jsonable(d)
+    raise ValueError(f"unknown test kind {kind!r}")
 
 
 class TestKind:
@@ -228,7 +222,7 @@ class Submission:
 
     test_id: str = column(read_str, "submission test_id")
     student: AgentId = column(_read_student, "submission student", encode=attrgetter("value"), decode=AgentId)
-    answers: dict[str, Any] = column(_read_answers, "submission answers")
+    answers: dict[str, Any] = column(read_keys, "submission answers")
     score: Fraction = _weight("submission score")
     max_score: Fraction = _weight("submission max_score")
     graded_at: Ticks = column(read_int, "submission graded_at")

@@ -440,6 +440,14 @@ def read_object(value: Any, label: str) -> dict[str, Any]:
     raise _mistyped(label, "an object", value)
 
 
+def read_keys(value: Any, label: str) -> dict[str, Any]:
+    """An object whose keys are strings, as JSON writes them."""
+    for key in read_object(value, label):
+        if not isinstance(key, str):
+            read_str(key, f"{label} key")
+    return value
+
+
 def read_instance(value: Any, label: str, cls: type, *, null: bool = False) -> Any:
     """An instance of ``cls``, or None when ``null``; an error names ``cls``
     by its ``_noun`` ("an action")."""
@@ -532,7 +540,7 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     from its columns, once, as straight-line code: ``__post_init__``, which
     reads each field in order, then calls ``_check``, if the class has one,
     for the checks that span fields; ``to_jsonable`` (``_to_dict_body`` for
-    a behavior), which writes ``"kind": tag`` first when given; and
+    a behavior), which writes ``"kind": tag`` (kept as ``_tag``) first; and
     ``from_jsonable`` (``_from_dict_body``), which maps keys to arguments.
     ``noun`` names the record in errors ("<noun> must be an object" from
     its decoder). A field without a column raises TypeError."""
@@ -591,6 +599,7 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     for name in ("__post_init__", encoder, decoder):
         setattr(cls, name, ns[name])
     cls._noun = noun or getattr(cls, "_noun", None)
+    cls._tag = tag
     _RECORDS.append(cls)
     return cls
 

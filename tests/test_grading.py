@@ -335,6 +335,13 @@ def test_unknown_test_kind_is_rejected():
         kind_from_jsonable({"kind": "quiz"})
 
 
+@pytest.mark.parametrize("kind", [ag.Exam(4), ag.SelfAssessment()])
+def test_a_test_kind_decodes_by_the_tag_its_class_writes(kind):
+    written = kind.to_jsonable()
+    assert written["kind"] == type(kind)._tag
+    assert kind_from_jsonable(written) == kind
+
+
 # ---------------------------------------------------------------------------
 # Matching boundaries
 # ---------------------------------------------------------------------------

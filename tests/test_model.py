@@ -400,9 +400,10 @@ def _held_shells(platform):
 
 @functools.lru_cache(maxsize=None)
 def _decode_bases():
-    """(decoder, JSON value) pairs: each behavior tree, message and shell of
-    the small bench worlds, a world resumed mid-run and the shipped scenario,
-    at a few ``run(until=k)`` points, and each record's sample. The shipped
+    """(decoder, JSON value) pairs, where the decoder is a DECODERS key or a
+    record's class: each behavior tree, message and shell of the small bench
+    worlds, a world resumed mid-run and the shipped scenario, at a few
+    ``run(until=k)`` points, and each record's sample. The shipped
     scenario runs in a fresh working directory: its courier appends to a
     report store there. The grading records read exact numbers from decimal
     literals, so they are not read as written; ``construct_round_trip``
@@ -412,7 +413,7 @@ def _decode_bases():
         if isinstance(sample, ag.Behavior):
             bases[ag.canonical_json(sample.to_dict())] = ("behavior", sample.to_dict())
         elif type(sample).__module__ != "agentry.grading":
-            bases[ag.canonical_json(sample.to_jsonable())] = (type(sample).__name__, sample.to_jsonable())
+            bases[ag.canonical_json(sample.to_jsonable())] = (type(sample), sample.to_jsonable())
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -439,7 +440,6 @@ DECODERS = {
     "behavior": lambda d: ag.behavior_from_dict(d).to_dict(),
     "message": lambda d: message_to_jsonable(message_from_jsonable(d)),
     "shell": lambda d: json.loads(serialize_shell(deserialize_shell(ag.canonical_json(d)))),
-    **{cls.__name__: lambda d, cls=cls: cls.from_jsonable(d).to_jsonable() for cls in model._RECORDS},
 }
 
 
@@ -470,7 +470,8 @@ def decodes_as_written(seed):
     else:
         container[key] = json.loads(json.dumps(rng.choice(JUNK)))
     try:
-        read = DECODERS[decoder](json.loads(json.dumps(written)))
+        decode = DECODERS.get(decoder) or (lambda d: decoder.from_jsonable(d).to_jsonable())
+        read = decode(json.loads(json.dumps(written)))
     except Exception:
         return []
     return [] if _as_written(written, read) else [f"{decoder} read {read!r} from {written!r}"]
@@ -590,7 +591,8 @@ def test_a_built_value_round_trips_or_its_constructor_raises(seed):
 _NOOP = ag.ActionDescriptor("noop")
 
 # Each of these built, then failed its own round trip: to_jsonable raised
-# AttributeError, or the answers read back with the key "1".
+# AttributeError, or an int key (an answer's, a state's, a label's) read
+# back as a string.
 UNREAD_FIELDS = {
     "report_submissions": (lambda: ag.ExamReport("t", (), (), (1,)), "report submissions entry must be a submission, got 1"),
     "task_action": (lambda: ag.Task({"name": "noop"}), "task action must be an action, got {'name': 'noop'}"),
@@ -605,13 +607,18 @@ UNREAD_FIELDS = {
     ),
     "request_task": (lambda: ag.RequestEnvelope({"name": "noop"}), "request task must be an action, got {'name': 'noop'}"),
     "submission_answers": (lambda: ag.Submission("t", AgentId(1), {1: 2}, 0, 1, 0), "submission answers key must be a string, got 1"),
+    "fsm_state_name": (lambda: ag.FsmDefinition({1: _NOOP, "s": _NOOP}, {}, "s"), "fsm states key must be a string, got 1"),
+    "fsm_event_label": (lambda: ag.FsmDefinition({"s": _NOOP}, {"s": {1: "s"}}, "s"), "fsm transitions key must be a string, got 1"),
+    # These two raised TypeError: unhashable type: 'list'.
+    "fsm_terminal": (lambda: ag.FsmDefinition({"s": _NOOP}, {}, "s", [[1]]), "fsm terminals entry must be a string, got [1]"),
+    "fsm_target": (lambda: ag.FsmDefinition({"s": _NOOP}, {"s": {"go": [1]}}, "s"), "transition target [1] not among states"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREAD_FIELDS))
 def test_a_field_is_read_where_it_is_built(case):
     build, message = UNREAD_FIELDS[case]
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises((ValueError, ag.AgentryError), match=f"^{re.escape(message)}$"):
         build()
 
 
