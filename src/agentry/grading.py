@@ -91,7 +91,10 @@ class Question:
             if self.kind == SINGLE_CHOICE:
                 read_int(self.key, label, 0, last)
             elif isinstance(self.key, _INDEX_SETS):
-                object.__setattr__(self, "key", frozenset(read_int(i, label, 0, last) for i in self.key))
+                key = frozenset(read_int(i, label, 0, last) for i in self.key)
+                if len(key) != len(self.key):  # a repeat would not read back as written
+                    raise _mistyped(f"question {self.id!r} key", "distinct option indices", self.key)
+                object.__setattr__(self, "key", key)
             else:
                 raise ValueError(f"question {self.id!r}: key must be a list of option indices, got {self.key!r}")
         elif self.kind == TRUE_FALSE:

@@ -34,7 +34,9 @@ from .model import (
     location_from_jsonable,
     read_bool,
     read_fraction,
+    read_instance,
     read_int,
+    read_items,
     read_list,
     read_object,
     read_one_of,
@@ -56,11 +58,13 @@ class Objective:
     latest_offset: Optional[Ticks] = None
     stop_tasks: tuple[ActionDescriptor, ...] = ()
 
+    _noun = "objective"
+
     def __post_init__(self) -> None:
+        read_instance(self.location, "objective location", LocationId)
         read_int(self.earliest_offset, "objective earliest")
         read_int(self.latest_offset, "objective latest", null=True)
-        if not isinstance(self.stop_tasks, tuple):
-            object.__setattr__(self, "stop_tasks", tuple(self.stop_tasks))
+        object.__setattr__(self, "stop_tasks", read_items(self.stop_tasks, "objective tasks", ActionDescriptor, tuple))
         if self.earliest_offset < 0:
             raise ValueError("earliest_offset must be non-negative")
         if self.latest_offset is not None and self.latest_offset < self.earliest_offset:
@@ -131,9 +135,11 @@ class Route:
     objectives: tuple[Objective, ...]
     base_time: Optional[Ticks] = 0
 
+    _noun = "route"
+
     def __post_init__(self) -> None:
         read_int(self.base_time, "route base_time", null=True)
-        object.__setattr__(self, "objectives", tuple(self.objectives))
+        object.__setattr__(self, "objectives", read_items(self.objectives, "route objectives", Objective, tuple))
         if not self.objectives:
             raise EmptyRoute("a route needs at least one objective")
 
@@ -225,6 +231,23 @@ def _fraction_from_jsonable(pair: Any, label: str) -> Fraction:
     return value
 
 
+def _read_link(link: Any) -> Link:
+    if type(link) is not tuple or len(link) != 2 or type(link[0]) is not str or type(link[1]) is not str:
+        raise ValueError(f"estimator link must be a (source, destination) pair of strings, got {link!r}")
+    return link
+
+
+def _check_bounds(alpha: Fraction, default: Fraction, links: dict[Link, Fraction]) -> None:
+    # A Fraction's denominator is always positive, so integer comparisons of
+    # its parts decide these bounds without Fraction arithmetic.
+    if not 0 <= alpha.numerator <= alpha.denominator:
+        raise ValueError("alpha must lie in [0, 1]")
+    if default.numerator < 0:
+        raise ValueError("default_estimate must be non-negative")
+    if any(value.numerator < 0 for value in links.values()):
+        raise ValueError("link estimates must be non-negative")
+
+
 @dataclass(frozen=True)
 class DelayEstimator:
     """Per-link travel time estimates smoothed exponentially.
@@ -239,41 +262,43 @@ class DelayEstimator:
     default_estimate: Fraction = Fraction(0)
     links: dict[Link, Fraction] = field(default_factory=dict)
 
+    _noun = "estimator"
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", read_fraction(self.alpha, "estimator alpha"))
-        object.__setattr__(self, "default_estimate", read_fraction(self.default_estimate, "estimator default"))
-        # A Fraction's denominator is always positive, so integer comparisons
-        # of its parts decide these bounds without Fraction arithmetic.
-        if not 0 <= self.alpha.numerator <= self.alpha.denominator:
-            raise ValueError("alpha must lie in [0, 1]")
-        if self.default_estimate.numerator < 0:
-            raise ValueError("default_estimate must be non-negative")
+        alpha = read_fraction(self.alpha, "estimator alpha")
+        default = read_fraction(self.default_estimate, "estimator default")
         # A copy, so the caller's table neither changes nor changes this one.
-        # The checks are inline, as updated builds through here on every hop.
         links = dict(read_object(self.links, "estimator links"))
-        object.__setattr__(self, "links", links)
         for link, value in links.items():
-            if type(link) is not tuple or len(link) != 2 or type(link[0]) is not str or type(link[1]) is not str:
-                raise ValueError(f"estimator link must be a (source, destination) pair of strings, got {link!r}")
-            if type(value) is not Fraction:
-                value = links[link] = read_fraction(value, "link estimate")
-            if value.numerator < 0:
-                raise ValueError("link estimates must be non-negative")
+            links[_read_link(link)] = read_fraction(value, "link estimate")
+        _check_bounds(alpha, default, links)
+        self.__dict__.update(alpha=alpha, default_estimate=default, links=links)
+
+    @classmethod
+    def _of(cls, alpha: Fraction, default: Fraction, links: dict[Link, Fraction]) -> "DelayEstimator":
+        """An estimator of values already read and checked, built without the
+        constructor's reads: the decoder and ``updated`` build one per hop."""
+        est = object.__new__(cls)
+        est.__dict__.update(alpha=alpha, default_estimate=default, links=links)
+        return est
 
     def estimate(self, link: Link) -> Fraction:
         return self.links.get(link, self.default_estimate)
 
     def updated(self, link: Link, observed: Ticks) -> "DelayEstimator":
+        """This estimator with ``observed`` folded into ``link``'s estimate.
+        The new estimate mixes a non-negative observation with a checked
+        one, so it is non-negative too and needs no re-check."""
         if observed < 0:
             raise ValueError("observed latency must be non-negative")
-        prior = self.estimate(link)
+        prior = self.estimate(_read_link(link))
         an, ad = self.alpha.numerator, self.alpha.denominator
         en, ed = prior.numerator, prior.denominator
         # alpha*observed + (1-alpha)*prior over the common denominator ad*ed:
         # one exact Fraction instead of four Fraction operations.
         links = dict(self.links)
         links[link] = _fraction(an * observed * ed + (ad - an) * en, ad * ed)
-        return DelayEstimator(self.alpha, self.default_estimate, links)
+        return DelayEstimator._of(self.alpha, self.default_estimate, links)
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -287,6 +312,7 @@ class DelayEstimator:
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "DelayEstimator":
+        """Reads what the constructor reads, then builds without it."""
         alpha = _fraction_from_jsonable(read_object(d, "estimator")["alpha"], "estimator alpha")
         default = _fraction_from_jsonable(d["default"], "estimator default")
         written = read_list(d.get("links", []), "estimator links")
@@ -298,7 +324,8 @@ class DelayEstimator:
             links[link[0], link[1]] = _fraction_from_jsonable(link[2], "link estimate")
         if len(links) != len(written) or list(links) != sorted(links):  # as to_jsonable writes them
             raise ValueError(f"estimator links must be sorted by link, each once, got {written!r}")
-        return cls(alpha, default, links)
+        _check_bounds(alpha, default, links)
+        return cls._of(alpha, default, links)
 
 
 def next_departure_plan(
@@ -332,8 +359,12 @@ class ItineraryConfig:
     reached_listeners: tuple[ActionDescriptor, ...] = ()
     missed_behavior: Optional[Behavior] = None
 
+    _noun = "itinerary config"
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reached_listeners", tuple(self.reached_listeners))
+        read_instance(self.route, "itinerary route", Route)
+        object.__setattr__(self, "reached_listeners", read_items(self.reached_listeners, "itinerary listeners", ActionDescriptor, tuple))
+        read_instance(self.missed_behavior, "itinerary missed_behavior", Behavior, null=True)
 
     def to_jsonable(self) -> dict[str, Any]:
         return {
@@ -393,17 +424,18 @@ class Itinerary(Behavior):
         _missed_clone: Optional[Behavior] = None,
     ):
         super().__init__()
-        self.config = config
+        self.config = read_instance(config, "itinerary config", ItineraryConfig)
         self._phase = read_one_of(_phase, "itinerary phase", _PHASES)
         self._index = read_int(_index, "itinerary index")
         if _phase != _START and not isinstance(_base, int):
             raise ValueError(f"itinerary base must be an integer past {_START!r}, got {_base!r}")
         self.planned_departures = read_bool(planned_departures, "itinerary planned")
+        estimator = read_instance(estimator, "itinerary estimator", DelayEstimator, null=True)
         self.estimator = estimator if estimator is not None else DelayEstimator()
         self._base = read_int(_base, "itinerary base", null=True)
         self._arrival = read_int(_arrival, "itinerary arrival", null=True)
         self._arrival_class = read_one_of(_arrival_class, "itinerary arrival_class", ("", "early", "on_time"))
-        self._missed_clone = _missed_clone
+        self._missed_clone = read_instance(_missed_clone, "itinerary missed_clone", Behavior, null=True)
 
     # Stepping --------------------------------------------------------------
 

@@ -13,11 +13,12 @@ import json
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional, Union
 
 from . import actions  # the module: actions imports this one's readers
 from .errors import EmptyTypeTag, SteppingDone
-from .trace import CANONICAL_ENCODER, EventKind
+from .trace import CANONICAL_ENCODER, EventKind, _c_encoder
 
 if TYPE_CHECKING:
     from .adapter import PlatformAdapter
@@ -48,6 +49,8 @@ class LocationId:
 
     value: int
     name: str = field(compare=False)
+
+    _noun = "location"
 
     def __repr__(self) -> str:
         return f"LocationId({self.value}, {self.name!r})"
@@ -609,9 +612,23 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
 # ---------------------------------------------------------------------------
 
 
+# One encoder for every blob and payload. It keeps no cycle markers, so a
+# circular value recurses until Python's recursion limit stops it.
+_encode = _c_encoder(None) or CANONICAL_ENCODER.encode
+
+
 def canonical_json(value: Any) -> bytes:
-    """Deterministic JSON encoding: sorted keys, no whitespace, ASCII only."""
-    return CANONICAL_ENCODER.encode(value).encode()
+    """Deterministic JSON encoding: sorted keys, no whitespace, ASCII only.
+
+    Raises TypeError for a value JSON cannot encode, such as a set or an
+    object, and ValueError for a circular value or one nested too deep to
+    encode."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value).encode()
+    try:
+        return _encode(value).encode()
+    except RecursionError:
+        raise ValueError("canonical JSON: the value is circular or nested too deep to encode") from None
 
 
 def location_to_jsonable(loc: LocationId) -> dict[str, Any]:

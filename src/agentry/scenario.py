@@ -143,11 +143,14 @@ def _check_links(links: list, path: str, names: list[str], problems: list[str]) 
 def _built(path: str, problems: list[str], build: Callable[..., Any], *args: Any) -> Any:
     """``build(*args)``, or None with what it raised reported at ``path``; a
     missing required field, the KeyError of indexing an object for it, reads
-    ``missing field '<key>'``."""
+    ``missing field '<key>'``, and a RecursionError says the value nests too
+    deep."""
     try:
         return build(*args)
     except KeyError as exc:
         problems.append(f"{path}: missing field {exc}")
+    except RecursionError:
+        problems.append(f"{path}: nested deeper than the recursion limit")
     except Exception as exc:
         problems.append(f"{path}: {exc}")
     return None
@@ -177,7 +180,7 @@ def _behavior(spec: Any, path: str, binder: _Binder, known: dict[str, Any], prob
         problems.append(f"{path}/kind: unknown behavior kind {kind!r}{_suggest(str(kind), known)}")
     else:
         n_problems = len(problems)
-        bound = binder.bind(spec, path)
+        bound = _built(path, problems, binder.bind, spec, path)
         if len(problems) == n_problems:
             return _built(path, problems, behavior_from_dict, bound)
     return None

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from itertools import starmap
 from json import encoder as json_encoder
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Optional
 
 if TYPE_CHECKING:  # model imports EventKind from here at run time
     from .model import AgentId, Ticks
@@ -37,8 +37,9 @@ class EventKind(str, enum.Enum):
 
 # The package's one canonical JSON encoding (sorted keys, no whitespace, ASCII
 # only), for event details here and, through ``model.canonical_json``,
-# migration blobs and message payloads. Each ``encode`` call builds a fresh C
-# encoder; ``TraceLog.to_jsonl`` builds one per render (``_detail_encoder``).
+# migration blobs and message payloads. Both encode through ``_c_encoder``, a C
+# encoder built from these options: ``model`` builds one at import and reuses
+# it for every blob and payload; ``TraceLog.to_jsonl`` builds one per render.
 CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
@@ -57,17 +58,26 @@ def _json_line(
     return f'{{"tick":{tick},"seq":{seq},"kind":"{kind._value_}","agent":{agent.value},"detail":{encode(detail)}}}'
 
 
-def _detail_encoder() -> Callable[[Any], str]:
-    """``CANONICAL_ENCODER.encode`` as one C encoder for one render. Its own
-    markers dict makes a circular detail raise ValueError, and dies with it."""
+def _c_encoder(markers: Optional[dict[int, Any]]) -> Optional[Callable[[Any], str]]:
+    """``CANONICAL_ENCODER.encode`` as one C encoder, or None when ``json``
+    has no C accelerator. With a ``markers`` dict it raises ValueError for a
+    circular value, as ``encode`` does, and keeps its own state in it; with
+    None it checks for no cycle and keeps no state, so one encoder serves
+    every call, and a circular value raises RecursionError."""
     make = json_encoder.c_make_encoder
     if make is None:
-        return CANONICAL_ENCODER.encode
+        return None
     enc = CANONICAL_ENCODER
     # The arguments JSONEncoder.iterencode passes for a one-shot encode.
     options = (enc.key_separator, enc.item_separator, enc.sort_keys, enc.skipkeys, enc.allow_nan)
-    chunks = make({}, enc.default, json_encoder.encode_basestring_ascii, None, *options)
-    return lambda detail: "".join(chunks(detail, 0))
+    chunks = make(markers, enc.default, json_encoder.encode_basestring_ascii, None, *options)
+    return lambda value: "".join(chunks(value, 0))
+
+
+def _detail_encoder() -> Callable[[Any], str]:
+    """The encoder for one render. Its own markers dict makes a circular
+    detail raise ValueError, and dies with it."""
+    return _c_encoder({}) or CANONICAL_ENCODER.encode
 
 
 @dataclass(frozen=True, slots=True)

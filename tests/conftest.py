@@ -53,6 +53,40 @@ def _hoard_then_go(ctx, params, message):
     ctx.request_migration(location_from_jsonable(params["dest"]))
 
 
+def _circular_dict():
+    loop = {}
+    loop["self"] = loop
+    return loop
+
+
+def _circular_list():
+    loop = []
+    loop.append(loop)
+    return loop
+
+
+def _deep_state():
+    value = {}
+    for _ in range(200_000):
+        value = {"k": value}
+    return value
+
+
+# State JSON cannot encode, by case name: a factory and what the migrate raises.
+UNENCODABLE_STATES = {
+    "dict_cycle": (_circular_dict, ValueError, "circular or nested too deep"),
+    "list_cycle": (_circular_list, ValueError, "circular or nested too deep"),
+    "deep": (_deep_state, ValueError, "circular or nested too deep"),
+    "set": (lambda: {1, 2}, TypeError, "not JSON serializable"),
+}
+
+
+@builtin_action("t.sim.tangle_then_go")
+def _tangle_then_go(ctx, params, message):
+    ctx.state["tangle"] = UNENCODABLE_STATES[params["state"]][0]()
+    ctx.request_migration(location_from_jsonable(params["dest"]))
+
+
 @builtin_action("t.sim.send_then_bad_trace")
 def _send_then_bad_trace(ctx, params, message):
     ctx.send(ag.make_message(ctx.agent_id, ctx.agent_id, "PING", "c", sent_at=ctx.now))

@@ -253,6 +253,8 @@ def test_choice_key_must_index_the_options():
         (MULTIPLE_CHOICE, [True, 0.0], "question 'q1' key index must be an integer from 0 to 2, got True"),
         (MULTIPLE_CHOICE, [0, 3], "question 'q1' key index must be an integer from 0 to 2, got 3"),
         (MULTIPLE_CHOICE, "01", "question 'q1': key must be a list of option indices, got '01'"),
+        # A repeat read back as the set without it.
+        (MULTIPLE_CHOICE, [1, 1, 0], "question 'q1' key must be distinct option indices, got [1, 1, 0]"),
     ],
 )
 def test_a_choice_key_holds_option_indices_as_written(kind, key, message):
@@ -266,6 +268,11 @@ def test_multiple_choice_key_normalizes_to_a_set():
     question = q(MULTIPLE_CHOICE, [2, 0], options=("a", "b", "c"))
     assert question.key == frozenset({0, 2})
     assert question.to_jsonable()["key"] == [0, 2]
+
+
+def test_a_multiple_choice_key_reads_as_the_sorted_set():
+    written = {"id": "q1", "kind": MULTIPLE_CHOICE, "prompt": "?", "key": [1, 0], "weight": 1, "options": ["a", "b"]}
+    assert ag.Question.from_jsonable(written).to_jsonable()["key"] == [0, 1]
 
 
 def test_keys_must_match_their_kind():

@@ -32,6 +32,7 @@ from agentry.model import (
 )
 from agentry.scenario import _read, build_platform
 from agentry.simulator import _MIGRATING
+from agentry.trace import CANONICAL_ENCODER
 from test_scenario_cli import JUNK, SHIPPED, _document_base, _slots, base_doc
 
 L1 = ag.LocationId(1, "one")
@@ -224,6 +225,18 @@ def test_a_subclass_of_at_time_still_wakes(platform_factory):
 def test_canonical_json_is_sorted_and_compact():
     data = ag.canonical_json({"b": 1, "a": [{"z": 0, "y": 1}]})
     assert data == b'{"a":[{"y":1,"z":0}],"b":1}'
+
+
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text()),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_canonical_json_reuses_an_encoder_that_writes_what_the_stdlib_one_writes(value):
+    assert ag.canonical_json(value) == CANONICAL_ENCODER.encode(value).encode()
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +541,37 @@ def _constructions():
     """(class, valid constructor arguments, the ones to fuzz) for each class
     whose constructor reads its arguments. A record's arguments are its
     sample's fields, each one fuzzed. The hop's classes read by hand, so the
-    scalars or tables they read are named here."""
+    arguments they read are named here."""
     constructions = [(type(s), {f.name: getattr(s, f.name) for f in fields(s)}, [f.name for f in fields(s)]) for s in _samples()]
     here, noop = L1, ag.ActionDescriptor("noop", {"k": [1]})
-    config = ag.ItineraryConfig(ag.Route((ag.Objective(here), ag.Objective(L2, 5, 9))))
+    route = ag.Route((ag.Objective(here), ag.Objective(L2, 5, 9)))
+    config = ag.ItineraryConfig(route)
     return [c for c in constructions if c[2]] + [
-        (ag.Objective, dict(location=here, earliest_offset=2, latest_offset=6, stop_tasks=(noop,)), ["earliest_offset", "latest_offset"]),
-        (ag.Route, dict(objectives=(ag.Objective(here),), base_time=3), ["base_time"]),
+        (
+            ag.Objective,
+            dict(location=here, earliest_offset=2, latest_offset=6, stop_tasks=(noop,)),
+            ["location", "earliest_offset", "latest_offset", "stop_tasks"],
+        ),
+        (ag.Route, dict(objectives=(ag.Objective(here),), base_time=3), ["objectives", "base_time"]),
+        (
+            ag.ItineraryConfig,
+            dict(route=route, reached_listeners=(noop,), missed_behavior=ag.Task(noop)),
+            ["route", "reached_listeners", "missed_behavior"],
+        ),
         (
             ag.Itinerary,
-            dict(config=config, planned_departures=True, _base=0, _index=1, _phase="window_wait", _arrival=4, _arrival_class="early"),
-            ["planned_departures", "_base", "_index", "_phase", "_arrival", "_arrival_class"],
+            dict(
+                config=config,
+                planned_departures=True,
+                estimator=ag.DelayEstimator(links={("one", "two"): Fraction(3, 2)}),
+                _base=0,
+                _index=1,
+                _phase="window_wait",
+                _arrival=4,
+                _arrival_class="early",
+                _missed_clone=ag.Task(noop),
+            ),
+            ["config", "planned_departures", "estimator", "_base", "_index", "_phase", "_arrival", "_arrival_class", "_missed_clone"],
         ),
         (
             ag.DelayEstimator,
@@ -589,6 +622,7 @@ def test_a_built_value_round_trips_or_its_constructor_raises(seed):
 
 
 _NOOP = ag.ActionDescriptor("noop")
+_ROUTE = ag.Route((ag.Objective(L1),))
 
 # Each of these built, then failed its own round trip: to_jsonable raised
 # AttributeError, or an int key (an answer's, a state's, a label's) read
@@ -612,6 +646,16 @@ UNREAD_FIELDS = {
     # These two raised TypeError: unhashable type: 'list'.
     "fsm_terminal": (lambda: ag.FsmDefinition({"s": _NOOP}, {}, "s", [[1]]), "fsm terminals entry must be a string, got [1]"),
     "fsm_target": (lambda: ag.FsmDefinition({"s": _NOOP}, {"s": {"go": [1]}}, "s"), "transition target [1] not among states"),
+    "itinerary_estimator": (
+        lambda: ag.Itinerary(ag.ItineraryConfig(_ROUTE), estimator={"k": 1}),
+        "itinerary estimator must be null or an estimator, got {'k': 1}",
+    ),
+    "objective_stop_tasks": (lambda: ag.Objective(L1, stop_tasks=[1]), "objective tasks entry must be an action, got 1"),
+    "config_listeners": (lambda: ag.ItineraryConfig(_ROUTE, reached_listeners=[1]), "itinerary listeners entry must be an action, got 1"),
+    "config_missed_behavior": (
+        lambda: ag.ItineraryConfig(_ROUTE, missed_behavior=5),
+        "itinerary missed_behavior must be null or a behavior, got 5",
+    ),
 }
 
 

@@ -1193,6 +1193,31 @@ def test_cli_reports_a_document_nested_too_deep_to_parse(tmp_path):
         assert res.stderr == "/: not valid JSON: nested deeper than the parser's recursion limit\n"
 
 
+def test_a_tree_too_deep_to_bind_is_reported_at_its_behavior(tmp_path):
+    # The marker walk raised RecursionError out of validate_scenario_doc.
+    tree = task_spec("noop")
+    for _ in range(5_000):
+        tree = {"kind": "sequential", "children": [tree]}
+    doc = base_doc(agents=[{"location": "home", "behavior": tree}])
+    assert validate_scenario_doc(doc, tmp_path) == ["/agents/0/behaviors/0: nested deeper than the recursion limit"]
+
+
+def test_cli_reports_a_document_nested_2000_deep(tmp_path):
+    # 3.13's C scanner parses it, and its tree then raised RecursionError out
+    # of validation: a traceback and exit 1. The earlier interpreters' parsers
+    # stop first.
+    depth = 2_000
+    tree = '{"kind": "sequential", "children": [' * depth + json.dumps(task_spec("noop")) + "]}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"format_version": 1, "locations": ["home"], "agents": [{{"location": "home", "behavior": {tree}}}]}}')
+    res = cli("validate", str(path), cwd=tmp_path)
+    assert res.returncode == EXIT_INVALID, res.stderr
+    assert res.stderr in (
+        "/: not valid JSON: nested deeper than the parser's recursion limit\n",
+        "/agents/0/behaviors/0: nested deeper than the recursion limit\n",
+    )
+
+
 def test_cli_run_with_flags(tmp_path):
     path = write_scenario(tmp_path, seeded_doc())
     done = cli("run", str(path), "--trace", "out.jsonl", "--seed", "3", cwd=tmp_path)

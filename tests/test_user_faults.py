@@ -13,7 +13,7 @@ import agentry as ag
 from agentry.model import location_to_jsonable
 from agentry.scenario import validate_scenario_doc
 
-from conftest import UNENCODABLE_DETAILS, make_mock, make_sim
+from conftest import UNENCODABLE_DETAILS, UNENCODABLE_STATES, make_mock, make_sim
 
 K = ag.EventKind
 
@@ -191,6 +191,33 @@ def test_behavior_done_is_traced_when_applying_its_effects_raises(platform_facto
     p.run(None)  # the finished agent still terminates, at the first unprocessed tick
     assert [(e.tick, e.kind) for e in p.trace()][2:] == [(2, K.TERMINATE)]
     assert not p.is_alive(agent)
+
+
+@pytest.mark.parametrize("case", sorted(UNENCODABLE_STATES))
+def test_state_that_will_not_encode_raises_from_the_migrating_step_on_both_platforms(case):
+    # Encoding a circular or deep state raised RecursionError. The blob is
+    # encoded before migrate draws a latency or traces migrate_start.
+    _, error, message = UNENCODABLE_STATES[case]
+    draws = []
+    for make in (lambda: ag.SimPlatform(ag.SimConfig(seed=7, migration_latency=ag.UniformRange(1, 1000))), make_mock):
+        latencies = []
+        for tangle in (True, False):
+            p = make()
+            a_loc, b_loc = p.create_location("a"), p.create_location("b")
+            bystander = p.spawn_agent(a_loc, [ag.Listener("X", [act("noop")])])
+            if tangle:
+                go = act("t.sim.tangle_then_go", {"dest": location_to_jsonable(b_loc), "state": case})
+                tangled = p.spawn_agent(a_loc, [ag.Task(go)])
+                with pytest.raises(error, match=message):
+                    p.run(None)
+                assert [e.kind for e in p.trace()] == [K.SPAWN, K.SPAWN, K.BEHAVIOR_DONE]
+                assert p.agent_location(tangled) == a_loc
+            p.migrate(bystander, b_loc)
+            p.run(None)
+            latencies += [e.detail["latency"] for e in p.trace() if e.kind == K.MIGRATE_END]
+        draws.append(latencies)
+    # The draw after the failed migrate is the one a world without it makes.
+    assert [after == clean for after, clean in draws] == [True, True]
 
 
 def test_a_run_after_a_raise_resumes_at_the_next_tick_on_both_platforms():
