@@ -422,8 +422,9 @@ class Itinerary(Behavior):
         _arrival: Optional[Ticks] = None,
         _arrival_class: str = "",
         _missed_clone: Optional[Behavior] = None,
+        _done: bool = False,
     ):
-        super().__init__()
+        self._finished = read_bool(_done, "done")
         self.config = read_instance(config, "itinerary config", ItineraryConfig)
         self._phase = read_one_of(_phase, "itinerary phase", _PHASES)
         self._index = read_int(_index, "itinerary index")
@@ -436,6 +437,13 @@ class Itinerary(Behavior):
         self._arrival = read_int(_arrival, "itinerary arrival", null=True)
         self._arrival_class = read_one_of(_arrival_class, "itinerary arrival_class", ("", "early", "on_time"))
         self._missed_clone = read_instance(_missed_clone, "itinerary missed_clone", Behavior, null=True)
+        # Reject any progress _step could not resume from. A finished
+        # itinerary never steps again; it may rest one past the last objective.
+        index, stops = self._index, len(self.config.route.objectives)
+        if not (0 <= index < stops or (self._finished and index == stops)):
+            raise ValueError(f"itinerary index {index} out of range for {stops} objectives")
+        if self._phase == _MISSED and not self._finished and self._missed_clone is None:
+            raise ValueError(f"itinerary phase {_MISSED!r} needs a missed_clone")
 
     # Stepping --------------------------------------------------------------
 
@@ -563,26 +571,16 @@ class Itinerary(Behavior):
 
     @classmethod
     def _from_dict_body(cls, d: dict[str, Any]) -> "Itinerary":
-        config = ItineraryConfig.from_jsonable(d["config"])
-        estimator = DelayEstimator.from_jsonable(d["estimator"])
-        missed_clone = None if d.get("missed_clone") is None else behavior_from_dict(d["missed_clone"])
-        done = read_bool(d.get("done", False), "done")
-        itinerary = cls(
-            config,
+        missed_clone = d.get("missed_clone")
+        return cls(
+            ItineraryConfig.from_jsonable(d["config"]),
             planned_departures=d.get("planned", False),
-            estimator=estimator,
+            estimator=DelayEstimator.from_jsonable(d["estimator"]),
             _base=d.get("base"),
             _index=d.get("index", 0),
             _phase=d.get("phase", _START),
             _arrival=d.get("arrival"),
             _arrival_class=d.get("arrival_class", ""),
-            _missed_clone=missed_clone,
+            _missed_clone=None if missed_clone is None else behavior_from_dict(missed_clone),
+            _done=d.get("done", False),
         )
-        # Reject any progress _step could not resume from. A finished
-        # itinerary never steps again; it may rest one past the last objective.
-        index, stops = itinerary._index, len(config.route.objectives)
-        if not (0 <= index < stops or (done and index == stops)):
-            raise ValueError(f"itinerary index {index} out of range for {stops} objectives")
-        if itinerary._phase == _MISSED and not done and missed_clone is None:
-            raise ValueError(f"itinerary phase {_MISSED!r} needs a missed_clone")
-        return itinerary

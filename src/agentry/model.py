@@ -39,23 +39,6 @@ class AgentId:
         return f"AgentId({self.value})"
 
 
-@dataclass(frozen=True, order=True)
-class LocationId:
-    """Opaque location identity plus its human-readable name.
-
-    Equality and ordering use only ``value``; the name rides along for
-    readable traces and serialized routes.
-    """
-
-    value: int
-    name: str = field(compare=False)
-
-    _noun = "location"
-
-    def __repr__(self) -> str:
-        return f"LocationId({self.value}, {self.name!r})"
-
-
 @dataclass(frozen=True)
 class Message:
     """Typed, addressed unit of communication with an opaque payload."""
@@ -271,7 +254,8 @@ class Behavior:
     Subclasses set a class-level ``kind`` string (which auto-registers them
     for deserialization) and implement ``_step``, ``_to_dict_body`` and
     ``_from_dict_body``; a ``@record(eq=False, repr=False)`` subclass declares
-    its fields as columns and gets the last two generated. Two behaviors
+    its fields as columns and gets the last two generated, with its
+    ``__init__``. Two behaviors
     compare equal when their serialized forms match, internal progress
     included.
     """
@@ -491,23 +475,25 @@ def column(
     omit: bool = False,
     default: Any = MISSING,
     kw_only: bool = False,
+    compare: bool = True,
     **kwargs: Any,
 ) -> Any:
-    """A dataclass field (``default`` and ``kw_only`` go to ``field``) whose
-    metadata is its column. ``read(value, label, *args, **kwargs)`` returns
-    what is kept, or raises; without one the value is kept as given, for
-    opaque JSON or for a field ``_check`` reads. ``label`` is an f-string
-    with ``self`` bound. ``encode`` (a function, or the name of a method of
-    the value) makes the kept value JSON and ``decode`` makes JSON an
-    argument, converting what it recognizes and passing the rest on for
-    ``read`` to reject; with ``each`` both apply to each item of a list.
+    """A dataclass field (``default``, ``kw_only`` and ``compare`` go to
+    ``field``) whose metadata is its column. ``read(value, label, *args,
+    **kwargs)`` returns what is kept, or raises; without one the value is
+    kept as given, for opaque JSON or for a field ``_check`` reads.
+    ``label`` is an f-string with ``self`` bound. ``encode`` (a function, or
+    the name of a method of the value) makes the kept value JSON and
+    ``decode`` makes JSON an argument, converting what it recognizes and
+    passing the rest on for ``read`` to reject; with ``each`` both apply to
+    each item of a list.
     ``key`` is the JSON key (the name without leading underscores),
     ``absent`` the argument for a missing key (MISSING: required) and
     ``omit`` writes the key only when the value is not it."""
     absent = default if absent is _FROM_DEFAULT else absent
     rules = dict(read=read, label=label, args=args, kwargs=kwargs, key=key, each=each)
     rules.update(encode=encode, decode=decode, absent=absent, omit=omit)
-    return field(default=default, kw_only=kw_only, metadata=rules)
+    return field(default=default, kw_only=kw_only, compare=compare, metadata=rules)
 
 
 def _codec(cls: type) -> tuple[str, Callable[[Any], Any]]:
@@ -540,40 +526,47 @@ _RECORDS: list[type] = []
 
 def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str] = None, **options: Any) -> Any:
     """Make ``cls`` a dataclass (``options`` go to ``dataclass``) and generate
-    from its columns, once, as straight-line code: ``__post_init__``, which
-    reads each field in order, then calls ``_check``, if the class has one,
-    for the checks that span fields; ``to_jsonable`` (``_to_dict_body`` for
-    a behavior), which writes ``"kind": tag`` (kept as ``_tag``) first; and
-    ``from_jsonable`` (``_from_dict_body``), which maps keys to arguments.
-    ``noun`` names the record in errors ("<noun> must be an object" from
-    its decoder). A field without a column raises TypeError."""
+    from its columns, once, as straight-line code: ``__init__``, with the
+    signature dataclass would give it, which reads and stores each field in
+    order, then calls ``_check``, if the class has one, for the checks that
+    span fields; ``to_jsonable`` (``_to_dict_body`` for a behavior), which
+    writes ``"kind": tag`` (kept as ``_tag``) first; and ``from_jsonable``
+    (``_from_dict_body``), which decodes every argument, then builds the
+    record with the same reads and stores, without a call to ``cls``, unless
+    ``cls`` is a subclass, whose own ``__init__`` runs. ``noun`` names the
+    record in errors ("<noun> must be an object" from its decoder). A field
+    without a column raises TypeError."""
     if cls is None:
         return lambda cls: record(cls, noun=noun, tag=tag, **options)
-    # dataclass decides here whether __init__ calls __post_init__, so the
-    # hook must exist first; the generated one replaces it below.
-    cls.__post_init__ = None
-    cls = dataclass(cls, **options)
-    ns: dict[str, Any] = {"read_object": read_object, "noun": noun, "setattr": object.__setattr__}
+    cls = dataclass(cls, init=False, **options)
+    ns: dict[str, Any] = {"__name__": cls.__module__, "read_object": read_object, "noun": noun, "this": cls}
+    ns.update(new=object.__new__, setattr=object.__setattr__)
     # Assigning through self.__dict__ would make CPython build the instance's
-    # dict, which slows every later attribute read of it; a frozen record sets
-    # a field again only when its reader returned another value.
-    store = " v = {1}\n if v is not self.{0}: setattr(self, {0!r}, v)" if options.get("frozen") else " self.{0} = {1}"
-    reads, items, omitted, arguments = [], [f"'kind': {tag!r}"] if tag else [], [], []
-    for f in fields(cls):
+    # dict, which slows every later attribute read of it.
+    store = " setattr(self, {0!r}, {1})" if options.get("frozen") else " self.{0} = {1}"
+    params, keywords, stores, decoded, arguments = [], [], [], [], []
+    items, omitted = [f"'kind': {tag!r}"] if tag else [], []
+    columns = fields(cls)
+    for f in columns:
         if "read" not in f.metadata:
             raise TypeError(f"{cls.__name__}.{f.name} has no column")
         c, n = f.metadata, f.name
         key = c["key"] or n.lstrip("_")
-        ns.update({f"r_{n}": c["read"], f"e_{n}": c["encode"], f"c_{n}": c["decode"], f"b_{n}": c["absent"]})
+        ns.update({f"r_{n}": c["read"], f"e_{n}": c["encode"], f"c_{n}": c["decode"], f"b_{n}": c["absent"], f"d_{n}": f.default})
+        (keywords if f.kw_only else params).append(n if f.default is MISSING else f"{n}=d_{n}")
+        # The constructor and the decoder both hold each argument in a local
+        # named after its field, so they share these lines.
+        value = n
         if c["read"]:
-            call = [f"self.{n}", "f" * ("{" in c["label"]) + repr(c["label"])]
+            call = [n, "f" * ("{" in c["label"]) + repr(c["label"])]
             for i, arg in enumerate(c["args"]):
                 ns[f"a_{n}_{i}"] = arg
                 call.append(f"a_{n}_{i}")
             for k, arg in c["kwargs"].items():
                 ns[f"k_{n}_{k}"] = arg
                 call.append(f"{k}=k_{n}_{k}")
-            reads.append(store.format(n, f"r_{n}({', '.join(call)})"))
+            value = f"r_{n}({', '.join(call)})"
+        stores.append(store.format(n, value))
         # Method calls and comprehensions are written out, so that a nested
         # behavior costs the stack frames a hand-written codec would.
         e, value = c["encode"], "v" if c["each"] else f"self.{n}"
@@ -588,23 +581,51 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
             got = f"([c_{n}(v) for v in x] if isinstance(x := j[{key!r}], list) else x)"
         if c["absent"] is not MISSING:
             got = f"{got} if {key!r} in j else b_{n}" if c["decode"] else f"j.get({key!r}, b_{n})"
-        arguments.append(f"{n}={got}" if f.kw_only else got)
+        decoded.append(f" {n} = {got}")
+        arguments.append(f"{n}={n}" if f.kw_only else n)
+    shadowed = {f.name for f in columns} & {*ns, "self", "cls", "j", "x", "isinstance"}
+    if shadowed:
+        raise TypeError(f"{cls.__name__} fields {sorted(shadowed)} shadow names the generated code uses")
     behavior = issubclass(cls, Behavior)
     encoder, decoder = ("_to_dict_body", "_from_dict_body") if behavior else ("to_jsonable", "from_jsonable")
-    check = " self._check()" if hasattr(cls, "_check") else ""
-    # A behavior's dataclass __init__ does not call Behavior.__init__.
+    # A behavior's generated __init__ does not call Behavior.__init__.
     finished = " self._finished = False" if behavior else ""
-    source = ["def __post_init__(self):", finished, *reads, check, " pass"]
+    body = [*stores, finished, " self._check()" if hasattr(cls, "_check") else "", " pass"]
+    signature = [*params, "*", *keywords] if keywords else params
+    source = [f"def __init__(self, {', '.join(signature)}):", *body]
     source += [f"def {encoder}(self):", f" j = {{{', '.join(items)}}}", *omitted, " return j"]
-    unpack = " j = read_object(j, noun)" if noun else ""
-    source += ["@classmethod", f"def {decoder}(cls, j):", unpack, f" return cls({', '.join(arguments)})"]
+    # read_object's test, inline: a decoder runs for every nested record.
+    unpack = " if not isinstance(j, dict): read_object(j, noun)" if noun else ""
+    source += [f"def {decoder}(cls, j):", unpack, *decoded, f" if cls is not this: return cls({', '.join(arguments)})"]
+    source += [" self = new(cls)", *body, " return self"]
     exec("\n".join(source), ns)
-    for name in ("__post_init__", encoder, decoder):
-        setattr(cls, name, ns[name])
+    for name in ("__init__", encoder, decoder):
+        ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, classmethod(ns[name]) if name == decoder else ns[name])
+    cls.__init__.__annotations__ = {**{f.name: f.type for f in columns}, "return": None}
     cls._noun = noun or getattr(cls, "_noun", None)
     cls._tag = tag
     _RECORDS.append(cls)
     return cls
+
+
+@record(frozen=True, order=True, noun="location")
+class LocationId:
+    """Opaque location identity plus its human-readable name.
+
+    Equality and ordering use only ``value``; the name rides along for
+    readable traces and serialized routes.
+    """
+
+    value: int = column(read_int, "location value")
+    name: str = column(read_str, "location name", compare=False)
+
+    def __repr__(self) -> str:
+        return f"LocationId({self.value}, {self.name!r})"
+
+
+location_to_jsonable = LocationId.to_jsonable
+location_from_jsonable = LocationId.from_jsonable
 
 
 # ---------------------------------------------------------------------------
@@ -631,12 +652,6 @@ def canonical_json(value: Any) -> bytes:
         raise ValueError("canonical JSON: the value is circular or nested too deep to encode") from None
 
 
-def location_to_jsonable(loc: LocationId) -> dict[str, Any]:
-    return {"value": loc.value, "name": loc.name}
-
-
-def location_from_jsonable(d: dict[str, Any]) -> LocationId:
-    return LocationId(read_int(read_object(d, "location")["value"], "location value"), read_str(d["name"], "location name"))
 
 
 def message_to_jsonable(msg: Message) -> dict[str, Any]:

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import agentry as ag
 from agentry import simulator
-from agentry.model import AgentShell, deserialize_shell, read_int, read_list, read_object, read_str, serialize_shell
+from agentry.model import AgentShell, deserialize_shell, read_list, read_object, serialize_shell
 from agentry.scenario import build_platform, render_trace, validate_scenario_doc
 from agentry.trace import EventKind
 
@@ -499,13 +499,14 @@ def test_a_malformed_route_reports_its_first_problem_in_objective_order():
 
 
 def _per_objective_route(d):
-    """The reference decode: each objective's location and stop tasks read,
+    """The reference decode: each objective's location built (both its keys
+    looked up, then its constructor reads them) and its stop tasks read,
     then the objective built (its constructor reads the window), in route
     order, then the route built (its constructor reads base_time)."""
     objectives = []
     for o in read_list(read_object(d, "route")["objectives"], "route objectives"):
         where = read_object(read_object(o, "objective")["location"], "location")
-        location = ag.LocationId(read_int(where["value"], "location value"), read_str(where["name"], "location name"))
+        location = ag.LocationId(where["value"], where["name"])
         tasks = read_list(o.get("tasks", []), "objective tasks")
         tasks = tuple(ag.ActionDescriptor.from_jsonable(t) for t in tasks)
         objectives.append(ag.Objective(location, o.get("earliest", 0), o.get("latest"), tasks))

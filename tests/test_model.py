@@ -1,13 +1,14 @@
 """The data layer: messages, wake conditions, serialization round trips."""
 
 import functools
+import inspect
 import json
 import os
 import random
 import re
 import tempfile
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -511,6 +512,7 @@ def _samples():
     question = ag.Question("q", ag.SINGLE_CHOICE, "?", 1, "3/2", ("a", "b"))
     submission = ag.Submission("t", AgentId(3), {"q": 1}, Fraction(1, 2), Fraction(2), 5)
     return [
+        ag.LocationId(3, "lab"),
         noop,
         ag.RequestEnvelope(noop, "slot"),
         ag.Task(noop),
@@ -566,12 +568,13 @@ def _constructions():
                 estimator=ag.DelayEstimator(links={("one", "two"): Fraction(3, 2)}),
                 _base=0,
                 _index=1,
-                _phase="window_wait",
+                _phase="missed",
                 _arrival=4,
-                _arrival_class="early",
+                _arrival_class="",
                 _missed_clone=ag.Task(noop),
+                _done=False,
             ),
-            ["config", "planned_departures", "estimator", "_base", "_index", "_phase", "_arrival", "_arrival_class", "_missed_clone"],
+            ["config", "planned_departures", "estimator", "_base", "_index", "_phase", "_arrival", "_arrival_class", "_missed_clone", "_done"],
         ),
         (
             ag.DelayEstimator,
@@ -582,8 +585,8 @@ def _constructions():
 
 
 # JSON junk in an argument: wrong types, and values right by accident for
-# some argument (a marker, a state name, a phase, an arrival class).
-CONSTRUCT_JUNK = [2.0, 2.5, -1.5, True, False, None, "", "x", "s1", "early", "await_result", "cyclic"]
+# some argument (a marker, a state name, a phase, an arrival class, an index).
+CONSTRUCT_JUNK = [2.0, 2.5, -1.5, -1, 5, True, False, None, "", "x", "s1", "early", "await_result", "cyclic"]
 CONSTRUCT_JUNK += [[], [1], {}, {"k": 1}, {"$state": "k"}]
 
 
@@ -656,6 +659,13 @@ UNREAD_FIELDS = {
         lambda: ag.ItineraryConfig(_ROUTE, missed_behavior=5),
         "itinerary missed_behavior must be null or a behavior, got 5",
     ),
+    "itinerary_missed_phase": (
+        lambda: ag.Itinerary(ag.ItineraryConfig(_ROUTE), _phase="missed", _base=0),
+        "itinerary phase 'missed' needs a missed_clone",
+    ),
+    "itinerary_index": (lambda: ag.Itinerary(ag.ItineraryConfig(_ROUTE), _index=5), "itinerary index 5 out of range for 1 objectives"),
+    "location_name": (lambda: ag.Objective(ag.LocationId(1, 2)), "location name must be a string, got 2"),
+    "location_value": (lambda: ag.LocationId("x", None), "location value must be an integer, got 'x'"),
 }
 
 
@@ -666,6 +676,89 @@ def test_a_field_is_read_where_it_is_built(case):
         build()
 
 
+def _dataclass_twin(cls):
+    """A plain dataclass with ``cls``'s fields, name and qualname: what
+    ``dataclass`` alone would have made of the record."""
+    namespace = {"__annotations__": {f.name: f.type for f in fields(cls)}, "__qualname__": cls.__qualname__}
+    for f in fields(cls):
+        namespace[f.name] = field(default=f.default, kw_only=f.kw_only)
+    return dataclass(type(cls.__name__, (), namespace))
+
+
+def _type_error(build):
+    try:
+        build()
+    except TypeError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cls", model._RECORDS, ids=lambda cls: cls.__name__)
+def test_a_record_constructor_has_the_dataclass_signature(cls):
+    twin = _dataclass_twin(cls)
+    assert inspect.signature(cls) == inspect.signature(twin)
+    assert cls.__init__.__qualname__ == twin.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert "__post_init__" not in vars(cls)
+    # Python's own argument errors name the constructor by its qualname.
+    too_many = range(len(fields(cls)) + 1)
+    for args, kwargs in [((), {}), (too_many, {}), ((), {"bogus": 1})]:
+        assert _type_error(lambda: cls(*args, **kwargs)) == _type_error(lambda: twin(*args, **kwargs))
+
+
+def test_a_missing_argument_names_the_record_constructor():
+    with pytest.raises(TypeError, match=re.escape("Task.__init__() missing 1 required positional argument: 'action'")):
+        ag.Task()
+
+
+_UNREADABLE = object()  # no reader takes it
+
+
+@pytest.mark.parametrize("sample", _samples(), ids=lambda sample: type(sample).__name__)
+def test_replace_with_a_bad_value_raises_the_column_readers_error(sample):
+    for f in fields(sample):
+        c = f.metadata
+        if c["read"] is None:
+            continue
+        with pytest.raises(ValueError) as expected:
+            c["read"](_UNREADABLE, c["label"].format(self=sample), *c["args"], **c["kwargs"])
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            replace(sample, **{f.name: _UNREADABLE})
+
+
+class _StampedAction(ag.ActionDescriptor):
+    """A subclass of a record that is not a record, with its own __init__."""
+
+    def __init__(self, name, params=None):
+        super().__init__(name, params)
+        object.__setattr__(self, "stamped", True)
+
+
+class _StampedTask(ag.Task):
+    def __init__(self, action):
+        super().__init__(action)
+        self.stamped = True
+
+
+def test_a_subclass_of_a_record_decodes_through_its_own_init():
+    action = _StampedAction.from_jsonable({"name": "noop", "params": [1]})
+    assert type(action) is _StampedAction and action.stamped and action.to_jsonable() == {"name": "noop", "params": [1]}
+    task = _StampedTask._from_dict_body({"kind": "task", "action": {"name": "noop"}})
+    assert type(task) is _StampedTask and task.stamped and not task.finished
+
+
+def test_a_record_decodes_without_calling_its_class(monkeypatch):
+    """The decoder builds the record itself: a later __init__ on the class
+    is not run by it, while the reads still are."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the decoder called the class")
+
+    monkeypatch.setattr(ag.ActionDescriptor, "__init__", refuse)
+    assert ag.ActionDescriptor.from_jsonable({"name": "noop"}).name == "noop"
+    with pytest.raises(ValueError, match="^action name must be a string, got 5$"):
+        ag.ActionDescriptor.from_jsonable({"name": 5})
+
+
 def test_a_record_field_without_a_column_raises_where_the_class_is_defined():
     with pytest.raises(TypeError, match="^_Loose.loose has no column$"):
 
@@ -673,6 +766,15 @@ def test_a_record_field_without_a_column_raises_where_the_class_is_defined():
         class _Loose:
             kept: int = column(read_int, "kept")
             loose: int = 0
+
+
+def test_a_record_field_named_like_the_generated_codes_names_raises():
+    with pytest.raises(TypeError, match=r"^_Shadow fields \['j', 'noun'\] shadow names the generated code uses$"):
+
+        @record(frozen=True, noun="shadow")
+        class _Shadow:
+            noun: int = column(read_int, "noun")
+            j: int = column(read_int, "j")
 
 
 # ---------------------------------------------------------------------------
