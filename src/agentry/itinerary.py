@@ -10,7 +10,7 @@ policy, or halting for good when there is none.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -31,7 +31,9 @@ from .model import (
     Ticks,
     behavior_from_dict,
     clone_behavior,
-    location_from_jsonable,
+    column,
+    nested,
+    nested_list,
     read_bool,
     read_fraction,
     read_instance,
@@ -40,12 +42,13 @@ from .model import (
     read_list,
     read_object,
     read_one_of,
+    record,
 )
 
 Window = tuple[Ticks, Optional[Ticks]]
 
 
-@dataclass(frozen=True)
+@record(frozen=True, noun="objective")
 class Objective:
     """One stop: where to be, when to be there, what to do on arrival.
 
@@ -53,38 +56,16 @@ class Objective:
     None leaves the window open-ended.
     """
 
-    location: LocationId
-    earliest_offset: Ticks = 0
-    latest_offset: Optional[Ticks] = None
-    stop_tasks: tuple[ActionDescriptor, ...] = ()
+    location: LocationId = nested(LocationId, "objective location")
+    earliest_offset: Ticks = column(read_int, "objective earliest", key="earliest", default=0)
+    latest_offset: Optional[Ticks] = column(read_int, "objective latest", key="latest", null=True, default=None)
+    stop_tasks: tuple[ActionDescriptor, ...] = nested_list(ActionDescriptor, "objective tasks", tuple, key="tasks", default=())
 
-    _noun = "objective"
-
-    def __post_init__(self) -> None:
-        read_instance(self.location, "objective location", LocationId)
-        read_int(self.earliest_offset, "objective earliest")
-        read_int(self.latest_offset, "objective latest", null=True)
-        object.__setattr__(self, "stop_tasks", read_items(self.stop_tasks, "objective tasks", ActionDescriptor, tuple))
+    def _check(self) -> None:
         if self.earliest_offset < 0:
             raise ValueError("earliest_offset must be non-negative")
         if self.latest_offset is not None and self.latest_offset < self.earliest_offset:
             raise ValueError("latest_offset must be >= earliest_offset")
-
-    def to_jsonable(self) -> dict[str, Any]:
-        location = self.location
-        return {
-            "location": {"value": location.value, "name": location.name},
-            "earliest": self.earliest_offset,
-            "latest": self.latest_offset,
-            "tasks": [t.to_jsonable() for t in self.stop_tasks] if self.stop_tasks else [],
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "Objective":
-        location = location_from_jsonable(read_object(d, "objective")["location"])
-        tasks = tuple(ActionDescriptor.from_jsonable(t) for t in read_list(d.get("tasks", []), "objective tasks"))
-        rows = None if tasks else _task_free_rows([d])
-        return _task_free_objective(*rows[0]) if rows else cls(location, d.get("earliest", 0), d.get("latest"), tasks)
 
 
 # An objective without stop tasks holds only a frozen LocationId, ints and an
@@ -166,8 +147,12 @@ class Route:
             rows = None
         if rows is not None and (base_time is None or type(base_time) is int):
             return _task_free_route(rows, base_time)
-        objectives = read_list(read_object(d, "route")["objectives"], "route objectives")
-        return cls(tuple(Objective.from_jsonable(o) for o in objectives), d.get("base_time"))
+        objectives = []
+        for o in read_list(read_object(d, "route")["objectives"], "route objectives"):
+            o = Objective.from_jsonable(o)
+            where = o.location  # a task-free objective is shared, as on the fast path
+            objectives.append(o if o.stop_tasks else _task_free_objective(where.value, where.name, o.earliest_offset, o.latest_offset))
+        return cls(tuple(objectives), d.get("base_time"))
 
 
 # ---------------------------------------------------------------------------
@@ -350,37 +335,24 @@ def next_departure_plan(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _behavior_column(label: str, **options: Any) -> Any:
+    """A column holding a behavior or None. Any value but None decodes
+    through behavior_from_dict, so 5 reads "behavior must be an object"."""
+    options["encode"] = lambda v: None if v is None else v.to_dict()
+    options["decode"] = lambda v: None if v is None else behavior_from_dict(v)
+    return column(read_instance, label, Behavior, null=True, default=None, **options)
+
+
+@record(frozen=True, noun="itinerary config")
 class ItineraryConfig:
     """Route, arrival listeners, and the missed-objective policy. Frozen:
     none of it can change once the behavior is enacted."""
 
-    route: Route
-    reached_listeners: tuple[ActionDescriptor, ...] = ()
-    missed_behavior: Optional[Behavior] = None
-
-    _noun = "itinerary config"
-
-    def __post_init__(self) -> None:
-        read_instance(self.route, "itinerary route", Route)
-        object.__setattr__(self, "reached_listeners", read_items(self.reached_listeners, "itinerary listeners", ActionDescriptor, tuple))
-        read_instance(self.missed_behavior, "itinerary missed_behavior", Behavior, null=True)
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "route": self.route.to_jsonable(),
-            "listeners": [l.to_jsonable() for l in self.reached_listeners],
-            "missed_behavior": self.missed_behavior.to_dict() if self.missed_behavior else None,
-        }
-
-    @classmethod
-    def from_jsonable(cls, d: dict[str, Any]) -> "ItineraryConfig":
-        missed = read_object(d, "itinerary config").get("missed_behavior")
-        return cls(
-            route=Route.from_jsonable(d["route"]),
-            reached_listeners=[ActionDescriptor.from_jsonable(l) for l in read_list(d.get("listeners", []), "itinerary listeners")],
-            missed_behavior=None if missed is None else behavior_from_dict(missed),
-        )
+    route: Route = nested(Route, "itinerary route")
+    reached_listeners: tuple[ActionDescriptor, ...] = nested_list(
+        ActionDescriptor, "itinerary listeners", tuple, key="listeners", default=()
+    )
+    missed_behavior: Optional[Behavior] = _behavior_column("itinerary missed_behavior")
 
 
 _START = "start"
@@ -392,6 +364,12 @@ _HALTED = "halted"
 _PHASES = (_START, _DEPART, _TRAVELING, _WINDOW_WAIT, _MISSED, _HALTED)
 
 
+def _read_estimator(value: Any, label: str) -> DelayEstimator:
+    """An estimator, or a fresh default one for None."""
+    return DelayEstimator() if read_instance(value, label, DelayEstimator, null=True) is None else value
+
+
+@record(eq=False, repr=False)
 class Itinerary(Behavior):
     """Visit the route's objectives in order, respecting arrival windows.
 
@@ -409,34 +387,25 @@ class Itinerary(Behavior):
     """
 
     kind = "itinerary"
+    config: ItineraryConfig = nested(ItineraryConfig, "itinerary config")
+    planned_departures: bool = column(read_bool, "itinerary planned", key="planned", default=False)
+    # The blob always holds it; None builds the default estimator.
+    estimator: Optional[DelayEstimator] = column(
+        _read_estimator, "itinerary estimator", encode="to_jsonable", decode=DelayEstimator.from_jsonable,
+        default=None, absent=MISSING,
+    )
+    # Read by _check, as what it may hold depends on the phase.
+    _base: Optional[Ticks] = column(default=None, kw_only=True)
+    _index: int = column(read_int, "itinerary index", default=0, kw_only=True)
+    _phase: str = column(read_one_of, "itinerary phase", _PHASES, default=_START, kw_only=True)
+    _arrival: Optional[Ticks] = column(read_int, "itinerary arrival", null=True, default=None, kw_only=True)
+    _arrival_class: str = column(read_one_of, "itinerary arrival_class", ("", "early", "on_time"), default="", kw_only=True)
+    _missed_clone: Optional[Behavior] = _behavior_column("itinerary missed_clone", kw_only=True)
 
-    def __init__(
-        self,
-        config: ItineraryConfig,
-        planned_departures: bool = False,
-        estimator: Optional[DelayEstimator] = None,
-        *,
-        _base: Optional[Ticks] = None,
-        _index: int = 0,
-        _phase: str = _START,
-        _arrival: Optional[Ticks] = None,
-        _arrival_class: str = "",
-        _missed_clone: Optional[Behavior] = None,
-        _done: bool = False,
-    ):
-        self._finished = read_bool(_done, "done")
-        self.config = read_instance(config, "itinerary config", ItineraryConfig)
-        self._phase = read_one_of(_phase, "itinerary phase", _PHASES)
-        self._index = read_int(_index, "itinerary index")
-        if _phase != _START and not isinstance(_base, int):
-            raise ValueError(f"itinerary base must be an integer past {_START!r}, got {_base!r}")
-        self.planned_departures = read_bool(planned_departures, "itinerary planned")
-        estimator = read_instance(estimator, "itinerary estimator", DelayEstimator, null=True)
-        self.estimator = estimator if estimator is not None else DelayEstimator()
-        self._base = read_int(_base, "itinerary base", null=True)
-        self._arrival = read_int(_arrival, "itinerary arrival", null=True)
-        self._arrival_class = read_one_of(_arrival_class, "itinerary arrival_class", ("", "early", "on_time"))
-        self._missed_clone = read_instance(_missed_clone, "itinerary missed_clone", Behavior, null=True)
+    def _check(self) -> None:
+        if self._phase != _START and not isinstance(self._base, int):
+            raise ValueError(f"itinerary base must be an integer past {_START!r}, got {self._base!r}")
+        read_int(self._base, "itinerary base", null=True)
         # Reject any progress _step could not resume from. A finished
         # itinerary never steps again; it may rest one past the last objective.
         index, stops = self._index, len(self.config.route.objectives)
@@ -553,34 +522,3 @@ class Itinerary(Behavior):
             return DONE
         self._phase = _DEPART
         return RUNNING
-
-    # Serialization ---------------------------------------------------------
-
-    def _to_dict_body(self) -> dict[str, Any]:
-        return {
-            "config": self.config.to_jsonable(),
-            "planned": self.planned_departures,
-            "estimator": self.estimator.to_jsonable(),
-            "base": self._base,
-            "index": self._index,
-            "phase": self._phase,
-            "arrival": self._arrival,
-            "arrival_class": self._arrival_class,
-            "missed_clone": self._missed_clone.to_dict() if self._missed_clone else None,
-        }
-
-    @classmethod
-    def _from_dict_body(cls, d: dict[str, Any]) -> "Itinerary":
-        missed_clone = d.get("missed_clone")
-        return cls(
-            ItineraryConfig.from_jsonable(d["config"]),
-            planned_departures=d.get("planned", False),
-            estimator=DelayEstimator.from_jsonable(d["estimator"]),
-            _base=d.get("base"),
-            _index=d.get("index", 0),
-            _phase=d.get("phase", _START),
-            _arrival=d.get("arrival"),
-            _arrival_class=d.get("arrival_class", ""),
-            _missed_clone=None if missed_clone is None else behavior_from_dict(missed_clone),
-            _done=d.get("done", False),
-        )

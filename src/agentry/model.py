@@ -533,9 +533,10 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     writes ``"kind": tag`` (kept as ``_tag``) first; and ``from_jsonable``
     (``_from_dict_body``), which decodes every argument, then builds the
     record with the same reads and stores, without a call to ``cls``, unless
-    ``cls`` is a subclass, whose own ``__init__`` runs. ``noun`` names the
-    record in errors ("<noun> must be an object" from its decoder). A field
-    without a column raises TypeError."""
+    ``cls`` is a subclass, whose own ``__init__`` runs. A behavior's decoder
+    stores the blob's ``done`` before ``_check``, which may read it. ``noun``
+    names the record in errors ("<noun> must be an object" from its decoder).
+    A field without a column raises TypeError."""
     if cls is None:
         return lambda cls: record(cls, noun=noun, tag=tag, **options)
     cls = dataclass(cls, init=False, **options)
@@ -588,16 +589,17 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
         raise TypeError(f"{cls.__name__} fields {sorted(shadowed)} shadow names the generated code uses")
     behavior = issubclass(cls, Behavior)
     encoder, decoder = ("_to_dict_body", "_from_dict_body") if behavior else ("to_jsonable", "from_jsonable")
-    # A behavior's generated __init__ does not call Behavior.__init__.
-    finished = " self._finished = False" if behavior else ""
-    body = [*stores, finished, " self._check()" if hasattr(cls, "_check") else "", " pass"]
+    # A behavior's generated __init__ does not call Behavior.__init__. Its decoder
+    # keeps done only when true: behavior_from_dict reads done strictly after it.
+    finished = [" self._finished = False", " self._finished = j.get('done') is True"] if behavior else ["", ""]
+    check = " self._check()" if hasattr(cls, "_check") else ""
     signature = [*params, "*", *keywords] if keywords else params
-    source = [f"def __init__(self, {', '.join(signature)}):", *body]
+    source = [f"def __init__(self, {', '.join(signature)}):", *stores, finished[0], check, " pass"]
     source += [f"def {encoder}(self):", f" j = {{{', '.join(items)}}}", *omitted, " return j"]
     # read_object's test, inline: a decoder runs for every nested record.
     unpack = " if not isinstance(j, dict): read_object(j, noun)" if noun else ""
     source += [f"def {decoder}(cls, j):", unpack, *decoded, f" if cls is not this: return cls({', '.join(arguments)})"]
-    source += [" self = new(cls)", *body, " return self"]
+    source += [" self = new(cls)", *stores, finished[1], check, " return self"]
     exec("\n".join(source), ns)
     for name in ("__init__", encoder, decoder):
         ns[name].__qualname__ = f"{cls.__qualname__}.{name}"

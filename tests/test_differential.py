@@ -30,10 +30,10 @@ Why each generator exists:
   of each record outside grading, with one field replaced by junk, deleted
   or wrapped.
 * ``construct_round_trip``: a constructor accepts exactly what its decoder
-  accepts, so a record (its classes and fields taken from the columns) or
-  one of the hop's hand-read classes, built with one argument set to JSON
-  junk, either raises where it is built or reads back equal after a trip
-  through JSON.
+  accepts, so a record (its classes and fields taken from the columns), or
+  ``Route`` or ``DelayEstimator``, which read by hand, built with one
+  argument set to JSON junk, either raises where it is built or reads back
+  equal after a trip through JSON.
 * ``config_accepts``: a latency model or ``SimConfig`` accepts exactly the
   config fields scenario validation accepts, so a spec with one field set to
   JSON junk raises where it is built exactly when validation reports its

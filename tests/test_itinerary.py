@@ -500,15 +500,16 @@ def test_a_malformed_route_reports_its_first_problem_in_objective_order():
 
 def _per_objective_route(d):
     """The reference decode: each objective's location built (both its keys
-    looked up, then its constructor reads them) and its stop tasks read,
-    then the objective built (its constructor reads the window), in route
-    order, then the route built (its constructor reads base_time)."""
+    looked up, then its constructor reads them) and each entry of a list of
+    stop tasks decoded, then the objective built (its constructor reads the
+    window, then the tasks, then checks the window), in route order, then
+    the route built (its constructor reads base_time)."""
     objectives = []
     for o in read_list(read_object(d, "route")["objectives"], "route objectives"):
         where = read_object(read_object(o, "objective")["location"], "location")
         location = ag.LocationId(where["value"], where["name"])
-        tasks = read_list(o.get("tasks", []), "objective tasks")
-        tasks = tuple(ag.ActionDescriptor.from_jsonable(t) for t in tasks)
+        tasks = o.get("tasks", [])
+        tasks = [ag.ActionDescriptor.from_jsonable(t) for t in tasks] if isinstance(tasks, list) else tasks
         objectives.append(ag.Objective(location, o.get("earliest", 0), o.get("latest"), tasks))
     return ag.Route(tuple(objectives), d.get("base_time"))
 

@@ -511,6 +511,9 @@ def _samples():
     definition = ag.FsmDefinition({"s0": noop, "s1": noop}, {"s0": {"go": "s1"}}, "s0", frozenset({"s1"}))
     question = ag.Question("q", ag.SINGLE_CHOICE, "?", 1, "3/2", ("a", "b"))
     submission = ag.Submission("t", AgentId(3), {"q": 1}, Fraction(1, 2), Fraction(2), 5)
+    objective = ag.Objective(ag.LocationId(2, "yard"), 2, 6, (noop,))
+    config = ag.ItineraryConfig(ag.Route((objective, ag.Objective(L2, 5, 9))), (noop,), ag.Task(noop))
+    estimator = ag.DelayEstimator(links={("one", "two"): Fraction(3, 2)})
     return [
         ag.LocationId(3, "lab"),
         noop,
@@ -531,6 +534,9 @@ def _samples():
         submission,
         ag.ExamReport("t", ("n",), ("r",), (submission,)),
         ag.ProgressRecord(AgentId(3), "t", Fraction(7, 2), 6),
+        objective,
+        config,
+        ag.Itinerary(config, True, estimator, _base=0, _index=1, _phase="missed", _arrival=4, _missed_clone=ag.Task(noop)),
     ]
 
 
@@ -542,40 +548,11 @@ def test_every_record_has_a_sample():
 def _constructions():
     """(class, valid constructor arguments, the ones to fuzz) for each class
     whose constructor reads its arguments. A record's arguments are its
-    sample's fields, each one fuzzed. The hop's classes read by hand, so the
-    arguments they read are named here."""
+    sample's fields, each one fuzzed. Route and DelayEstimator read by hand,
+    so the arguments they read are named here."""
     constructions = [(type(s), {f.name: getattr(s, f.name) for f in fields(s)}, [f.name for f in fields(s)]) for s in _samples()]
-    here, noop = L1, ag.ActionDescriptor("noop", {"k": [1]})
-    route = ag.Route((ag.Objective(here), ag.Objective(L2, 5, 9)))
-    config = ag.ItineraryConfig(route)
     return [c for c in constructions if c[2]] + [
-        (
-            ag.Objective,
-            dict(location=here, earliest_offset=2, latest_offset=6, stop_tasks=(noop,)),
-            ["location", "earliest_offset", "latest_offset", "stop_tasks"],
-        ),
-        (ag.Route, dict(objectives=(ag.Objective(here),), base_time=3), ["objectives", "base_time"]),
-        (
-            ag.ItineraryConfig,
-            dict(route=route, reached_listeners=(noop,), missed_behavior=ag.Task(noop)),
-            ["route", "reached_listeners", "missed_behavior"],
-        ),
-        (
-            ag.Itinerary,
-            dict(
-                config=config,
-                planned_departures=True,
-                estimator=ag.DelayEstimator(links={("one", "two"): Fraction(3, 2)}),
-                _base=0,
-                _index=1,
-                _phase="missed",
-                _arrival=4,
-                _arrival_class="",
-                _missed_clone=ag.Task(noop),
-                _done=False,
-            ),
-            ["config", "planned_departures", "estimator", "_base", "_index", "_phase", "_arrival", "_arrival_class", "_missed_clone", "_done"],
-        ),
+        (ag.Route, dict(objectives=(ag.Objective(L1),), base_time=3), ["objectives", "base_time"]),
         (
             ag.DelayEstimator,
             dict(alpha=Fraction(1, 3), default_estimate=2, links={("a", "b"): Fraction(5, 2)}),

@@ -324,6 +324,7 @@ MISTYPED_FIELDS = {
         {**ITINERARY, "config": {**ITINERARY["config"], "missed_behavior": False}},
         "behavior must be an object, got False",
     ),
+    "itinerary_missed_clone_int": ({**ITINERARY, "missed_clone": 5}, "behavior must be an object, got 5"),
     "objective_earliest_bool": (
         {**ITINERARY, "config": {"route": {"objectives": [{"location": {"$location": "away"}, "earliest": True}]}}},
         "objective earliest must be an integer, got True",
