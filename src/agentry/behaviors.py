@@ -36,11 +36,11 @@ from .model import (
     _mistyped,
     canonical_json,
     column,
-    make_message,
     message_from_jsonable,
     message_to_jsonable,
     nested,
     nested_list,
+    read_agent_id,
     read_int,
     read_one_of,
     read_str,
@@ -93,7 +93,7 @@ def resolve_agent_ref(ctx: AgentContext, ref: Any) -> AgentId:
     resolved = resolve_params(ctx, ref)
     if isinstance(resolved, AgentId):
         return resolved
-    return AgentId(read_int(resolved, "agent reference"))
+    return read_agent_id(resolved, "agent reference")
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +326,7 @@ class Client(Behavior):
             server_id, task = resolved
             self._conversation = self.request.result_slot or ctx.new_conversation_id()
             payload = canonical_json({"task": task.to_jsonable(), "conversation": self._conversation})
-            ctx.send(
-                make_message(
-                    ctx.agent_id, server_id, REQUEST, self._conversation, payload, sent_at=ctx.now
-                )
-            )
+            ctx.send(Message(ctx.agent_id, server_id, REQUEST, self._conversation, payload, ctx.now))
             self._deadline = ctx.now + self.ack_timeout
             self._phase = _AWAIT_ACK
             return Blocked(AnyOf([OnMessage(ACK), AtTime(self._deadline)]))
@@ -393,15 +389,15 @@ class Server(Behavior):
 @builtin_action("client_server.worker")
 def _worker(ctx: AgentContext, params: Any, message: Optional[Message]) -> None:
     """One worker lifetime: ACK, compute, RESULT."""
-    requester = AgentId(read_int(params["requester"], "worker requester"))
+    requester = read_agent_id(params["requester"], "worker requester")
     conversation = params["conversation"]
     task = ActionDescriptor.from_jsonable(params["task"])
     request = message_from_jsonable(params["request"])
-    ctx.send(make_message(ctx.agent_id, requester, ACK, conversation, b"", sent_at=ctx.now))
+    ctx.send(Message(ctx.agent_id, requester, ACK, conversation, b"", ctx.now))
     ok, result = ctx.attempt(ctx.run_action, task, request, action=task.name, conversation=conversation)
     # The client still deserves a reply; errors ride the data channel.
     result = (result or b"") if ok else canonical_json({"error": result})
-    ctx.send(make_message(ctx.agent_id, requester, RESULT, conversation, result, sent_at=ctx.now))
+    ctx.send(Message(ctx.agent_id, requester, RESULT, conversation, result, ctx.now))
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +412,13 @@ def _send(ctx: AgentContext, params: Any, message: Optional[Message]) -> None:
     payload = resolved.get("payload")
     data = canonical_json(payload) if payload is not None else b""
     ctx.send(
-        make_message(
+        Message(
             ctx.agent_id,
-            AgentId(read_int(resolved["to"], "send to")),
+            read_agent_id(resolved["to"], "send to"),
             resolved["type"],
             resolved.get("conversation", ""),
             data,
-            sent_at=ctx.now,
+            ctx.now,
         )
     )
 

@@ -22,7 +22,7 @@ from .composites import Sequential
 from .errors import UnknownLocation
 from .grading import Exam, ExamReport, Submission, Test, grade
 from .itinerary import Itinerary, ItineraryConfig, Objective, Route
-from .model import AgentContext, AgentId, CancelBehavior, LocationId, Message, Ticks, canonical_json, make_message, read_int
+from .model import AgentContext, AgentId, CancelBehavior, LocationId, Message, Ticks, canonical_json, read_agent_id
 from .repository import PathLike, load_reports, store_report
 
 SUBMISSION = "SUBMISSION"
@@ -159,13 +159,13 @@ def _user_task(ctx: AgentContext, params: Any, message: Optional[Message]) -> No
         graded_at=ctx.now,
     )
     ctx.send(
-        make_message(
+        Message(
             ctx.agent_id,
-            AgentId(read_int(params["report_to"], "report_to")),
+            read_agent_id(params["report_to"], "report_to"),
             SUBMISSION,
             "",
             canonical_json(submission.to_jsonable()),
-            sent_at=ctx.now,
+            ctx.now,
         )
     )
 
@@ -177,16 +177,7 @@ def _kickoff_collect(ctx: AgentContext, params: Any, message: Optional[Message])
     ctx.state.setdefault("delivered", [])
     ctx.state.setdefault("submissions", [])
     if not ctx.state["delivered"]:
-        ctx.send(
-            make_message(
-                ctx.agent_id,
-                ctx.agent_id,
-                SUBMISSION,
-                "",
-                canonical_json({"sentinel": True}),
-                sent_at=ctx.now,
-            )
-        )
+        ctx.send(Message(ctx.agent_id, ctx.agent_id, SUBMISSION, "", canonical_json({"sentinel": True}), ctx.now))
 
 
 @builtin_action("push.collect")

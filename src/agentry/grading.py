@@ -11,7 +11,6 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
 from typing import Any, Mapping, Union
 
 from .errors import UnknownQuestionId
@@ -20,6 +19,7 @@ from .model import (
     Ticks,
     _is_int,
     _mistyped,
+    agent_column,
     column,
     nested,
     nested_list,
@@ -50,14 +50,6 @@ def _read_names(values: Any, label: str) -> tuple[str, ...]:
     if not isinstance(values, (list, tuple)):
         raise _mistyped(label, "a list", values)
     return tuple(read_str(value, f"{label} entry") for value in values)
-
-
-def _read_student(student: Any, label: str) -> AgentId:
-    """An AgentId holding an int, as the decoders build it."""
-    if not isinstance(student, AgentId):
-        raise _mistyped(label, "an AgentId", student)
-    read_int(student.value, label)
-    return student
 
 
 def weight_to_jsonable(value: Fraction) -> Union[int, str]:
@@ -224,7 +216,7 @@ class Submission:
     """A student's graded answers for one test."""
 
     test_id: str = column(read_str, "submission test_id")
-    student: AgentId = column(_read_student, "submission student", encode=attrgetter("value"), decode=AgentId)
+    student: AgentId = agent_column("submission student")
     answers: dict[str, Any] = column(read_keys, "submission answers")
     score: Fraction = _weight("submission score")
     max_score: Fraction = _weight("submission max_score")
@@ -255,7 +247,7 @@ class ProgressRecord:
     """The only thing a pull session persists: who, which test, what score,
     when. Deliberately no answer map."""
 
-    student: AgentId = column(_read_student, "progress student", encode=attrgetter("value"), decode=AgentId)
+    student: AgentId = agent_column("progress student")
     test_id: str = column(read_str, "progress test_id")
     score: Fraction = _weight("progress score")
     at: Ticks = column(read_int, "progress at")

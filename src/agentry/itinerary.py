@@ -57,15 +57,12 @@ class Objective:
     """
 
     location: LocationId = nested(LocationId, "objective location")
-    earliest_offset: Ticks = column(read_int, "objective earliest", key="earliest", default=0)
-    latest_offset: Optional[Ticks] = column(read_int, "objective latest", key="latest", null=True, default=None)
+    earliest_offset: Ticks = column(read_int, "objective earliest", 0, key="earliest", default=0)
+    latest_offset: Optional[Ticks] = column(key="latest", default=None)  # read by _check, as its bound is earliest
     stop_tasks: tuple[ActionDescriptor, ...] = nested_list(ActionDescriptor, "objective tasks", tuple, key="tasks", default=())
 
     def _check(self) -> None:
-        if self.earliest_offset < 0:
-            raise ValueError("earliest_offset must be non-negative")
-        if self.latest_offset is not None and self.latest_offset < self.earliest_offset:
-            raise ValueError("latest_offset must be >= earliest_offset")
+        read_int(self.latest_offset, "objective latest", self.earliest_offset, null=True)
 
 
 # An objective without stop tasks holds only a frozen LocationId, ints and an

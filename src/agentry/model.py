@@ -8,12 +8,13 @@ can be detached, serialized, moved, and resumed at another location.
 
 from __future__ import annotations
 
-import base64
 import json
+from binascii import a2b_base64, b2a_base64
 from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Optional, Union
 
 from . import actions  # the module: actions imports this one's readers
@@ -27,58 +28,6 @@ if TYPE_CHECKING:
 Ticks = int
 
 WILDCARD = "*"
-
-
-@dataclass(frozen=True, order=True)
-class AgentId:
-    """Opaque runtime-assigned agent identity; never reused within a runtime."""
-
-    value: int
-
-    def __repr__(self) -> str:
-        return f"AgentId({self.value})"
-
-
-@dataclass(frozen=True)
-class Message:
-    """Typed, addressed unit of communication with an opaque payload."""
-
-    sender: AgentId
-    receiver: AgentId
-    type_tag: str
-    conversation_id: str
-    payload: bytes
-    sent_at: Ticks
-
-
-def make_message(
-    sender: AgentId,
-    receiver: AgentId,
-    type_tag: str,
-    conversation_id: str,
-    payload: bytes = b"",
-    *,
-    sent_at: Ticks = 0,
-) -> Message:
-    """Build a message, stamping it with the caller's clock reading.
-
-    Raises EmptyTypeTag when ``type_tag`` is empty, and ValueError when it or
-    ``conversation_id`` is not a string, which a decode would reject once the
-    message rode in a migrating shell. Self-addressed messages are legal.
-    """
-    if not read_str(type_tag, "message type"):
-        raise EmptyTypeTag("message type_tag must be non-empty")
-    return Message(sender, receiver, type_tag, read_str(conversation_id, "message conversation"), bytes(payload), sent_at)
-
-
-def message_matches(msg: Message, type_filter: str, conversation: str | None = None) -> bool:
-    """True when the message passes the type filter (``*`` matches all) and,
-    if given, carries the expected conversation id."""
-    if type_filter != WILDCARD and msg.type_tag != type_filter:
-        return False
-    if conversation is not None and msg.conversation_id != conversation:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +309,8 @@ def _is_int(value: Any) -> bool:
 
 def read_int(value: Any, label: str, lo: Optional[int] = None, hi: Optional[int] = None, *, null: bool = False) -> Any:
     """An int that is not a bool, at least ``lo`` when it is given and at
-    most ``hi`` when that is given too."""
-    if _is_int(value) and (lo is None or lo <= value and (hi is None or value <= hi)) or null and value is None:
+    most ``hi`` when that is given too. A plain int skips the call to _is_int."""
+    if (value.__class__ is int or _is_int(value)) and (lo is None or lo <= value and (hi is None or value <= hi)) or null and value is None:
         return value
     what = "an integer" if lo is None else f"an integer of at least {lo}" if hi is None else f"an integer from {lo} to {hi}"
     raise _mistyped(label, what, value, null)
@@ -630,6 +579,83 @@ location_to_jsonable = LocationId.to_jsonable
 location_from_jsonable = LocationId.from_jsonable
 
 
+@record(frozen=True, order=True, noun="agent id")
+class AgentId:
+    """Opaque runtime-assigned agent identity; never reused within a runtime."""
+
+    value: int = column(read_int, "agent id")
+
+    def __repr__(self) -> str:
+        return f"AgentId({self.value})"
+
+
+def read_agent_id(value: Any, label: str) -> AgentId:
+    """The AgentId of an int read under ``label``, built without a second read."""
+    agent = object.__new__(AgentId)
+    object.__setattr__(agent, "value", read_int(value, label))
+    return agent
+
+
+def read_type(value: Any, label: str, cls: type, what: str) -> Any:
+    """An instance of ``cls``, which an error names as ``what``."""
+    if isinstance(value, cls):
+        return value
+    raise _mistyped(label, what, value)
+
+
+def agent_column(label: str, **options: Any) -> Any:
+    """A column holding an AgentId, written as its int and decoded by ``read_agent_id``."""
+    return column(read_type, label, AgentId, "an AgentId", encode=attrgetter("value"), decode=lambda v: read_agent_id(v, label), **options)
+
+
+def _base64(payload: bytes) -> str:
+    return b2a_base64(payload, newline=False).decode()
+
+
+def _from_base64(text: Any) -> bytes:
+    """The bytes of base64 text that ``_base64`` writes back exactly as read."""
+    try:
+        payload = a2b_base64(text)
+        if _base64(payload) == text:
+            return payload
+    except (TypeError, ValueError):
+        pass
+    raise _mistyped("message payload", "canonical base64", text)
+
+
+@record(frozen=True, noun="message")
+class Message:
+    """Typed, addressed unit of communication with an opaque payload, stamped
+    with the sender's clock reading; ``make_message`` is this class. An empty
+    ``type_tag`` raises EmptyTypeTag. Self-addressed messages are legal."""
+
+    sender: AgentId = agent_column("message sender")
+    receiver: AgentId = agent_column("message receiver")
+    type_tag: str = column(read_str, "message type", key="type")
+    conversation_id: str = column(read_str, "message conversation", key="conversation")
+    payload: bytes = column(read_type, "message payload", bytes, "bytes", encode=_base64, decode=_from_base64, default=b"", absent=MISSING)
+    sent_at: Ticks = column(read_int, "message sent_at", default=0, absent=MISSING)
+
+    def _check(self) -> None:
+        if not self.type_tag:
+            raise EmptyTypeTag("message type_tag must be non-empty")
+
+
+make_message = Message
+message_to_jsonable = Message.to_jsonable
+message_from_jsonable = Message.from_jsonable
+
+
+def message_matches(msg: Message, type_filter: str, conversation: str | None = None) -> bool:
+    """True when the message passes the type filter (``*`` matches all) and,
+    if given, carries the expected conversation id."""
+    if type_filter != WILDCARD and msg.type_tag != type_filter:
+        return False
+    if conversation is not None and msg.conversation_id != conversation:
+        return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # Canonical JSON helpers
 # ---------------------------------------------------------------------------
@@ -652,30 +678,6 @@ def canonical_json(value: Any) -> bytes:
         return _encode(value).encode()
     except RecursionError:
         raise ValueError("canonical JSON: the value is circular or nested too deep to encode") from None
-
-
-
-
-def message_to_jsonable(msg: Message) -> dict[str, Any]:
-    return {
-        "sender": msg.sender.value,
-        "receiver": msg.receiver.value,
-        "type": msg.type_tag,
-        "conversation": msg.conversation_id,
-        "payload": base64.b64encode(msg.payload).decode("ascii"),
-        "sent_at": msg.sent_at,
-    }
-
-
-def message_from_jsonable(d: dict[str, Any]) -> Message:
-    return Message(
-        sender=AgentId(read_int(d["sender"], "message sender")),
-        receiver=AgentId(read_int(d["receiver"], "message receiver")),
-        type_tag=read_str(d["type"], "message type"),
-        conversation_id=read_str(d["conversation"], "message conversation"),
-        payload=base64.b64decode(read_str(d["payload"], "message payload")),
-        sent_at=read_int(d["sent_at"], "message sent_at"),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -729,7 +731,7 @@ def serialize_shell(shell: AgentShell) -> bytes:
 def deserialize_shell(data: bytes) -> AgentShell:
     d = json.loads(data)
     return AgentShell(
-        id=AgentId(read_int(d["id"], "shell id")),
+        id=read_agent_id(d["id"], "shell id"),
         home=location_from_jsonable(d["home"]),
         current=location_from_jsonable(d["current"]),
         behaviors=[behavior_from_dict(b) for b in read_list(d["behaviors"], "shell behaviors")],

@@ -29,13 +29,13 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from .errors import MalformedRepository, ScenarioError
-from .model import AgentId, Behavior, LocationId, _is_int, behavior_from_dict, behavior_kinds, location_to_jsonable, read_int, read_list, read_str
+from .model import AgentId, Behavior, LocationId, _is_int, behavior_from_dict, behavior_kinds, location_to_jsonable, read_int
 from .repository import load_tests
 from .simulator import Fixed, LatencyModel, PerLink, SimConfig, SimPlatform, UniformRange
 
 SCENARIO_FORMAT_VERSION = 1
 
-_LATENCY_KINDS = ("fixed", "uniform", "per_link")
+_LATENCY_MODELS = (Fixed, UniformRange, PerLink)
 
 # The nodes the binder walks into; every other value is a leaf, kept as is.
 _NODES = (dict, list)
@@ -110,23 +110,6 @@ def _resolve(path: str, base_dir: Optional[Path]) -> Path:
     return Path(path) if base_dir is None else base_dir / path
 
 
-def _parse_latency(spec: dict) -> LatencyModel:
-    """Map a latency spec's keys to its model's constructor arguments, as a
-    decoder does; the model reads them."""
-    kind = spec["kind"]
-    if kind == "fixed":
-        return Fixed(spec["ticks"])
-    if kind == "uniform":
-        return UniformRange(spec["lo"], spec["hi"])
-    table = {}
-    for link in read_list(spec.get("links", []), "per_link latency links"):
-        if not isinstance(link, list) or len(link) != 3:
-            raise ValueError(f"per_link latency link must be [source, destination, ticks], got {link!r}")
-        # A name is read before it becomes a dict key, which must be hashable.
-        table[read_str(link[0], "per_link latency source"), read_str(link[1], "per_link latency destination")] = link[2]
-    return PerLink(table, spec.get("default", 1))
-
-
 def _check_links(links: list, path: str, names: list[str], problems: list[str]) -> None:
     """A per_link entry naming an undeclared location would never match, and
     one repeating an earlier pair would silently replace it."""
@@ -157,16 +140,18 @@ def _built(path: str, problems: list[str], build: Callable[..., Any], *args: Any
 
 
 def _latency(spec: Any, path: str, names: list[str], problems: list[str]) -> Optional[LatencyModel]:
-    kind = spec.get("kind") if isinstance(spec, dict) else None
+    """The model whose tag the spec's kind names, read by its decoder."""
     if not isinstance(spec, dict):
         problems.append(f"{path}: latency must be an object")
-    elif kind not in _LATENCY_KINDS:
-        problems.append(f"{path}/kind: unknown latency kind {kind!r}{_suggest(str(kind), list(_LATENCY_KINDS))}")
-    else:
-        model = _built(path, problems, _parse_latency, spec)
-        if model is not None and kind == "per_link":
-            _check_links(spec.get("links", []), path, names, problems)
-        return model
+        return None
+    kind = spec.get("kind")
+    for cls in _LATENCY_MODELS:
+        if kind == cls._tag:
+            model = _built(path, problems, cls.from_jsonable, spec)
+            if isinstance(model, PerLink):
+                _check_links(spec.get("links", []), path, names, problems)
+            return model
+    problems.append(f"{path}/kind: unknown latency kind {kind!r}{_suggest(str(kind), [cls._tag for cls in _LATENCY_MODELS])}")
     return None
 
 

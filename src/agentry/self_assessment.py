@@ -31,7 +31,7 @@ from .behaviors import (
 )
 from .composites import ANY, Parallel, Sequential
 from .grading import ProgressRecord, Test, grade, weight_to_jsonable
-from .model import AgentContext, AgentId, Behavior, CancelBehavior, LocationId, Message, canonical_json
+from .model import AgentContext, AgentId, Behavior, CancelBehavior, LocationId, Message, canonical_json, read_agent_id
 from .repository import PathLike, find_test, load_tests, store_progress
 
 CMD = "CMD"
@@ -279,7 +279,7 @@ def _get_test(ctx: AgentContext, params: Any, message: Optional[Message]) -> byt
 
 @builtin_action("session.record_progress")
 def _record_progress(ctx: AgentContext, params: Any, message: Optional[Message]) -> bytes:
-    record = ProgressRecord(AgentId(params["student"]), params["test_id"], params["score"], at=ctx.now)
+    record = ProgressRecord(read_agent_id(params["student"], "progress student"), params["test_id"], params["score"], at=ctx.now)
     store_progress(record, params["store"])
     return canonical_json({"recorded": record.test_id})
 

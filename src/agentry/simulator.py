@@ -90,9 +90,14 @@ from .model import (
     MigrationReport,
     Running,
     Ticks,
+    _mistyped,
+    column,
     deserialize_shell,
     read_int,
+    read_list,
+    read_object,
     read_str,
+    record,
     serialize_shell,
     wake_satisfied,
 )
@@ -103,50 +108,62 @@ class LatencyModel(Protocol):
     def sample(self, rng: random.Random, src: LocationId, dst: LocationId) -> Ticks: ...
 
 
-@dataclass(frozen=True)
+@record(frozen=True, noun="latency", tag="fixed")
 class Fixed:
     """Constant latency: ``ticks``, an int >= 0."""
 
-    ticks: Ticks
-
-    def __post_init__(self) -> None:
-        read_int(self.ticks, "fixed latency ticks", 0)
+    ticks: Ticks = column(read_int, "fixed latency ticks", 0)
 
     def sample(self, rng: random.Random, src: LocationId, dst: LocationId) -> Ticks:
         return self.ticks
 
 
-@dataclass(frozen=True)
+@record(frozen=True, noun="latency", tag="uniform")
 class UniformRange:
     """Latency drawn uniformly from [lo, hi] (inclusive) per send/migration;
     ``lo`` and ``hi`` are ints with 0 <= lo <= hi."""
 
-    lo: Ticks
-    hi: Ticks
+    lo: Ticks = column(read_int, "uniform latency lo", 0)
+    hi: Ticks = column()  # read by _check, as its bound is lo
 
-    def __post_init__(self) -> None:
-        read_int(self.hi, "uniform latency hi", read_int(self.lo, "uniform latency lo", 0))
+    def _check(self) -> None:
+        read_int(self.hi, "uniform latency hi", self.lo)
 
     def sample(self, rng: random.Random, src: LocationId, dst: LocationId) -> Ticks:
         return rng.randint(self.lo, self.hi)
 
 
-@dataclass(frozen=True)
+def _read_links(table: Any, label: str) -> dict[tuple[str, str], Ticks]:
+    """A copy of a {(source, destination): ticks} table."""
+    for link, ticks in read_object(table, label).items():
+        if type(link) is not tuple or len(link) != 2:
+            raise ValueError(f"per_link latency link must be a (source, destination) pair, got {link!r}")
+        read_str(link[0], "per_link latency source")
+        read_str(link[1], "per_link latency destination")
+        read_int(ticks, "per_link latency ticks", 0)
+    return dict(table)
+
+
+def _links_from_jsonable(links: Any) -> dict[Any, Any]:
+    """The table of a [source, destination, ticks] list; a name is read before it becomes a key."""
+    table = {}
+    for link in read_list(links, "per_link latency links"):
+        if not isinstance(link, list) or len(link) != 3:
+            raise ValueError(f"per_link latency link must be [source, destination, ticks], got {link!r}")
+        table[read_str(link[0], "per_link latency source"), read_str(link[1], "per_link latency destination")] = link[2]
+    return table
+
+
+@record(frozen=True, noun="latency", tag="per_link")
 class PerLink:
     """Fixed latency per ordered (source name, destination name) pair, and
-    ``default`` for every other pair; all ticks are ints >= 0."""
+    ``default`` for every other pair; all ticks are ints >= 0. Keeps a copy of ``table``."""
 
-    table: dict[tuple[str, str], Ticks]
-    default: Ticks = 1
-
-    def __post_init__(self) -> None:
-        for link, ticks in self.table.items():
-            if type(link) is not tuple or len(link) != 2:
-                raise ValueError(f"per_link latency link must be a (source, destination) pair, got {link!r}")
-            read_str(link[0], "per_link latency source")
-            read_str(link[1], "per_link latency destination")
-            read_int(ticks, "per_link latency ticks", 0)
-        read_int(self.default, "per_link latency default", 0)
+    table: dict[tuple[str, str], Ticks] = column(
+        _read_links, "per_link latency table", key="links", decode=_links_from_jsonable, absent={},
+        encode=lambda table: [[*link, ticks] for link, ticks in table.items()],
+    )
+    default: Ticks = column(read_int, "per_link latency default", 0, default=1)
 
     def sample(self, rng: random.Random, src: LocationId, dst: LocationId) -> Ticks:
         return self.table.get((src.name, dst.name), self.default)
@@ -154,8 +171,9 @@ class PerLink:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """A run's seed (an int >= 0), its latency models and ``max_ticks``, the
-    tick budget of a run to quiescence (an int >= 0)."""
+    """A run's seed (an int >= 0), its latency models (any values with a
+    callable ``sample``, so a user's own model is legal) and ``max_ticks``,
+    the tick budget of a run to quiescence (an int >= 0)."""
 
     seed: int = 0
     message_latency: LatencyModel = Fixed(1)
@@ -164,6 +182,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         read_int(self.seed, "seed", 0)
+        for label in ("message_latency", "migration_latency"):
+            if not callable(getattr(getattr(self, label), "sample", None)):
+                raise _mistyped(label, "a latency model", getattr(self, label))
         read_int(self.max_ticks, "max_ticks", 0)
 
 

@@ -93,6 +93,13 @@ def _send_then_bad_trace(ctx, params, message):
     ctx.trace({}, kind="nonsense")
 
 
+@builtin_action("t.sim.send_unreadable")
+def _send_unreadable(ctx, params, message):
+    # A conversation of 5 would not decode once the receiver migrated with
+    # the message queued.
+    ctx.send(ag.Message(ctx.agent_id, ag.AgentId(2), "PING", 5, b"", ctx.now))
+
+
 # Trace details JSON cannot encode, by case name.
 UNENCODABLE_DETAILS = {
     "set": ({"s": {1, 2}}, "object of type set is not JSON serializable"),

@@ -312,7 +312,7 @@ BUILT_AND_DECODED = {
         lambda v: ag.Observer(v, NOOP, NOOP), "period", 2, 2.0, "observer period must be an integer, got 2.0"
     ),
     "objective_earliest_float": (
-        lambda v: ag.Objective(ag.LocationId(1, "a"), v), "earliest", 1, 1.5, "objective earliest must be an integer, got 1.5"
+        lambda v: ag.Objective(ag.LocationId(1, "a"), v), "earliest", 1, 1.5, "objective earliest must be an integer of at least 0, got 1.5"
     ),
     "listener_filter_empty": (
         lambda v: ag.Listener(v, [NOOP]), "filter", "A", "", "listener filter must be a non-empty string, got ''"

@@ -560,9 +560,10 @@ BUILT_RECORDS = {
     "report_delivered_int": (lambda: ag.ExamReport("t", (1,), (), ()), "report delivered entry must be a string, got 1"),
     "report_missed_str": (lambda: ag.ExamReport("t", (), "ns", ()), "report missed must be a list, got 'ns'"),
     "progress_test_id_int": (lambda: ag.ProgressRecord(AgentId(1), test_id=5, score=Fraction(1), at=0), "progress test_id must be a string, got 5"),
+    # The AgentId now reads its own value, before the record is built.
     "progress_student_value_str": (
         lambda: ag.ProgressRecord(AgentId("1"), "t", Fraction(1), at=0),
-        "progress student must be an integer, got '1'",
+        "agent id must be an integer, got '1'",
     ),
     "progress_score_bool": (lambda: ag.ProgressRecord(AgentId(1), "t", True, at=0), f"progress score must be {_EXACT}, got True"),
 }

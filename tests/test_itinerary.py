@@ -443,7 +443,7 @@ def test_a_tampered_window_is_rejected_after_its_valid_twin_decoded():
     deserialize_shell(blob)
     tampered = json.loads(blob)
     tampered["behaviors"][0]["config"]["route"]["objectives"][0]["latest"] = 1
-    with pytest.raises(ValueError, match="latest_offset must be >= earliest_offset"):
+    with pytest.raises(ValueError, match="^objective latest must be null or an integer of at least 2, got 1$"):
         deserialize_shell(json.dumps(tampered).encode())
 
 
@@ -477,13 +477,13 @@ def test_a_malformed_route_reports_its_first_problem_in_objective_order():
     # Objective 0's window is checked before objective 1 is read.
     bad_window = stop(1, "a", earliest=-1)
     no_value = {"location": {"name": "b"}, "earliest": 2, "latest": None, "tasks": []}
-    with pytest.raises(ValueError, match="^earliest_offset must be non-negative$"):
+    with pytest.raises(ValueError, match="^objective earliest must be an integer of at least 0, got -1$"):
         ag.Route.from_jsonable(route_doc(bad_window, no_value))
     with pytest.raises(KeyError, match="value"):
         ag.Route.from_jsonable(route_doc(stop(1, "a"), no_value, bad_window))
     # Every window is checked before base_time is read.
     swapped = stop(1, "a", earliest=5, latest=4)
-    with pytest.raises(ValueError, match="^latest_offset must be >= earliest_offset$"):
+    with pytest.raises(ValueError, match="^objective latest must be null or an integer of at least 5, got 4$"):
         ag.Route.from_jsonable(route_doc(stop(2, "b"), swapped, base_time="x"))
     with pytest.raises(ValueError, match="^route base_time must be null or an integer, got 'x'$"):
         ag.Route.from_jsonable(route_doc(stop(2, "b"), stop(1, "a", 5, 6), base_time="x"))
@@ -501,9 +501,9 @@ def test_a_malformed_route_reports_its_first_problem_in_objective_order():
 def _per_objective_route(d):
     """The reference decode: each objective's location built (both its keys
     looked up, then its constructor reads them) and each entry of a list of
-    stop tasks decoded, then the objective built (its constructor reads the
-    window, then the tasks, then checks the window), in route order, then
-    the route built (its constructor reads base_time)."""
+    stop tasks decoded, then the objective built (its constructor reads
+    earliest, then the tasks, then latest, at least earliest), in route
+    order, then the route built (its constructor reads base_time)."""
     objectives = []
     for o in read_list(read_object(d, "route")["objectives"], "route objectives"):
         where = read_object(read_object(o, "objective")["location"], "location")

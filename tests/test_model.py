@@ -31,7 +31,7 @@ from agentry.model import (
     serialize_shell,
     wake_satisfied,
 )
-from agentry.scenario import _read, build_platform
+from agentry.scenario import _latency, _read, build_platform
 from agentry.simulator import _MIGRATING
 from agentry.trace import CANONICAL_ENCODER
 from test_scenario_cli import JUNK, SHIPPED, _document_base, _slots, base_doc
@@ -342,6 +342,23 @@ def test_shell_round_trip_preserves_everything():
     assert serialize_shell(again) == serialize_shell(shell)
 
 
+def test_a_blob_with_an_inbox_is_pinned():
+    # The inbox's bytes, as the hand-written message codec wrote them: one
+    # binary payload (base64 with '+', '/' and padding) and one empty.
+    inbox = [
+        ag.make_message(ag.AgentId(3), ag.AgentId(7), "DATA", "c1", b"\x00\xff\xfeA", sent_at=12),
+        ag.make_message(ag.AgentId(7), ag.AgentId(3), "PING", "", sent_at=15),
+    ]
+    shell = AgentShell(ag.AgentId(3), L1, L2, [], {"k": 1}, deque(inbox))
+    blob = (
+        b'{"behaviors":[],"current":{"name":"two","value":2},"home":{"name":"one","value":1},"id":3,"inbox":['
+        b'{"conversation":"c1","payload":"AP/+QQ==","receiver":7,"sender":3,"sent_at":12,"type":"DATA"},'
+        b'{"conversation":"","payload":"","receiver":3,"sender":7,"sent_at":15,"type":"PING"}],"state":{"k":1}}'
+    )
+    assert serialize_shell(shell) == blob
+    assert serialize_shell(deserialize_shell(blob)) == blob
+
+
 def test_trace_line_bytes_are_pinned():
     detail = {
         "z": {"b": 1, "a": [None, True, False]},
@@ -417,7 +434,8 @@ def _decode_bases():
     """(decoder, JSON value) pairs, where the decoder is a DECODERS key or a
     record's class: each behavior tree, message and shell of the small bench
     worlds, a world resumed mid-run and the shipped scenario, at a few
-    ``run(until=k)`` points, and each record's sample. The shipped
+    ``run(until=k)`` points, and each record's sample; a latency model's is
+    read as a scenario reads it, its kind picking the class. The shipped
     scenario runs in a fresh working directory: its courier appends to a
     report store there. The grading records read exact numbers from decimal
     literals, so they are not read as written; ``construct_round_trip``
@@ -427,7 +445,8 @@ def _decode_bases():
         if isinstance(sample, ag.Behavior):
             bases[ag.canonical_json(sample.to_dict())] = ("behavior", sample.to_dict())
         elif type(sample).__module__ != "agentry.grading":
-            bases[ag.canonical_json(sample.to_jsonable())] = (type(sample), sample.to_jsonable())
+            decoder = "latency" if type(sample)._tag else type(sample)
+            bases[ag.canonical_json(sample.to_jsonable())] = (decoder, sample.to_jsonable())
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
@@ -454,7 +473,17 @@ DECODERS = {
     "behavior": lambda d: ag.behavior_from_dict(d).to_dict(),
     "message": lambda d: message_to_jsonable(message_from_jsonable(d)),
     "shell": lambda d: json.loads(serialize_shell(deserialize_shell(ag.canonical_json(d)))),
+    "latency": lambda d: _read_latency(d).to_jsonable(),
 }
+
+
+def _read_latency(spec):
+    """A latency spec read as a scenario reads it: its kind picks the model."""
+    problems = []
+    model = _latency(spec, "", [], problems)
+    if problems:
+        raise ValueError(problems)
+    return model
 
 
 def _as_written(written, read):
@@ -537,6 +566,11 @@ def _samples():
         objective,
         config,
         ag.Itinerary(config, True, estimator, _base=0, _index=1, _phase="missed", _arrival=4, _missed_clone=ag.Task(noop)),
+        AgentId(3),
+        ag.Message(AgentId(3), AgentId(4), "DATA", "c1", b"\x00\xff\xfeA", 6),
+        ag.Fixed(2),
+        ag.UniformRange(1, 4),
+        ag.PerLink({("one", "two"): 3, ("two", "one"): 0}, 2),
     ]
 
 
@@ -643,6 +677,24 @@ UNREAD_FIELDS = {
     "itinerary_index": (lambda: ag.Itinerary(ag.ItineraryConfig(_ROUTE), _index=5), "itinerary index 5 out of range for 1 objectives"),
     "location_name": (lambda: ag.Objective(ag.LocationId(1, 2)), "location name must be a string, got 2"),
     "location_value": (lambda: ag.LocationId("x", None), "location value must be an integer, got 'x'"),
+    # Each of these built, then failed where a decode or a run first read it.
+    "message_conversation": (lambda: ag.Message(AgentId(1), AgentId(2), "PING", 5, b"", 0), "message conversation must be a string, got 5"),
+    "message_payload": (lambda: ag.Message(AgentId(1), AgentId(2), "PING", "c", "x", 0), "message payload must be bytes, got 'x'"),
+    "message_sent_at": (lambda: ag.Message(AgentId(1), AgentId(2), "PING", "c", b"", 1.5), "message sent_at must be an integer, got 1.5"),
+    "message_receiver": (lambda: ag.make_message(AgentId(1), "y", "T", "c"), "message receiver must be an AgentId, got 'y'"),
+    "agent_id_str": (lambda: AgentId("x"), "agent id must be an integer, got 'x'"),
+    "agent_id_bool": (lambda: AgentId(True), "agent id must be an integer, got True"),
+    "config_latency": (lambda: ag.SimConfig(message_latency=5), "message_latency must be a latency model, got 5"),
+    # These two read as b"\x00\x00\x00", which wrote back as "AAAA", and as
+    # binascii's bare "Incorrect padding".
+    "message_payload_alphabet": (
+        lambda: message_from_jsonable({**message_to_jsonable(msg()), "payload": "AA!AA"}),
+        "message payload must be canonical base64, got 'AA!AA'",
+    ),
+    "message_payload_padding": (
+        lambda: message_from_jsonable({**message_to_jsonable(msg()), "payload": "QQ"}),
+        "message payload must be canonical base64, got 'QQ'",
+    ),
 }
 
 
@@ -651,6 +703,14 @@ def test_a_field_is_read_where_it_is_built(case):
     build, message = UNREAD_FIELDS[case]
     with pytest.raises((ValueError, ag.AgentryError), match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_a_per_link_model_keeps_a_copy_of_its_table():
+    # It kept the caller's dict, so a later write changed the model.
+    table = {("one", "two"): 3}
+    model = ag.PerLink(table)
+    table["one", "two"] = 9
+    assert model.sample(None, L1, L2) == 3 and model == ag.PerLink({("one", "two"): 3})
 
 
 def _dataclass_twin(cls):

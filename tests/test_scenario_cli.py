@@ -327,7 +327,7 @@ MISTYPED_FIELDS = {
     "itinerary_missed_clone_int": ({**ITINERARY, "missed_clone": 5}, "behavior must be an object, got 5"),
     "objective_earliest_bool": (
         {**ITINERARY, "config": {"route": {"objectives": [{"location": {"$location": "away"}, "earliest": True}]}}},
-        "objective earliest must be an integer, got True",
+        "objective earliest must be an integer of at least 0, got True",
     ),
     "objective_tasks_str": (
         {**ITINERARY, "config": {"route": {"objectives": [{"location": {"$location": "away"}, "tasks": ""}]}}},

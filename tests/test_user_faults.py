@@ -425,6 +425,26 @@ def test_an_agent_reference_that_is_not_an_int_addresses_no_agent_on_both_platfo
     assert runs[0] == runs[1]
 
 
+def test_a_message_built_directly_with_a_bad_field_fails_its_send_and_the_receiver_lands():
+    # It used to be sent, and every run() then raised when the receiver
+    # landed with it queued, so the receiver never landed.
+    runs = []
+    for make in (make_sim, make_mock):
+        p = make()
+        home, lab = p.create_location("home"), p.create_location("lab")
+        p.spawn_agent(home, [ag.Task(act("t.sim.send_unreadable"))])
+        log = ag.Task(act("t.sim.tick_log"))
+        go = ag.Task(act("t.sim.go", {"dest": location_to_jsonable(lab)}))
+        receiver = p.spawn_agent(home, [ag.Sequential([log, ag.clone_behavior(log), go])])
+        p.run(None)
+        error = {"error": "message conversation must be a string, got 5", "action": "t.sim.send_unreadable"}
+        assert errors(p) == [error]
+        assert K.SEND not in kinds(p) and K.MIGRATE_END in kinds(p)
+        assert p.agent_location(receiver) == lab and not p.is_alive(receiver)
+        runs.append((p.trace().to_jsonl(), p.now()))
+    assert runs[0] == runs[1]
+
+
 @pytest.mark.parametrize("field", ["type", "conversation"])
 def test_a_send_whose_type_or_conversation_is_not_a_string_fails_on_both_platforms(field):
     # make_message rejects it: a message with a type of 5 would fail to
