@@ -61,9 +61,10 @@ class PlatformAdapter(Protocol):
         behaviors: list[Behavior],
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
-        """Create an agent at ``at`` whose home is ``at``. An explicit
-        ``agent_id`` must come from ``reserve_agent_id`` and not be in use
-        yet; otherwise raise ValueError before anything is traced."""
+        """Create an agent at ``at`` whose home is ``at``. ``behaviors`` is a
+        list or tuple of behaviors, and an explicit ``agent_id`` must come
+        from ``reserve_agent_id`` and not be in use yet; otherwise raise
+        ValueError before an id is reserved or anything is traced."""
         ...
 
     def send(self, msg: Message) -> None:
@@ -80,7 +81,7 @@ class PlatformAdapter(Protocol):
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
         """Append a behavior to ``target``'s list; it first steps at
         ``now() + 1``, or at the tick after arrival if ``target`` is in
-        transit."""
+        transit. Anything but a behavior raises ValueError."""
         ...
 
     def agent_location(self, agent: AgentId) -> Optional[LocationId]:

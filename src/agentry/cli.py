@@ -1,19 +1,18 @@
-"""Command line entry points: ``agentry run`` and ``agentry validate``.
-
-Exit codes: 0 clean quiescence, 1 golden-trace mismatch, 2 tick budget
-exceeded, 3 validation failure. The golden comparison only applies when the
-run actually uses the scenario's own seed; overriding the seed changes
-latency draws, so comparing would only measure the override.
+"""Command line entry points, ``agentry run`` and ``agentry validate``, on
+the standard library's argparse. Exit codes: 0 clean quiescence, 1
+golden-trace mismatch, 2 tick budget exceeded, 3 validation failure or
+usage error. The golden comparison only applies when the run actually uses
+the scenario's own seed; overriding the seed changes latency draws, so
+comparing would only measure the override.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Union
-
-import click
+from typing import NoReturn, Optional, Union
 
 from .errors import ScenarioError, TickBudgetExceeded
 from .scenario import (
@@ -84,43 +83,44 @@ def run_scenario(
     return code
 
 
-@click.group()
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_INVALID on a usage error, not argparse's 2 (the tick-budget code)."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EXIT_INVALID, f"{self.prog}: error: {message}\n")
+
+
 def main() -> None:
     """Deterministic multi-location agent simulations."""
-
-
-@main.command()
-@click.argument("scenario", type=click.Path())
-@click.option("--seed", type=int, default=None, help="Override the scenario's seed.")
-@click.option("--trace", "trace_out", type=click.Path(), default=None, help="Write the run's trace to this file.")
-@click.option("--until", default="quiescent", show_default=True, help="Stop at this tick, or run to quiescence.")
-def run(scenario: str, seed: Optional[int], trace_out: Optional[str], until: str) -> None:
-    """Build the scenario's world and run it."""
-    try:
-        tick = None if until == "quiescent" else int(until)
-    except ValueError:
-        tick = -1
-    if tick is not None and tick < 0:
-        click.echo(f"--until must be a non-negative tick count or 'quiescent', got {until!r}", err=True)
-        sys.exit(EXIT_INVALID)
-    if seed is not None and seed < 0:  # SimConfig's rule for a seed
-        click.echo(f"--seed must be an integer of at least 0, got {seed}", err=True)
-        sys.exit(EXIT_INVALID)
-    if trace_out is None and os.environ.get(TRACE_DIR_ENV):
-        trace_out = str(Path(os.environ[TRACE_DIR_ENV]) / (Path(scenario).stem + ".trace.jsonl"))
-    sys.exit(run_scenario(scenario, seed=seed, trace_out=trace_out, until=tick))
-
-
-@main.command()
-@click.argument("scenario", type=click.Path())
-def validate(scenario: str) -> None:
-    """Check a scenario file and report every problem found."""
-    problems = validate_scenario(scenario)
+    parser = _Parser(prog="agentry", description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(dest="command", required=True)
+    run = commands.add_parser("run", allow_abbrev=False, help="Build the scenario's world and run it.")
+    run.add_argument("scenario")
+    run.add_argument("--seed", type=int, help="Override the scenario's seed.")
+    run.add_argument("--trace", help="Write the run's trace to this file.")
+    run.add_argument("--until", default="quiescent", help="Stop at this tick, or run to quiescence (default: quiescent).")
+    validate = commands.add_parser("validate", allow_abbrev=False, help="Check a scenario file and report every problem found.")
+    validate.add_argument("scenario")
+    args = parser.parse_args()
+    if args.command == "run":
+        try:
+            tick = None if args.until == "quiescent" else int(args.until)
+        except ValueError:
+            tick = -1
+        if tick is not None and tick < 0:
+            run.exit(EXIT_INVALID, f"--until must be a non-negative tick count or 'quiescent', got {args.until!r}\n")
+        if args.seed is not None and args.seed < 0:  # SimConfig's rule for a seed
+            run.exit(EXIT_INVALID, f"--seed must be an integer of at least 0, got {args.seed}\n")
+        trace_out = args.trace
+        if trace_out is None and os.environ.get(TRACE_DIR_ENV):
+            trace_out = str(Path(os.environ[TRACE_DIR_ENV]) / (Path(args.scenario).stem + ".trace.jsonl"))
+        sys.exit(run_scenario(args.scenario, seed=args.seed, trace_out=trace_out, until=tick))
+    problems = validate_scenario(args.scenario)
+    for problem in problems:
+        print(problem, file=sys.stderr)
     if problems:
-        for problem in problems:
-            click.echo(problem, err=True)
         sys.exit(EXIT_INVALID)
-    click.echo("ok")
+    print("ok")
 
 
 if __name__ == "__main__":

@@ -46,7 +46,9 @@ from .model import (
     Running,
     Ticks,
     deserialize_shell,
+    read_instance,
     read_int,
+    read_items,
     serialize_shell,
 )
 from .trace import EventKind, TraceLog
@@ -134,11 +136,12 @@ class MockPlatform:
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
         self._require_location(at)
+        behaviors = read_items(behaviors, "spawned behaviors", Behavior)
         if agent_id is None:
             agent_id = self.reserve_agent_id()
         elif not 0 < agent_id.value <= self._ids_given or agent_id in self._entries:
             raise ValueError(f"agent id {agent_id!r} was not reserved or is already in use")
-        shell = AgentShell(id=agent_id, home=at, current=at, behaviors=list(behaviors))
+        shell = AgentShell(id=agent_id, home=at, current=at, behaviors=behaviors)
         self._entries[agent_id] = _Entry(
             shell=shell,
             outcomes=[None] * len(shell.behaviors),
@@ -206,6 +209,7 @@ class MockPlatform:
         entry = self._entry(target)
         if not entry.alive:
             raise UnknownAgent(f"agent {target!r} has terminated")
+        read_instance(behavior, "attached behavior", Behavior)
         if entry.traveling:
             entry.deferred_attach.append(behavior)
             return

@@ -280,7 +280,8 @@ def behavior_from_dict(d: dict[str, Any]) -> Behavior:
     if cls is None:
         raise ValueError(f"unknown behavior kind {kind!r}")
     behavior = cls._from_dict_body(d)
-    behavior._finished = read_bool(d.get("done", False), "done")
+    if cls not in _RECORDS:  # a hand-written decoder; a generated one stored done
+        behavior._finished = read_bool(d.get("done", False), "done")
     return behavior
 
 
@@ -470,7 +471,7 @@ def nested_list(cls: type, label: str, into: type = list, **options: Any) -> Any
     return column(read_items, label, cls, into, encode=to, decode=of, each=True, **options)
 
 
-_RECORDS: list[type] = []
+_RECORDS: dict[type, None] = {}  # every record class, in definition order
 
 
 def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str] = None, **options: Any) -> Any:
@@ -483,13 +484,14 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     (``_from_dict_body``), which decodes every argument, then builds the
     record with the same reads and stores, without a call to ``cls``, unless
     ``cls`` is a subclass, whose own ``__init__`` runs. A behavior's decoder
-    stores the blob's ``done`` before ``_check``, which may read it. ``noun``
+    reads the blob's ``done`` and stores it, before ``_check``, which may
+    read it, or after a subclass's ``__init__``. ``noun``
     names the record in errors ("<noun> must be an object" from its decoder).
     A field without a column raises TypeError."""
     if cls is None:
         return lambda cls: record(cls, noun=noun, tag=tag, **options)
     cls = dataclass(cls, init=False, **options)
-    ns: dict[str, Any] = {"__name__": cls.__module__, "read_object": read_object, "noun": noun, "this": cls}
+    ns: dict[str, Any] = {"__name__": cls.__module__, "read_object": read_object, "read_bool": read_bool, "noun": noun, "this": cls}
     ns.update(new=object.__new__, setattr=object.__setattr__)
     # Assigning through self.__dict__ would make CPython build the instance's
     # dict, which slows every later attribute read of it.
@@ -538,16 +540,16 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
         raise TypeError(f"{cls.__name__} fields {sorted(shadowed)} shadow names the generated code uses")
     behavior = issubclass(cls, Behavior)
     encoder, decoder = ("_to_dict_body", "_from_dict_body") if behavior else ("to_jsonable", "from_jsonable")
-    # A behavior's generated __init__ does not call Behavior.__init__. Its decoder
-    # keeps done only when true: behavior_from_dict reads done strictly after it.
-    finished = [" self._finished = False", " self._finished = j.get('done') is True"] if behavior else ["", ""]
+    # A behavior's generated __init__ does not call Behavior.__init__.
+    finished = [" self._finished = False", " self._finished = read_bool(j.get('done', False), 'done')"] if behavior else ["", ""]
     check = " self._check()" if hasattr(cls, "_check") else ""
     signature = [*params, "*", *keywords] if keywords else params
     source = [f"def __init__(self, {', '.join(signature)}):", *stores, finished[0], check, " pass"]
     source += [f"def {encoder}(self):", f" j = {{{', '.join(items)}}}", *omitted, " return j"]
     # read_object's test, inline: a decoder runs for every nested record.
     unpack = " if not isinstance(j, dict): read_object(j, noun)" if noun else ""
-    source += [f"def {decoder}(cls, j):", unpack, *decoded, f" if cls is not this: return cls({', '.join(arguments)})"]
+    source += [f"def {decoder}(cls, j):", unpack, *decoded, " if cls is not this:", f"  self = cls({', '.join(arguments)})"]
+    source += [f" {finished[1]}", "  return self"]
     source += [" self = new(cls)", *stores, finished[1], check, " return self"]
     exec("\n".join(source), ns)
     for name in ("__init__", encoder, decoder):
@@ -556,7 +558,7 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     cls.__init__.__annotations__ = {**{f.name: f.type for f in columns}, "return": None}
     cls._noun = noun or getattr(cls, "_noun", None)
     cls._tag = tag
-    _RECORDS.append(cls)
+    _RECORDS[cls] = None
     return cls
 
 

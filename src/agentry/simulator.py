@@ -93,7 +93,9 @@ from .model import (
     _mistyped,
     column,
     deserialize_shell,
+    read_instance,
     read_int,
+    read_items,
     read_list,
     read_object,
     read_str,
@@ -282,11 +284,12 @@ class SimPlatform:
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
         self._check_location(at)
+        behaviors = read_items(behaviors, "spawned behaviors", Behavior)
         if agent_id is None:
             agent_id = self.reserve_agent_id()
         elif not 0 < agent_id.value < self._next_agent_value or agent_id.value in self._agents:
             raise ValueError(f"agent id {agent_id!r} was not reserved or is already in use")
-        shell = AgentShell(id=agent_id, home=at, current=at, behaviors=list(behaviors))
+        shell = AgentShell(id=agent_id, home=at, current=at, behaviors=behaviors)
         slots = [_Slot(b, self._next_tick) for b in shell.behaviors]
         rec = _AgentRecord(shell=shell, slots=slots, index=len(self._records))
         self._agents[agent_id.value] = rec
@@ -376,6 +379,7 @@ class SimPlatform:
         rec = self._record(target)
         if rec.status == _TERMINATED:
             raise UnknownAgent(f"agent {target!r} has terminated")
+        read_instance(behavior, "attached behavior", Behavior)
         if rec.status == _MIGRATING:
             rec.pending_attach.append(behavior)
             return

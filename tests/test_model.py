@@ -783,6 +783,50 @@ def test_a_subclass_of_a_record_decodes_through_its_own_init():
     assert type(task) is _StampedTask and task.stamped and not task.finished
 
 
+class _HandWritten(ag.Behavior):
+    """A behavior with a hand-written codec: behavior_from_dict reads its done."""
+
+    kind = "test_model_hand_written"
+
+    def _to_dict_body(self):
+        return {}
+
+    @classmethod
+    def _from_dict_body(cls, d):
+        return cls()
+
+
+class _CountsDone(dict):
+    """A blob that counts the reads of its ``done``."""
+
+    reads = 0
+
+    def get(self, key, *default):
+        self.reads += key == "done"
+        return super().get(key, *default)
+
+    def __getitem__(self, key):
+        self.reads += key == "done"
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize(
+    "decode, blob",
+    [
+        (ag.behavior_from_dict, {"kind": "task", "action": {"name": "noop"}}),
+        (ag.behavior_from_dict, {"kind": "test_model_hand_written"}),
+        (_StampedTask._from_dict_body, {"kind": "task", "action": {"name": "noop"}}),
+    ],
+    ids=["record", "hand_written", "record_subclass"],
+)
+def test_a_decoded_behavior_reads_its_done_once(decode, blob):
+    for done in (True, False):
+        counted = _CountsDone(blob, done=done)
+        assert decode(counted).finished is done and counted.reads == 1
+    with pytest.raises(ValueError, match="^done must be true or false, got 1$"):
+        decode({**blob, "done": 1})
+
+
 def test_a_record_decodes_without_calling_its_class(monkeypatch):
     """The decoder builds the record itself: a later __init__ on the class
     is not run by it, while the reads still are."""

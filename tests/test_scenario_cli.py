@@ -1240,6 +1240,36 @@ def test_cli_rejects_a_malformed_until(tmp_path):
     assert "--until" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["run", "x.json", "--seed", "abc"], "agentry run: error: argument --seed: invalid int value: 'abc'\n"),
+        (["run", "x.json", "--bogus"], "agentry: error: unrecognized arguments: --bogus\n"),
+        ([], "agentry: error: the following arguments are required: command\n"),
+    ],
+    ids=["seed_abc", "bogus_option", "no_command"],
+)
+def test_cli_a_usage_error_is_invalid_input(tmp_path, args, message):
+    # Each exited 2, the tick-budget code, under the earlier command line.
+    res = cli(*args, cwd=tmp_path)
+    assert (res.returncode, res.stdout, res.stderr) == (EXIT_INVALID, "", message)
+
+
+def test_cli_help_exits_ok(tmp_path):
+    res = cli("run", "--help", cwd=tmp_path)
+    assert res.returncode == EXIT_OK, res.stderr
+    assert "--until" in res.stdout
+
+
+def test_the_package_needs_only_the_standard_library():
+    # -S leaves site-packages off the path, so only the stdlib and src import.
+    root = Path(__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-S", "-c", "import agentry, agentry.cli"], env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "dependencies = []" in (root / "pyproject.toml").read_text().splitlines()
+
+
 def test_cli_rejects_a_negative_until(tmp_path):
     path = write_scenario(tmp_path, base_doc())
     res = cli("run", str(path), "--until", "-3", "--trace", "out.jsonl", cwd=tmp_path)

@@ -456,3 +456,25 @@ def test_a_send_whose_type_or_conversation_is_not_a_string_fails_on_both_platfor
         p.run(None)
         assert errors(p) == [{"error": f"message {field} must be a string, got 5", "action": "send"}]
         assert K.SEND not in kinds(p)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p, home, agent: p.spawn_agent(home, ["x"]), "spawned behaviors entry must be a behavior, got 'x'"),
+        (lambda p, home, agent: p.attach_behavior(agent, 5), "attached behavior must be a behavior, got 5"),
+    ],
+    ids=["spawn_agent", "attach_behavior"],
+)
+def test_a_platform_call_given_a_non_behavior_raises_where_it_is_called(platform_factory, call, message):
+    # Each call returned, and the next run() raised AttributeError.
+    p = platform_factory()
+    home = p.create_location("home")
+    agent = p.spawn_agent(home, [ag.Task(act("noop"))])
+    before = p.trace().to_jsonl()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(p, home, agent)
+    assert p.trace().to_jsonl() == before
+    assert p.reserve_agent_id() == ag.AgentId(agent.value + 1)
+    p.run(None)
+    assert kinds(p) == {K.SPAWN, K.BEHAVIOR_DONE, K.TERMINATE}
