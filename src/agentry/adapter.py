@@ -70,7 +70,10 @@ class PlatformAdapter(Protocol):
     def send(self, msg: Message) -> None:
         """Enqueue a message for delivery at now + latency. Delivery is
         reliable unless the receiver has terminated, in which case a failed
-        delivery is traced and the message dropped without sender error."""
+        delivery is traced and the message dropped without sender error.
+        A sender never spawned or terminated raises UnknownAgent, and one in
+        transit since an earlier tick raises AlreadyMigrating, before
+        anything is queued or traced."""
         ...
 
     def migrate(self, agent: AgentId, dest: LocationId) -> None:

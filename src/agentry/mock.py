@@ -182,6 +182,12 @@ class MockPlatform:
     # Messaging and migration ----------------------------------------------
 
     def send(self, msg: Message) -> None:
+        sender = self._entry(msg.sender)
+        if not sender.alive:
+            raise UnknownAgent(f"agent {msg.sender!r} has terminated")
+        # A step may move and then send, in the tick its move began.
+        if sender.traveling and sender.trip.arrived_at - sender.trip.latency < self._clock:
+            raise AlreadyMigrating(f"agent {msg.sender!r} is in transit")
         self._mail.append(_Mail(self._clock + self.message_delay, self._seq, msg))
         self._seq += 1
         self._log.emit(

@@ -174,8 +174,10 @@ class PerLink:
 @dataclass(frozen=True)
 class SimConfig:
     """A run's seed (an int >= 0), its latency models (any values with a
-    callable ``sample``, so a user's own model is legal) and ``max_ticks``,
-    the tick budget of a run to quiescence (an int >= 0)."""
+    callable ``sample``, so a user's own model is legal; each sample is read
+    where it is drawn, and one that is not an int >= 0 raises ValueError
+    before the send or move does anything) and ``max_ticks``, the tick
+    budget of a run to quiescence (an int >= 0)."""
 
     seed: int = 0
     message_latency: LatencyModel = Fixed(1)
@@ -333,7 +335,14 @@ class SimPlatform:
     # Messaging and migration ----------------------------------------------
 
     def send(self, msg: Message) -> None:
-        latency = self._latency(self._config.message_latency, msg)
+        rec = self._agents.get(msg.sender.value)
+        if rec is None or rec.status != _ACTIVE:
+            self._check_sender(rec, msg.sender)
+        # The sender is at its location, or bound for ``trip.dest`` since this tick.
+        src = rec.shell.current if rec.status == _ACTIVE else rec.trip.dest
+        latency = self._config.message_latency.sample(self._rng, src, self._location_of_for_latency(msg.receiver))
+        if latency.__class__ is not int or latency < 0:
+            read_int(latency, "latency sample", 0)
         heapq.heappush(self._heap, (self._clock + latency, self._send_seq, msg))
         self._send_seq += 1
         self._log.emit(
@@ -343,10 +352,15 @@ class SimPlatform:
             {"type": msg.type_tag, "to": msg.receiver.value, "conversation": msg.conversation_id},
         )
 
-    def _latency(self, model: LatencyModel, msg: Message) -> Ticks:
-        src = self._location_of_for_latency(msg.sender)
-        dst = self._location_of_for_latency(msg.receiver)
-        return model.sample(self._rng, src, dst)
+    def _check_sender(self, rec: Optional[_AgentRecord], sender: AgentId) -> None:
+        """A sender must be an agent at a location, or one whose move began
+        at this tick (a step may move and then send)."""
+        if rec is None:
+            raise UnknownAgent(f"no agent {sender!r}")
+        if rec.status == _TERMINATED:
+            raise UnknownAgent(f"agent {sender!r} has terminated")
+        if rec.trip.arrived_at - rec.trip.latency < self._clock:
+            raise AlreadyMigrating(f"agent {sender!r} is in transit")
 
     def _location_of_for_latency(self, agent: AgentId) -> LocationId:
         rec = self._agents.get(agent.value)
@@ -366,8 +380,9 @@ class SimPlatform:
         src = rec.shell.current
         # Serialize first: state that will not serialize must neither draw a
         # latency nor leave a migrate_start behind.
-        rec.blob = serialize_shell(rec.shell)
-        latency = self._config.migration_latency.sample(self._rng, src, dest)
+        blob = serialize_shell(rec.shell)
+        latency = read_int(self._config.migration_latency.sample(self._rng, src, dest), "latency sample", 0)
+        rec.blob = blob
         self._log.emit(self._clock, EventKind.MIGRATE_START, agent, {"from": src.name, "to": dest.name})
         rec.status = _MIGRATING
         rec.trip = MigrationReport(src, dest, latency, self._clock + latency)

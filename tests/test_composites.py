@@ -640,8 +640,9 @@ def _fsm_world(platform, seed, fsm=ag.Fsm):
     FSM_EVENT to any agent; any state may be terminal. Each Fsm runs alone,
     inside a Sequential, or in a Parallel (all or any) next to an Observer,
     a Listener or a Task. Latencies are fixed or, on the sim, drawn from
-    0..k. Spawns, outside sends (some not UTF-8) and ``run(until=k)`` calls
-    interleave before a last run to quiescence.
+    0..k. Spawns, outside sends (some not UTF-8, each from a spawned agent
+    still alive, to any agent) and ``run(until=k)`` calls interleave before
+    a last run to quiescence.
     """
     rng = random.Random(seed)
     delay = rng.randint(0, 2)
@@ -702,17 +703,19 @@ def _fsm_world(platform, seed, fsm=ag.Fsm):
         rng.shuffle(children)
         return ag.Parallel(children, completion=rng.choice([ag.ALL, ag.ANY]))
 
-    def outside_calls():
+    def outside_calls(spawned):
         for _ in range(rng.randint(0, 3)):
             if rng.random() < 0.5:
                 payload = rng.choice(FSM_LABELS + ["\xff"]).encode("latin-1")
-                p.send(make_message(rng.choice(ids), rng.choice(ids), rng.choice([FSM_EVENT, "A"]), "outside", payload, sent_at=p.now()))
+                senders = [a for a in spawned if p.is_alive(a)]
+                if senders:
+                    p.send(make_message(rng.choice(senders), rng.choice(ids), rng.choice([FSM_EVENT, "A"]), "outside", payload, sent_at=p.now()))
             else:
                 p.run(until=p.now() + rng.randint(0, 4))
 
-    for agent_id in ids:
+    for i, agent_id in enumerate(ids):
         p.spawn_agent(home, [tree()], agent_id=agent_id)
-        outside_calls()
+        outside_calls(ids[: i + 1])
     try:
         p.run(None)
         over_budget = False

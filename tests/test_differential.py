@@ -13,7 +13,9 @@ Why each generator exists:
 * ``sim_mock``: ``MockPlatform`` is a deliberately naive second runtime, so
   the simulator's scheduling shortcuts are checked against it on random
   worlds of sends, timers, AnyOf wakes, migrations, spawns, attaches and a
-  pause, under fixed latencies that may be zero.
+  pause, under fixed latencies that may be zero. Each trace must also keep
+  ``check_trace``'s rules and render the runtime's own events through their
+  templates.
 * ``outside_calls``: the same, driven only by calls from outside (runs to
   past or present ticks, spawns, attaches, sends, moves), where the two
   runtimes' bookkeeping between runs must also agree.
@@ -38,6 +40,11 @@ Why each generator exists:
   config fields scenario validation accepts, so a spec with one field set to
   JSON junk raises where it is built exactly when validation reports its
   path, and otherwise builds the config the scenario reads.
+* ``render_templates``: ``TraceLog.to_jsonl`` renders the runtime's own
+  detail shapes through templates, which must give the bytes ``_json_line``
+  gives, on exact shapes, near misses and strings that need escaping. Its
+  module imports only the standard library and agentry, so CI also runs it
+  alone, with ``python -S``, on every interpreter.
 
 To register a generator, write beside it a check that calls it on a seed and
 lists what disagrees, a range of tier-1 seeds from 0 and a test parametrized
@@ -48,6 +55,7 @@ the CI seeds that continue them.
 import sys
 from typing import Callable, NamedTuple
 
+import render_templates
 import test_composites
 import test_itinerary
 import test_model
@@ -70,6 +78,7 @@ GENERATORS = {
     "decode_exact": Generator(test_model.decodes_as_written, test_model.DECODE_SEEDS, range(200, 2200)),
     "construct_round_trip": Generator(test_model.constructs_round_trip, test_model.CONSTRUCT_SEEDS, range(200, 2200)),
     "config_accepts": Generator(test_model.config_accepts, test_model.CONFIG_SEEDS, range(200, 2200)),
+    "render_templates": Generator(render_templates.templates_render_as_json_line, render_templates.TIER1_SEEDS, render_templates.CI_SEEDS),
 }
 
 
@@ -111,6 +120,7 @@ def test_the_ci_seeds_continue_the_tier_1_seeds():
         "decode_exact": list(range(2200)),
         "construct_round_trip": list(range(2200)),
         "config_accepts": list(range(2200)),
+        "render_templates": list(range(2200)),
     }
 
 

@@ -9,6 +9,7 @@ import agentry as ag
 from agentry import simulator
 from agentry.model import location_to_jsonable
 from agentry.scenario import _read, build_platform, load_scenario
+from agentry.trace import _TEMPLATES, check_trace
 
 from conftest import events_of, make_mock, make_sim
 
@@ -365,6 +366,61 @@ def test_a_config_value_that_is_not_an_int_tick_raises_where_it_is_built(case):
     assert str(err.value) == message
 
 
+class _Draws:
+    """A user's latency model that draws one given value every time."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def sample(self, rng, src, dst):
+        return self.value
+
+
+@pytest.mark.parametrize("value", ["x", None, True, 1.5, -3], ids=["str", "none", "bool", "float", "negative"])
+@pytest.mark.parametrize("latency", ["message_latency", "migration_latency"])
+def test_a_latency_sample_that_is_not_a_tick_raises_before_anything_happens(latency, value):
+    # A migration sample of "x" raised TypeError after migrate_start, and left
+    # the agent in transit forever; 1.5 traced a tick of 1.5, True a latency
+    # of true, and -3 delivered a message before it was sent.
+    p = ag.SimPlatform(ag.SimConfig(**{latency: _Draws(value)}))
+    here, there = p.create_location("here"), p.create_location("there")
+    agent = p.spawn_agent(here, [ag.Listener("*", [ag.ActionDescriptor("noop")], mode=ag.CYCLIC)])
+    before = p.trace().to_jsonl()
+    with pytest.raises(ValueError) as err:
+        if latency == "message_latency":
+            p.send(ag.make_message(agent, agent, "A", "c", sent_at=p.now()))
+        else:
+            p.migrate(agent, there)
+    assert str(err.value) == f"latency sample must be an integer of at least 0, got {value!r}"
+    assert p.trace().to_jsonl() == before
+    assert p.agent_location(agent) == here
+
+
+def test_a_sender_must_be_an_agent_at_a_location(platform_factory):
+    # A send in the name of an agent never spawned, terminated or in transit
+    # since an earlier tick traced an event that no agent could have made.
+    p = platform_factory(migration=3)
+    here, there = p.create_location("here"), p.create_location("there")
+    ghost = p.reserve_agent_id()
+    gone = p.spawn_agent(here, [])
+    mover = p.spawn_agent(here, [ag.Listener("*", [ag.ActionDescriptor("noop")], mode=ag.CYCLIC)])
+    p.run(until=1)
+    p.migrate(mover, there)
+    p.send(ag.make_message(mover, mover, "A", "c", sent_at=p.now()))  # in the tick its move began
+    p.run(until=2)
+    before = p.trace().to_jsonl()
+    refused = {ghost: (ag.UnknownAgent, f"no agent {ghost!r}"), gone: (ag.UnknownAgent, f"agent {gone!r} has terminated")}
+    refused[mover] = (ag.AlreadyMigrating, f"agent {mover!r} is in transit")
+    for sender, (error, message) in refused.items():
+        with pytest.raises(error) as err:
+            p.send(ag.make_message(sender, mover, "A", "c", sent_at=p.now()))
+        assert str(err.value) == message
+    assert p.trace().to_jsonl() == before
+    p.run(None)
+    assert check_trace(p.trace()) == []
+    assert [e.tick for e in p.trace() if e.kind == ag.EventKind.DELIVER] == [4]
+
+
 def test_migration_round_trips_state(platform_factory):
     p = platform_factory(migration=2)
     a_loc = p.create_location("a")
@@ -524,9 +580,7 @@ def test_trace_ticks_and_seqs_are_monotonic(platform_factory):
     for i in range(3):
         p.spawn_agent(loc, [ag.Task(ag.ActionDescriptor("send", {"to": hearer.value, "type": f"T{i}"}))])
     p.run(until=20)
-    events = list(p.trace())
-    assert [e.seq for e in events] == list(range(len(events)))
-    assert all(a.tick <= b.tick for a, b in zip(events, events[1:]))
+    assert check_trace(p.trace()) == []
 
 
 def test_a_traced_detail_keeps_its_value_when_state_changes_later(platform_factory):
@@ -666,17 +720,34 @@ def _generated_platform(factory, seed):
 
 
 def _generated_world(factory, seed):
-    """A seeded world's trace and final clock reading (the last tick with work)."""
+    """A seeded world's platform, and what it shows: its trace and final
+    clock reading (the last tick with work)."""
     p = _generated_platform(factory, seed)
-    return p.trace().to_jsonl(), p.now()
+    return p, (p.trace().to_jsonl(), p.now())
+
+
+def _untemplated(log):
+    """The runtime's own events in ``log`` that miss their render template,
+    which only a failed deliver is meant to do."""
+    return [
+        f"seq {e.seq} ({e.kind._value_}) misses its template"
+        for e in log
+        if e.kind._value_ in _TEMPLATES and "failed" not in e.detail and _TEMPLATES[e.kind._value_](e.tick, e.seq, e.agent, e.detail) is None
+    ]
 
 
 def _platforms_agree(world):
-    """A differential check ``(seed) -> problems``: the seeded world shows the
-    same on the sim and the mock."""
+    """A differential check ``(seed) -> problems``: the seeded world, run to
+    quiescence, shows the same on the sim and the mock, and each platform's
+    trace keeps ``check_trace``'s rules and renders the runtime's own events
+    through their templates."""
 
     def check(seed):
-        return [] if world(make_sim, seed) == world(make_mock, seed) else ["sim and mock disagree"]
+        (sim, shown), (mock, also_shown) = world(make_sim, seed), world(make_mock, seed)
+        problems = [
+            f"{name}: {problem}" for name, p in (("sim", sim), ("mock", mock)) for problem in check_trace(p.trace()) + _untemplated(p.trace())
+        ]
+        return problems + ([] if shown == also_shown else ["sim and mock disagree"])
 
     return check
 
@@ -691,9 +762,10 @@ def test_generated_worlds_agree_on_both_platforms(seed):
 
 
 def _outside_calls_world(factory, seed):
-    """Drive a seeded world by outside calls only, and return what the
-    platform shows of it: each call's outcome and clock reading, the trace,
-    the final clock and every agent's aliveness, location and state.
+    """Drive a seeded world by outside calls only, and return the platform
+    and what it shows of the world: each call's outcome and clock reading,
+    the trace, the final clock and every agent's aliveness, location and
+    state.
 
     The calls interleave ``run(until=k)``, where k may be 0 or behind
     ``now()``, with spawns (some with no behavior), attaches, sends (some to
@@ -746,7 +818,7 @@ def _outside_calls_world(factory, seed):
             outcomes.append((call, type(refused).__name__, p.now()))
     p.run(None)
     seen = [(p.is_alive(a), p.agent_location(a), p.agent_state(a)) for a in agents]
-    return outcomes, p.trace().to_jsonl(), p.now(), seen
+    return p, (outcomes, p.trace().to_jsonl(), p.now(), seen)
 
 
 outside_calls_agree = _platforms_agree(_outside_calls_world)
@@ -802,7 +874,7 @@ def test_reading_the_log_yields_its_rows_as_events_in_order(finished_platform):
     log = finished_platform.trace()
     events = list(log)
     assert events and all(type(e) is ag.TraceEvent for e in events)
-    assert [e.seq for e in events] == list(range(len(events)))
+    assert check_trace(events) == []
     assert len(log) == len(events)
     # The line format has one definition: the log renders what its events do.
     assert log.to_jsonl() == "".join(e.to_json_line() + "\n" for e in log)
