@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from .errors import DuplicateAction, UnknownAction
-from .model import column, read_str, record
+from .model import _MARKERS, column, read_str, record
 
 if TYPE_CHECKING:
     from .model import AgentContext, Message
@@ -25,7 +25,8 @@ class ActionDescriptor:
     """Reference to a registered action: a name and JSON-typed parameters."""
 
     name: str = column(read_str, "action name")
-    params: Any = column(default=None)  # opaque JSON, handed to the action as is
+    # Opaque JSON, handed to the action as is; a scenario read binds the markers of a copy.
+    params: Any = column(decode=lambda params: params if _MARKERS[0] is None else _MARKERS[0].bind(params, ""), default=None)
 
 
 _BUILTIN_ACTIONS: dict[str, ActionFn] = {}

@@ -34,6 +34,7 @@ from .model import (
     StepOutcome,
     _is_int,
     _mistyped,
+    bound_marker,
     canonical_json,
     column,
     message_from_jsonable,
@@ -279,7 +280,7 @@ _AWAIT_RESULT = "await_result"
 def _read_server(server: Any, label: str) -> Any:
     if _is_int(server) or isinstance(server, dict) and set(server) == {"$state"} and isinstance(server["$state"], str):
         return server
-    raise _mistyped(label, 'an agent id value or a {"$state": key} marker', server)
+    return bound_marker(server, "$agent", _mistyped(label, 'an agent id value or a {"$state": key} marker', server))
 
 
 @record(eq=False, repr=False)

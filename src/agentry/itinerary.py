@@ -30,6 +30,7 @@ from .model import (
     StepOutcome,
     Ticks,
     behavior_from_dict,
+    bound_marker,
     clone_behavior,
     column,
     nested,
@@ -48,6 +49,13 @@ from .model import (
 Window = tuple[Ticks, Optional[Ticks]]
 
 
+def _location(value: Any) -> LocationId:
+    try:
+        return LocationId.from_jsonable(value)
+    except KeyError as miss:  # a scenario's {"$location": name}, or the error
+        return bound_marker(value, "$location", miss)
+
+
 @record(frozen=True, noun="objective")
 class Objective:
     """One stop: where to be, when to be there, what to do on arrival.
@@ -56,7 +64,7 @@ class Objective:
     None leaves the window open-ended.
     """
 
-    location: LocationId = nested(LocationId, "objective location")
+    location: LocationId = column(read_instance, "objective location", LocationId, encode="to_jsonable", decode=_location)
     earliest_offset: Ticks = column(read_int, "objective earliest", 0, key="earliest", default=0)
     latest_offset: Optional[Ticks] = column(key="latest", default=None)  # read by _check, as its bound is earliest
     stop_tasks: tuple[ActionDescriptor, ...] = nested_list(ActionDescriptor, "objective tasks", tuple, key="tasks", default=())
@@ -93,7 +101,11 @@ def _task_free_rows(objectives: Any) -> Optional[tuple[ObjectiveRow, ...]]:
     rows = []
     for o in objectives:
         location, earliest, latest = o["location"], o.get("earliest", 0), o.get("latest")
-        value, name = location["value"], location["name"]
+        try:
+            value, name = location["value"], location["name"]
+        except KeyError as miss:  # a scenario's {"$location": name}, or the error
+            where = bound_marker(location, "$location", miss)
+            value, name = where.value, where.name
         if o.get("tasks", []) != [] or not (
             type(value) is int and type(name) is str and type(earliest) is int and (latest is None or type(latest) is int)
         ):

@@ -49,6 +49,7 @@ from .model import (
     read_instance,
     read_int,
     read_items,
+    read_type,
     serialize_shell,
 )
 from .trace import EventKind, TraceLog
@@ -135,8 +136,9 @@ class MockPlatform:
         behaviors: list[Behavior],
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
-        self._require_location(at)
+        self._require_location(read_type(at, "spawn location", LocationId, "a LocationId"))
         behaviors = read_items(behaviors, "spawned behaviors", Behavior)
+        agent_id = None if agent_id is None else read_type(agent_id, "spawned agent id", AgentId, "an AgentId")
         if agent_id is None:
             agent_id = self.reserve_agent_id()
         elif not 0 < agent_id.value <= self._ids_given or agent_id in self._entries:
@@ -198,6 +200,9 @@ class MockPlatform:
         )
 
     def migrate(self, agent: AgentId, dest: LocationId) -> None:
+        if dest.__class__ is not LocationId or agent.__class__ is not AgentId:  # a move pays no call
+            read_type(dest, "migration destination", LocationId, "a LocationId")
+            read_type(agent, "migrating agent", AgentId, "an AgentId")
         self._require_location(dest)
         entry = self._entry(agent)
         if entry.traveling:
@@ -212,7 +217,7 @@ class MockPlatform:
         entry.trip = MigrationReport(src, dest, self.migration_delay, self._clock + self.migration_delay)
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
-        entry = self._entry(target)
+        entry = self._entry(read_type(target, "attach target", AgentId, "an AgentId"))
         if not entry.alive:
             raise UnknownAgent(f"agent {target!r} has terminated")
         read_instance(behavior, "attached behavior", Behavior)
@@ -236,6 +241,7 @@ class MockPlatform:
         return f"c{self._conversations}"
 
     def run(self, until: Optional[Ticks] = None) -> TraceLog:
+        read_int(until, "run until", 0, null=True)
         tick = self._first_unprocessed
         while True:
             if until is not None and tick > until:

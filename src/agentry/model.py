@@ -279,9 +279,12 @@ def behavior_from_dict(d: dict[str, Any]) -> Behavior:
     cls = _BEHAVIOR_KINDS.get(kind)
     if cls is None:
         raise ValueError(f"unknown behavior kind {kind!r}")
+    if cls in _RECORDS:  # a generated decoder stores done
+        return cls._from_dict_body(d)
+    if _MARKERS[0] is not None:  # a hand-written decoder reads a tree whose markers are bound
+        raise ValueError(f"behavior kind {kind!r} reads a scenario's markers only once they are bound")
     behavior = cls._from_dict_body(d)
-    if cls not in _RECORDS:  # a hand-written decoder; a generated one stored done
-        behavior._finished = read_bool(d.get("done", False), "done")
+    behavior._finished = read_bool(d.get("done", False), "done")
     return behavior
 
 
@@ -402,6 +405,18 @@ def read_items(values: Any, label: str, cls: type, into: type = list) -> Any:
         if not isinstance(value, cls):
             read_instance(value, f"{label} entry", cls)
     return into(values)
+
+
+_MARKERS: list[Any] = [None]  # the scenario's _Binder while scenario._behavior decodes a tree
+
+
+def bound_marker(value: Any, key: str, miss: Exception) -> Any:
+    """``miss``, raised by a typed field's read of ``value``, unless that is a ``{key: arg}`` marker the scenario binds."""
+    binder = _MARKERS[0]
+    bound = binder is not None and type(value) is dict and len(value) == 1 and binder.bound(key, value)
+    if not bound:
+        raise miss
+    return bound
 
 
 # ---------------------------------------------------------------------------

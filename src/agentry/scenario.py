@@ -10,12 +10,14 @@ serialization format plus three late-bound markers the loader substitutes:
 * ``{"$tests": true}`` - the scenario's test repository path (``tests``,
   which a scenario using this marker must give)
 
-One walk reads a document: it reports every problem at its JSON-pointer
-path and builds the config, the locations' names and every behavior tree,
-with markers bound to the ids a fresh SimPlatform assigns.
-``validate_scenario_doc`` returns its problems; ``build_platform`` raises
-them as a ScenarioError, or spawns the trees that walk built. A bad marker
-is reported at its own path and its tree is not built. Relative paths
+One reading of a document reports every problem at its JSON-pointer path
+and builds the config, the locations' names and every behavior tree, with
+markers bound to the ids a fresh SimPlatform assigns: typed fields bind their
+own, and only action ``params`` are walked and copied. A tree that read
+refuses is walked whole, so a bad marker is reported at its own path and its
+tree is not built (a marker under a key no decoder reads is left unread).
+``validate_scenario_doc`` returns the problems; ``build_platform`` raises
+them as a ScenarioError, or spawns the trees that reading built. Relative paths
 (``tests``, ``expected``) resolve against the scenario file's own directory
 so scenario bundles stay portable.
 """
@@ -29,7 +31,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
 from .errors import MalformedRepository, ScenarioError
-from .model import AgentId, Behavior, LocationId, _is_int, behavior_from_dict, behavior_kinds, location_to_jsonable, read_int
+from .model import _MARKERS, AgentId, Behavior, LocationId, _is_int, behavior_from_dict, behavior_kinds, location_to_jsonable, read_int
 from .repository import load_tests
 from .simulator import Fixed, LatencyModel, PerLink, SimConfig, SimPlatform, UniformRange
 
@@ -52,18 +54,25 @@ def _pointer(path: Any) -> str:
 
 @dataclass
 class _Binder:
-    """Replaces the markers in one document's behavior trees in one walk and
-    records whether ``$tests`` was used. It reports an undeclared location,
-    an out-of-range agent or a ``$tests`` argument other than ``true`` at the
-    marker's JSON-pointer path. Each dict and list is copied whole, then the
-    walk calls itself only for the dicts and lists inside, passing a
-    ``(parent, key)`` path that is joined only to report a problem."""
+    """One document's markers and whether ``$tests`` was used; typed fields
+    bind their own through ``bound``. ``bind`` walks action params, or a whole
+    tree on the error path, and reports an undeclared location, an out-of-range
+    agent or a ``$tests`` argument other than ``true`` at the marker's path. It
+    copies each dict and list whole, then calls itself only for the dicts and
+    lists inside, with a ``(parent, key)`` path joined only to report a problem."""
 
     locations: dict[str, LocationId]
     agents: list[AgentId]
     tests: str
     problems: list[str]
     uses_tests: bool = False
+
+    def bound(self, key: str, marker: dict) -> Any:
+        """A ``$location`` marker's LocationId or an ``$agent`` marker's id value; None if bad."""
+        arg = marker.get(key)
+        if key == "$location":
+            return self.locations.get(arg) if isinstance(arg, str) else None
+        return self.agents[arg].value if _is_int(arg) and 0 <= arg < len(self.agents) else None
 
     def bind(self, value: Any, path: Any) -> Any:
         if not isinstance(value, dict):
@@ -76,16 +85,14 @@ class _Binder:
             return value
         if len(value) == 1:
             ((key, arg),) = value.items()
-            if key == "$location":
-                if isinstance(arg, str) and arg in self.locations:
-                    return location_to_jsonable(self.locations[arg])
-                self.problems.append(f"{_pointer(path)}: unknown location {arg!r}{_suggest(str(arg), list(self.locations))}")
-                return value
-            if key == "$agent":
-                n = len(self.agents)
-                if _is_int(arg) and 0 <= arg < n:
-                    return self.agents[arg].value
-                self.problems.append(f"{_pointer(path)}: $agent index {arg!r} out of range (have {n} agents)")
+            if key == "$location" or key == "$agent":
+                bound = self.bound(key, value)
+                if bound is not None:
+                    return location_to_jsonable(bound) if key == "$location" else bound
+                if key == "$location":
+                    self.problems.append(f"{_pointer(path)}: unknown location {arg!r}{_suggest(str(arg), list(self.locations))}")
+                else:
+                    self.problems.append(f"{_pointer(path)}: $agent index {arg!r} out of range (have {len(self.agents)} agents)")
                 return value
             if key == "$tests":
                 if arg is not True:
@@ -156,15 +163,24 @@ def _latency(spec: Any, path: str, names: list[str], problems: list[str]) -> Opt
 
 
 def _behavior(spec: Any, path: str, binder: _Binder, known: dict[str, Any], problems: list[str]) -> Optional[Behavior]:
-    """Build one behavior tree with the document's binder for its markers; a
-    tree with a bad marker is reported there, not built."""
+    """Build one behavior tree, its decoders binding its markers; one they refuse (a bad marker, any
+    raise, a hand-written decoder) is bound whole, then decoded, so its problems keep their paths."""
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if not isinstance(spec, dict):
         problems.append(f"{path}: behavior spec must be an object")
     elif not isinstance(kind, str) or kind not in known:
         problems.append(f"{path}/kind: unknown behavior kind {kind!r}{_suggest(str(kind), known)}")
     else:
-        n_problems = len(problems)
+        n_problems, uses_tests = len(problems), binder.uses_tests
+        _MARKERS[0] = binder
+        try:
+            behavior = _built(path, problems, behavior_from_dict, spec)
+        finally:
+            _MARKERS[0] = None
+        if len(problems) == n_problems:
+            return behavior
+        del problems[n_problems:]
+        binder.uses_tests = uses_tests
         bound = _built(path, problems, binder.bind, spec, path)
         if len(problems) == n_problems:
             return _built(path, problems, behavior_from_dict, bound)

@@ -99,6 +99,7 @@ from .model import (
     read_list,
     read_object,
     read_str,
+    read_type,
     record,
     serialize_shell,
     wake_satisfied,
@@ -285,8 +286,9 @@ class SimPlatform:
         behaviors: list[Behavior],
         agent_id: Optional[AgentId] = None,
     ) -> AgentId:
-        self._check_location(at)
+        self._check_location(read_type(at, "spawn location", LocationId, "a LocationId"))
         behaviors = read_items(behaviors, "spawned behaviors", Behavior)
+        agent_id = None if agent_id is None else read_type(agent_id, "spawned agent id", AgentId, "an AgentId")
         if agent_id is None:
             agent_id = self.reserve_agent_id()
         elif not 0 < agent_id.value < self._next_agent_value or agent_id.value in self._agents:
@@ -371,6 +373,9 @@ class SimPlatform:
         return rec.shell.current
 
     def migrate(self, agent: AgentId, dest: LocationId) -> None:
+        if dest.__class__ is not LocationId or agent.__class__ is not AgentId:  # a move pays no call
+            read_type(dest, "migration destination", LocationId, "a LocationId")
+            read_type(agent, "migrating agent", AgentId, "an AgentId")
         self._check_location(dest)
         rec = self._record(agent)
         if rec.status == _MIGRATING:
@@ -391,7 +396,7 @@ class SimPlatform:
         heapq.heappush(self._arrivals, (rec.trip.arrived_at, agent.value, agent))
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
-        rec = self._record(target)
+        rec = self._record(read_type(target, "attach target", AgentId, "an AgentId"))
         if rec.status == _TERMINATED:
             raise UnknownAgent(f"agent {target!r} has terminated")
         read_instance(behavior, "attached behavior", Behavior)
@@ -415,6 +420,7 @@ class SimPlatform:
         return f"c{self._conv_counter}"
 
     def run(self, until: Optional[Ticks] = None) -> TraceLog:
+        read_int(until, "run until", 0, null=True)
         while True:
             work = self._next_work_tick()
             if work is None:

@@ -24,7 +24,9 @@ Why each generator exists:
 * ``document_fuzz``: validation and the build read a scenario document the
   same way, so a clean document builds and runs and a broken one raises
   exactly the problems validation lists. A clean one, with its latencies
-  fixed, also runs the same on the mock.
+  fixed, also runs the same on the mock. Its module imports only the
+  standard library and agentry, so CI also runs it alone, with ``python -S``,
+  on every interpreter.
 * ``route_decode``: ``Route.from_jsonable``'s fast path against the
   per-objective reference decode, diagnostics included.
 * ``decode_exact``: every decoder uses each value it accepts as written, on
@@ -55,11 +57,11 @@ the CI seeds that continue them.
 import sys
 from typing import Callable, NamedTuple
 
+import document_fuzz
 import render_templates
 import test_composites
 import test_itinerary
 import test_model
-import test_scenario_cli
 import test_simulator
 
 
@@ -73,7 +75,7 @@ GENERATORS = {
     "sim_mock": Generator(test_simulator.generated_worlds_agree, test_simulator.GENERATED_WORLD_SEEDS, range(120, 1620)),
     "outside_calls": Generator(test_simulator.outside_calls_agree, test_simulator.OUTSIDE_CALLS_SEEDS, range(150, 2150)),
     "fsm_wait": Generator(test_composites.fsm_rules_agree, test_composites.FSM_WAIT_SEEDS, range(200, 2200)),
-    "document_fuzz": Generator(test_scenario_cli.document_holds, test_scenario_cli.DOCUMENT_SEEDS, range(200, 2200)),
+    "document_fuzz": Generator(document_fuzz.document_holds, document_fuzz.TIER1_SEEDS, document_fuzz.CI_SEEDS),
     "route_decode": Generator(test_itinerary.route_decodes_as_the_reference, test_itinerary.ROUTE_SEEDS, range(200, 2200)),
     "decode_exact": Generator(test_model.decodes_as_written, test_model.DECODE_SEEDS, range(200, 2200)),
     "construct_round_trip": Generator(test_model.constructs_round_trip, test_model.CONSTRUCT_SEEDS, range(200, 2200)),

@@ -20,7 +20,7 @@ from agentry.scenario import build_platform, render_trace, validate_scenario_doc
 from agentry.trace import EventKind
 
 from conftest import events_of
-from test_scenario_cli import _slots
+from document_fuzz import _slots
 
 
 def act(name, params=None):

@@ -34,7 +34,8 @@ from agentry.model import (
 from agentry.scenario import _latency, _read, build_platform
 from agentry.simulator import _MIGRATING
 from agentry.trace import CANONICAL_ENCODER
-from test_scenario_cli import JUNK, SHIPPED, _document_base, _slots, base_doc
+from document_fuzz import JUNK, SHIPPED, _document_base, _slots
+from test_scenario_cli import base_doc
 
 L1 = ag.LocationId(1, "one")
 L2 = ag.LocationId(2, "two")

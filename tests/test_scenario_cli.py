@@ -1,13 +1,9 @@
 """Scenario files, the world builder, golden traces, and the CLI."""
 
-import functools
-import importlib.util
 import json
 import os
-import random
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -22,8 +18,8 @@ from agentry.cli import (
     TRACE_DIR_ENV,
     run_scenario,
 )
-from agentry.model import AgentId
-from agentry import scenario
+from agentry.model import AgentShell, deserialize_shell, serialize_shell
+from agentry import model, scenario
 from agentry.scenario import (
     build_platform,
     effective_seed,
@@ -34,10 +30,9 @@ from agentry.scenario import (
 )
 from agentry.trace import EventKind
 
-from conftest import events_of, make_mock
-
-SHIPPED = Path(__file__).parent.parent / "scenarios" / "push_exam.json"
-BENCH = Path(__file__).parent.parent / "bench"
+import document_fuzz
+from conftest import events_of
+from document_fuzz import SHIPPED, load_bench_worlds
 
 
 @builtin_action("t.scn.count_tests")
@@ -584,7 +579,7 @@ def test_run_scenario_reads_the_file_once(tmp_path, monkeypatch):
 @pytest.mark.parametrize("workload", ["fanin", "fleet", "fsm_mesh"])
 def test_run_scenario_builds_each_behavior_once(tmp_path, monkeypatch, workload):
     # One reading both checks the document and builds the trees it spawns.
-    doc = _load_bench_worlds().WORKLOADS[workload][0](0)
+    doc = load_bench_worlds().WORKLOADS[workload][0](0)
     path = write_scenario(tmp_path, doc)
     calls = []
     decode = scenario.behavior_from_dict
@@ -626,16 +621,6 @@ def test_location_markers_bind_to_real_locations(tmp_path):
     assert p.agent_location(mover).name == "away"
 
 
-def _load_bench_worlds():
-    # bench/worlds.py generates the benchmark's scenario documents; it is read
-    # here, never changed, and loaded under its own name so nothing else in
-    # bench/ lands on sys.path.
-    spec = importlib.util.spec_from_file_location("bench_worlds", BENCH / "worlds.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def spawned_trees(monkeypatch):
     """Record the behavior lists every SimPlatform.spawn_agent receives."""
     trees = []
@@ -653,7 +638,7 @@ def spawned_trees(monkeypatch):
 def test_validation_builds_the_trees_the_build_spawns(monkeypatch, workload):
     # Validation's stand-in ids are the ones a fresh SimPlatform assigns, so
     # the trees it builds to check a document are the trees the build spawns.
-    doc = _load_bench_worlds().WORKLOADS[workload][0](0)
+    doc = load_bench_worlds().WORKLOADS[workload][0](0)
     checked = []
     decode = scenario.behavior_from_dict
 
@@ -698,6 +683,121 @@ def test_two_builds_of_one_document_share_no_mutable_data(monkeypatch):
     assert [[tree.to_dict() for tree in trees] for trees in one] != before
     assert [[tree.to_dict() for tree in trees] for trees in two] == before
     assert json.dumps(doc, sort_keys=True) == pristine
+
+
+def _mutable_values(value, found):
+    """``found`` with every dict and list reachable from ``value``, through
+    the items of containers and the attributes of objects, keyed by id."""
+    if isinstance(value, (dict, list)):
+        if id(value) in found:
+            return found
+        found[id(value)] = value
+        items = value.values() if isinstance(value, dict) else value
+    elif isinstance(value, (tuple, frozenset)):
+        items = value
+    elif hasattr(value, "__dict__") and not isinstance(value, type):
+        items = vars(value).values()
+    else:
+        return found
+    for item in items:
+        _mutable_values(item, found)
+    return found
+
+
+def _nested_params_doc():
+    """Trees whose action params nest dicts and lists holding markers: a
+    task, an Fsm's states, a listener's callbacks and an itinerary's stop."""
+    params = {"tag": "x", "extra": {"n": [1, {"k": []}]}, "at": {"$location": "away"}, "who": [{"$agent": 1}, [{"$agent": 0}]]}
+    send = {"name": "send", "params": {"to": {"$agent": 0}, "type": "PING", "payload": [params]}}
+    fsm = {"kind": "fsm", "definition": {"states": {"a": send, "b": {"name": "trace", "params": params}}, "start": "a", "terminals": ["b"]}, "current": "a"}
+    listener = {"kind": "listener", "filter": "PING", "callbacks": [{"name": "trace", "params": params}], "mode": "cyclic"}
+    stop = {"location": {"$location": "away"}, "earliest": 0, "latest": None, "tasks": [{"name": "trace", "params": params}]}
+    itinerary = {"kind": "itinerary", "config": {"route": {"objectives": [stop]}}, "estimator": {"alpha": [1, 2], "default": [0, 1]}}
+    agents = [{"location": "home", "behaviors": [task_spec("trace", params), listener]}, {"location": "away", "behaviors": [fsm, itinerary]}]
+    return base_doc(agents=agents)
+
+
+@pytest.mark.parametrize("kind", ["fanin", "fleet", "fsm_mesh", "shipped", "nested params"])
+def test_two_builds_share_no_dict_or_list_with_each_other_or_the_document(kind):
+    if kind == "shipped":
+        doc = json.loads(SHIPPED.read_text())
+    else:
+        doc = _nested_params_doc() if kind == "nested params" else load_bench_worlds().WORKLOADS[kind][0](0)
+    reads = [scenario._read(doc, SHIPPED.parent) for _ in range(2)]
+    assert [problems for problems, *_ in reads] == [[], []]
+    in_doc, one, two = (_mutable_values(value, {}) for value in (doc, reads[0][3], reads[1][3]))
+    assert not in_doc.keys() & one.keys() and not in_doc.keys() & two.keys() and not one.keys() & two.keys()
+
+
+def test_a_blob_binds_no_marker():
+    # A read that refuses its tree mid-decode leaves no binder behind.
+    bad = base_doc(agents=[{"location": "home", "behavior": {"kind": "client", "server": {"$agent": 0}, "request": 5}}])
+    assert validate_scenario_doc(bad) == ["/agents/0/behaviors/0: request must be an object, got 5"]
+    assert model._MARKERS == [None]
+    at_home = ag.LocationId(1, "home")
+    stops = (ag.Objective(at_home, 0, 5), ag.Objective(at_home, 1, 6, (ag.ActionDescriptor("noop"),)))
+    marked = {"at": {"$location": "home"}, "who": [{"$agent": 0}]}
+    behaviors = [
+        ag.Itinerary(ag.ItineraryConfig(route=ag.Route(stops))),
+        ag.Client(1, ag.RequestEnvelope(ag.ActionDescriptor("noop"))),
+        ag.Task(ag.ActionDescriptor("trace", marked)),
+    ]
+    blob = json.loads(serialize_shell(AgentShell(ag.AgentId(1), at_home, at_home, behaviors)))
+    for i in range(2):  # the task-free stop, read by the route's rows, and the stop with a task
+        tampered = json.loads(json.dumps(blob))
+        tampered["behaviors"][0]["config"]["route"]["objectives"][i]["location"] = {"$location": "home"}
+        with pytest.raises(KeyError, match="'value'"):
+            deserialize_shell(json.dumps(tampered).encode())
+    tampered = json.loads(json.dumps(blob))
+    tampered["behaviors"][1]["server"] = {"$agent": 0}
+    with pytest.raises(ValueError, match=r"^client server must be an agent id value or a \{\"\$state\": key\} marker, got \{'\$agent': 0\}$"):
+        deserialize_shell(json.dumps(tampered).encode())
+    assert deserialize_shell(json.dumps(blob).encode()).behaviors[2].action.params == marked
+
+
+class _Noted(ag.Behavior):
+    """A hand-written kind that keeps its one field as the document wrote
+    it, so the whole-tree walk binds the markers in it."""
+
+    kind = "t.scn.noted"
+
+    def __init__(self, note):
+        super().__init__()
+        self.note = note
+
+    def _step(self, ctx):
+        ctx.trace({"note": self.note})
+        return ag.DONE
+
+    def _to_dict_body(self):
+        return {"note": self.note}
+
+    @classmethod
+    def _from_dict_body(cls, d):
+        return cls(d["note"])
+
+
+@pytest.mark.parametrize("nested", [False, True])
+def test_a_hand_written_kind_has_its_markers_bound_by_the_whole_tree_walk(tmp_path, nested):
+    note = {"at": {"$location": "away"}, "who": [{"$agent": 0}]}
+    spec = {"kind": "t.scn.noted", "note": note}
+    spec = {"kind": "sequential", "children": [spec]} if nested else spec
+    doc = base_doc(agents=[{"location": "home", "behavior": spec}])
+    p = build_platform(doc, base_dir=tmp_path)
+    p.run(None)
+    assert [e.detail for e in events_of(p, EventKind.CUSTOM)] == [{"note": {"at": {"value": 2, "name": "away"}, "who": [1]}}]
+    note["who"] = [{"$agent": 7}]
+    where = "/agents/0/behaviors/0" + "/children/0" * nested
+    assert validate_scenario_doc(doc) == [f"{where}/note/who/0: $agent index 7 out of range (have 1 agents)"]
+    reads = [document_fuzz._tree_read(read, spec, doc) for read in (scenario._behavior, document_fuzz._bound_then_decoded)]
+    assert reads[0] == reads[1]
+
+
+def test_a_marker_under_a_key_no_decoder_reads_is_left_unread():
+    # Only the fields that are read bind their markers, so these are neither
+    # reported nor a reason to need a tests repository.
+    task = {"kind": "task", "action": {"name": "noop", "note": {"$tests": True}}, "note": {"$location": "nowhere"}}
+    assert validate_scenario_doc(base_doc(agents=[{"location": "home", "behavior": task}])) == []
 
 
 def test_a_marker_inside_a_dict_or_list_subclass_is_replaced(tmp_path):
@@ -799,168 +899,14 @@ def test_first_divergence_shows_line_ending_differences():
 # ---------------------------------------------------------------------------
 
 
-def _small(doc, agents):
-    """Keep a bench document's first agent entries; $agent markers wrap round."""
-
-    def rewire(value):
-        if isinstance(value, dict):
-            if set(value) == {"$agent"}:
-                return {"$agent": value["$agent"] % agents}
-            return {k: rewire(v) for k, v in value.items()}
-        return [rewire(v) for v in value] if isinstance(value, list) else value
-
-    return rewire({**doc, "agents": doc["agents"][:agents]})
-
-
-@functools.lru_cache(maxsize=None)
-def _document_base(kind, seed):
-    """A base document's JSON text: a small bench world, a world resumed
-    mid-run or the shipped scenario."""
-    worlds = _load_bench_worlds()
-    if kind == "fanin":
-        return json.dumps(worlds.fanin(seed, clients=3))
-    if kind in ("fleet", "fsm_mesh"):
-        return json.dumps(_small(worlds.WORKLOADS[kind][0](seed), 3))
-    if kind == "mid_run":
-        return json.dumps(_mid_run_document(seed))
-    return SHIPPED.read_text()
-
-
-def _mid_run_document(seed):
-    """A small world resumed mid-run: an Fsm that has entered its state and
-    holds a pending label, and a Listener its next state calls on."""
-    fsm = {
-        "kind": "fsm",
-        "definition": {
-            "states": {
-                "s0": {"name": "noop"},
-                "s1": {"name": "send", "params": {"to": {"$agent": 1}, "type": "A"}},
-                "s2": {"name": "noop"},
-            },
-            # The send action JSON-encodes its payload, so the reply's label is '"go"'.
-            "transitions": {"s0": {"go": "s1"}, "s1": {'"go"': "s2"}},
-            "start": "s0",
-            "terminals": ["s2"],
-        },
-        "current": "s0",
-        "entered": True,
-        "pending_label": "go",
-    }
-    reply = {"name": "send", "params": {"to": {"$agent": 0}, "type": "FSM_EVENT", "payload": "go"}}
-    listener = {"kind": "listener", "filter": "A", "callbacks": [reply], "mode": "one_shot"}
-    config = {"message_latency": {"kind": "fixed", "ticks": 1}, "max_ticks": 50}
-    agents = [{"location": "home", "behavior": fsm}, {"location": "home", "behavior": listener}]
-    return {"format_version": 1, "seed": seed, "config": config, "locations": ["home"], "agents": agents}
-
-
-# JSON values that are wrong almost anywhere, or right by accident.
-JUNK = [None, True, False, 0, 1, -1, 3, 2.5, "", "x", "task", "home", [], [1], {}, {"kind": "task"}, {"name": "noop"}]
-BAD_MARKERS = [{"$location": "nowhere"}, {"$agent": 99}, {"$agent": -1}, {"$agent": True}, {"$tests": 1}]
-
-
-def _slots(value):
-    """Every (container, key) pair in a document, parents before children."""
-    keys = value.keys() if isinstance(value, dict) else range(len(value)) if isinstance(value, list) else ()
-    for key in list(keys):
-        yield value, key
-        yield from _slots(value[key])
-
-
-def _mutated_document(seed):
-    """A seeded scenario document: a small bench world, a world resumed mid-run
-    or the shipped scenario, with one to three values replaced by JSON junk
-    or a good or bad marker, deleted, or wrapped in a list, an object or a
-    marker."""
-    rng = random.Random(seed)
-    doc = json.loads(_document_base(rng.choice(["fanin", "fleet", "fsm_mesh", "mid_run", "shipped"]), rng.randrange(8)))
-    good = [{"$location": rng.choice(doc["locations"])}, {"$agent": rng.randrange(len(doc["agents"]))}, {"$tests": True}]
-    for _ in range(rng.randint(1, 3)):
-        container, key = rng.choice(list(_slots(doc)))
-        op = rng.random()
-        if op < 0.15:
-            del container[key]
-        elif op < 0.3:
-            marker = rng.choice(["$location", "$agent", "$tests"])
-            container[key] = rng.choice([[container[key]], {"value": container[key]}, {marker: container[key]}])
-        else:
-            value = rng.choice(JUNK + good + BAD_MARKERS if op < 0.8 else good + BAD_MARKERS)
-            container[key] = json.loads(json.dumps(value))  # a copy no other slot shares
-    return doc
-
-
-def _check_document(doc):
-    """Validation and the build read a document the same way: a clean one
-    builds and runs, raising at most TickBudgetExceeded; otherwise the build
-    raises ScenarioError with exactly the problems validation lists."""
-    problems = validate_scenario_doc(doc)
-    try:
-        platform = build_platform(doc)
-    except ag.ScenarioError as exc:
-        assert problems, f"a clean document did not build: {exc}"
-        assert exc.problems == problems
-        return
-    assert not problems, f"a document with problems built: {problems}"
-    try:
-        platform.run(None)
-    except ag.TickBudgetExceeded:
-        pass
-
-
-def _run_to_the_end(platform):
-    try:
-        platform.run(None)
-        raised = None
-    except Exception as exc:
-        raised = type(exc)
-    return platform.trace().to_jsonl(), platform.now(), raised
-
-
-def _document_holds(seed):
-    """The document oracle, then, for a clean document, the mock: with both
-    latencies fixed at ticks drawn from the seed, the mock spawns the trees
-    the scenario's reading built and must give the sim's trace, final clock
-    and exception from ``run(None)``."""
-    doc = _mutated_document(seed)
-    _check_document(doc)
-    if validate_scenario_doc(doc):
-        return []
-    rng = random.Random(f"fixed latencies {seed}")
-    message, migration = rng.randint(0, 3), rng.randint(0, 3)
-    config = {
-        **doc.get("config", {}),
-        "message_latency": {"kind": "fixed", "ticks": message},
-        "migration_latency": {"kind": "fixed", "ticks": migration},
-    }
-    fixed = {**doc, "config": config}
-    sim = build_platform(fixed)
-    _, settings, names, entries = scenario._read(fixed, None)
-    mock = make_mock(message, migration, max_ticks=settings.max_ticks)
-    locations = {name: mock.create_location(name) for name in names}
-    for where, behaviors in entries:
-        mock.spawn_agent(locations[where], behaviors)
-    on_sim, on_mock = _run_to_the_end(sim), _run_to_the_end(mock)
-    return [] if on_sim == on_mock else [f"fixed latencies {message}, {migration}: sim and mock disagree"]
-
-
-def document_holds(seed):
-    """The differential check ``(seed) -> problems`` for fuzzed documents. It
-    runs in a fresh working directory: a push-exam courier appends to a
-    report store there."""
-    home = os.getcwd()
-    with tempfile.TemporaryDirectory() as scratch:
-        os.chdir(scratch)
-        try:
-            return _document_holds(seed)
-        finally:
-            os.chdir(home)
-
-
-DOCUMENT_SEEDS = range(200)
-
-
-@pytest.mark.parametrize("seed", DOCUMENT_SEEDS)
+@pytest.mark.parametrize("seed", document_fuzz.TIER1_SEEDS)
 def test_generated_documents_build_exactly_when_they_validate(seed):
-    assert document_holds(seed) == []
+    assert document_fuzz.document_holds(seed) == []
+
+
+@pytest.mark.parametrize("kind", document_fuzz.KINDS)
+def test_each_marker_in_each_slot_reads_as_the_whole_tree_walk_reads_it(kind):
+    assert document_fuzz.marker_sweep(kind) == []
 
 
 # ---------------------------------------------------------------------------

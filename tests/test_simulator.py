@@ -761,19 +761,38 @@ def test_generated_worlds_agree_on_both_platforms(seed):
     assert generated_worlds_agree(seed) == []
 
 
-def _outside_calls_world(factory, seed):
+# Calls ``(platform, agent, location, behavior)`` whose id or location
+# argument, or ``until``, is of the wrong type or out of range.
+JUNK_CALLS = [
+    lambda p, a, loc, b: p.run(until=1.5),
+    lambda p, a, loc, b: p.run(until=True),
+    lambda p, a, loc, b: p.run(until="x"),
+    lambda p, a, loc, b: p.run(until=-1),
+    lambda p, a, loc, b: p.migrate(a, loc.name),
+    lambda p, a, loc, b: p.migrate(a.value, loc),
+    lambda p, a, loc, b: p.spawn_agent(loc.name, []),
+    lambda p, a, loc, b: p.spawn_agent(loc, [], a.value),
+    lambda p, a, loc, b: p.attach_behavior(a.value, b),
+]
+
+
+def _outside_calls_world(factory, seed, junk=True):
     """Drive a seeded world by outside calls only, and return the platform
     and what it shows of the world: each call's outcome and clock reading,
     the trace, the final clock and every agent's aliveness, location and
-    state.
+    state, and the errors of the junk calls.
 
     The calls interleave ``run(until=k)``, where k may be 0 or behind
     ``now()``, with spawns (some with no behavior), attaches, sends (some to
     a never-spawned id), moves and ``run(None)``. Latencies are fixed and
     may be zero. Calls that the platform refuses (an attach to a terminated
-    agent, a move of one in transit) are part of the outcome.
+    agent, a move of one in transit) are part of the outcome. With ``junk``,
+    a call from ``JUNK_CALLS``, drawn from a second RNG, may come before
+    each call: it must raise ValueError with the clock and the trace as they
+    were, so the rest shows what the world shows without it.
     """
-    rng = random.Random(seed)
+    rng, junk_rng = random.Random(seed), random.Random(f"junk calls {seed}")
+    junk_errors = []
     p = factory(message=rng.randint(0, 2), migration=rng.randint(0, 2))
     locs = [p.create_location(f"loc{i}") for i in range(rng.randint(1, 3))]
     ghost = p.reserve_agent_id()  # never spawned
@@ -799,6 +818,15 @@ def _outside_calls_world(factory, seed):
 
     outcomes = []
     for _ in range(rng.randint(2, 12)):
+        if junk and agents and junk_rng.random() < 0.5:
+            before = (p.now(), p.trace().to_jsonl())
+            try:
+                junk_rng.choice(JUNK_CALLS)(p, junk_rng.choice(agents), junk_rng.choice(locs), ag.Task(noted))
+            except ValueError as exc:
+                junk_errors.append(str(exc))
+            else:
+                junk_errors.append("a junk call returned")
+            assert (p.now(), p.trace().to_jsonl()) == before
         call = rng.choice(["run_until", "spawn", "attach", "send", "migrate", "run"])
         try:
             if call == "run_until":
@@ -818,16 +846,53 @@ def _outside_calls_world(factory, seed):
             outcomes.append((call, type(refused).__name__, p.now()))
     p.run(None)
     seen = [(p.is_alive(a), p.agent_location(a), p.agent_state(a)) for a in agents]
-    return p, (outcomes, p.trace().to_jsonl(), p.now(), seen)
+    return p, (outcomes, p.trace().to_jsonl(), p.now(), seen, junk_errors)
 
 
-outside_calls_agree = _platforms_agree(_outside_calls_world)
+def outside_calls_agree(seed):
+    """The two platforms agree on the seeded world, and each shows without
+    its junk calls what it shows with them."""
+    problems = _platforms_agree(_outside_calls_world)(seed)
+    for name, factory in (("sim", make_sim), ("mock", make_mock)):
+        shown, plain = (_outside_calls_world(factory, seed, junk)[1] for junk in (True, False))
+        if shown[:4] != plain[:4]:
+            problems.append(f"{name}: the junk calls changed the world")
+    return problems
+
+
 OUTSIDE_CALLS_SEEDS = range(150)
 
 
 @pytest.mark.parametrize("seed", OUTSIDE_CALLS_SEEDS)
 def test_outside_calls_agree_on_both_platforms(seed):
     assert outside_calls_agree(seed) == []
+
+
+@pytest.mark.parametrize("call", range(len(JUNK_CALLS)))
+def test_a_junk_argument_raises_at_the_call_and_changes_nothing(call):
+    texts = []
+    for factory in (make_sim, make_mock):
+        p = factory()
+        loc = p.create_location("l")
+        agent = p.spawn_agent(loc, [ag.Listener("A", [ag.ActionDescriptor("noop")])])
+        p.run(until=2)
+        before = (p.now(), p.trace().to_jsonl(), p.reserve_agent_id().value)
+        with pytest.raises(ValueError) as raised:
+            JUNK_CALLS[call](p, agent, loc, ag.Task(ag.ActionDescriptor("noop")))
+        assert (p.now(), p.trace().to_jsonl(), p.reserve_agent_id().value - 1) == before
+        texts.append(str(raised.value))
+    assert texts[0] == texts[1]
+    assert texts[0] == [
+        "run until must be null or an integer of at least 0, got 1.5",
+        "run until must be null or an integer of at least 0, got True",
+        "run until must be null or an integer of at least 0, got 'x'",
+        "run until must be null or an integer of at least 0, got -1",
+        "migration destination must be a LocationId, got 'l'",
+        "migrating agent must be an AgentId, got 1",
+        "spawn location must be a LocationId, got 'l'",
+        "spawned agent id must be an AgentId, got 1",
+        "attach target must be an AgentId, got 1",
+    ][call]
 
 
 # ---------------------------------------------------------------------------
