@@ -12,11 +12,13 @@ from __future__ import annotations
 import functools
 from dataclasses import MISSING, dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as esc
 from typing import Any, Optional
 
 from .actions import ActionDescriptor
 from .errors import EmptyRoute
 from .model import (
+    _TEXTS,
     DONE,
     RUNNING,
     AgentContext,
@@ -29,6 +31,7 @@ from .model import (
     OnArrival,
     StepOutcome,
     Ticks,
+    _encode,
     behavior_from_dict,
     bound_marker,
     clone_behavior,
@@ -143,6 +146,17 @@ class Route:
             "objectives": [o.to_jsonable() for o in self.objectives],
             "base_time": self.base_time,
         }
+
+    def _text(self) -> str:
+        """The canonical JSON text of ``to_jsonable()``, kept once written if no
+        objective has stop tasks: such a route holds only frozen values."""
+        text = self.__dict__.get("_written")
+        if text is None:
+            stops = ",".join([o._text() if o.__class__ in _TEXTS["to_jsonable"] else _encode(o.to_jsonable()) for o in self.objectives])
+            text = f'{{"base_time":{_encode(self.base_time)},"objectives":[{stops}]}}'
+            if all(o.__class__ is Objective and o.location.__class__ is LocationId and not o.stop_tasks for o in self.objectives):
+                self.__dict__["_written"] = text
+        return text
 
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "Route":
@@ -304,6 +318,12 @@ class DelayEstimator:
             ],
         }
 
+    def _text(self) -> str:
+        """``to_jsonable()``'s canonical JSON text: a link holds the str names and Fraction read."""
+        alpha, default = self.alpha, self.default_estimate
+        links = ",".join([f"[{esc(s)},{esc(d)},[{v.numerator},{v.denominator}]]" for (s, d), v in sorted(self.links.items())])
+        return f'{{"alpha":[{alpha.numerator},{alpha.denominator}],"default":[{default.numerator},{default.denominator}],"links":[{links}]}}'
+
     @classmethod
     def from_jsonable(cls, d: dict[str, Any]) -> "DelayEstimator":
         """Reads what the constructor reads, then builds without it."""
@@ -320,6 +340,9 @@ class DelayEstimator:
             raise ValueError(f"estimator links must be sorted by link, each once, got {written!r}")
         _check_bounds(alpha, default, links)
         return cls._of(alpha, default, links)
+
+
+_TEXTS["to_jsonable"].update({Route: None, DelayEstimator: None})
 
 
 def next_departure_plan(

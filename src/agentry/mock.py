@@ -49,6 +49,7 @@ from .model import (
     read_instance,
     read_int,
     read_items,
+    read_str,
     read_type,
     serialize_shell,
 )
@@ -104,6 +105,7 @@ class MockPlatform:
     # Locations -------------------------------------------------------------
 
     def create_location(self, name: str) -> LocationId:
+        read_str(name, "location name")
         for loc in self._locations:
             if loc.name == name:
                 raise DuplicateLocationName(f"location name {name!r} already in use")
@@ -184,6 +186,7 @@ class MockPlatform:
     # Messaging and migration ----------------------------------------------
 
     def send(self, msg: Message) -> None:
+        read_instance(msg, "sent message", Message)
         sender = self._entry(msg.sender)
         if not sender.alive:
             raise UnknownAgent(f"agent {msg.sender!r} has terminated")

@@ -288,6 +288,12 @@ def behavior_from_dict(d: dict[str, Any]) -> Behavior:
     return behavior
 
 
+def behavior_text(behavior: Behavior) -> str:
+    """The canonical JSON text of ``behavior.to_dict()``, in a frame of its own
+    as ``behavior_from_dict`` is, so a tree too deep to decode is too deep to write."""
+    return behavior._text() if behavior.__class__ in _TEXTS["to_dict"] else _encode(behavior.to_dict())
+
+
 def clone_behavior(behavior: Behavior) -> Behavior:
     """Fresh copy of a behavior via a serialization round-trip."""
     return behavior_from_dict(behavior.to_dict())
@@ -487,6 +493,17 @@ def nested_list(cls: type, label: str, into: type = list, **options: Any) -> Any
 
 
 _RECORDS: dict[type, None] = {}  # every record class, in definition order
+# By codec, the classes whose ``_text`` writes the canonical JSON text of what it gives:
+# every record but a behavior with its own ``to_dict``, ``Route`` and ``DelayEstimator``.
+_TEXTS: dict[str, dict[type, None]] = {"to_jsonable": {}, "to_dict": {}}
+
+# One encoder for every blob and payload. It keeps no cycle markers, so a
+# circular value recurses until Python's recursion limit stops it.
+_encode = _c_encoder(None) or CANONICAL_ENCODER.encode
+
+# The text of a JSON value ``v`` in generated ``_text`` code: an exact str, None, True or False
+# as the encoder writes it, an exact int as itself (an f-string formats it as int.__repr__ does).
+_SCALAR = "v if v.__class__ is int else esc(v) if v.__class__ is str else 'null' if v is None else 'true' if v is True else 'false' if v is False else enc(v)"
 
 
 def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str] = None, **options: Any) -> Any:
@@ -500,21 +517,30 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     record with the same reads and stores, without a call to ``cls``, unless
     ``cls`` is a subclass, whose own ``__init__`` runs. A behavior's decoder
     reads the blob's ``done`` and stores it, before ``_check``, which may
-    read it, or after a subclass's ``__init__``. ``noun``
+    read it, or after a subclass's ``__init__``. ``_text`` writes the canonical
+    JSON text of what the encoder gives, keys sorted at class build: each value
+    in field order, a nested one whose exact class ``_TEXTS`` lists under its
+    codec through its own ``_text``, a list's items joined, the rest by ``_SCALAR``. ``noun``
     names the record in errors ("<noun> must be an object" from its decoder).
     A field without a column raises TypeError."""
     if cls is None:
         return lambda cls: record(cls, noun=noun, tag=tag, **options)
     cls = dataclass(cls, init=False, **options)
     ns: dict[str, Any] = {"__name__": cls.__module__, "read_object": read_object, "read_bool": read_bool, "noun": noun, "this": cls}
-    ns.update(new=object.__new__, setattr=object.__setattr__)
+    ns.update(new=object.__new__, setattr=object.__setattr__, enc=_encode, esc=encode_basestring_ascii, behavior_text=behavior_text)
     # Assigning through self.__dict__ would make CPython build the instance's
     # dict, which slows every later attribute read of it.
     store = " setattr(self, {0!r}, {1})" if options.get("frozen") else " self.{0} = {1}"
     params, keywords, stores, decoded, arguments = [], [], [], [], []
     items, omitted = [f"'kind': {tag!r}"] if tag else [], []
+    behavior = issubclass(cls, Behavior)
+    # _text's lines and f-string entries by key, a column's over kind or done as in to_dict.
+    lines = [" v = self.kind", f" tk = {_SCALAR}", " v = self._finished", f" td = {_SCALAR}"] if behavior else []
+    entries = {"kind": ',"kind":{tk}', "done": ',"done":{td}'} if behavior else {}
+    if tag:
+        entries["kind"] = ',"kind":' + encode_basestring_ascii(tag).replace("{", "{{").replace("}", "}}")
     columns = fields(cls)
-    for f in columns:
+    for t, f in enumerate(columns):
         if "read" not in f.metadata:
             raise TypeError(f"{cls.__name__}.{f.name} has no column")
         c, n = f.metadata, f.name
@@ -543,6 +569,16 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
             omitted.append(f" if self.{n} != b_{n}: j[{key!r}] = {value}")
         else:
             items.append(f"{key!r}: {value}")
+        text = [f" v = {value}", f" t{t} = {_SCALAR}"]
+        if isinstance(e, str):
+            ns[f"w_{n}"] = _TEXTS.get(e, {})
+            item = "behavior_text(v)" if e == "to_dict" else f"v._text() if v.__class__ in w_{n} else enc(v.{e}())"
+            text = [f" t{t} = '[' + ','.join([{item} for v in self.{n}]) + ']'"] if c["each"] else [f" v = self.{n}", f" t{t} = {item}"]
+        entries[key] = "," + encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + f":{{t{t}}}"
+        if c["omit"]:
+            text = [f" t{t} = ''", f" if self.{n} != b_{n}:", *[" " + line for line in text], f"  t{t} = f{entries[key]!r}"]
+            entries[key] = f"{{t{t}}}"
+        lines += text
         got = f"c_{n}(j[{key!r}])" if c["decode"] else f"j[{key!r}]"
         if c["each"]:
             got = f"([c_{n}(v) for v in x] if isinstance(x := j[{key!r}], list) else x)"
@@ -553,7 +589,6 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     shadowed = {f.name for f in columns} & {*ns, "self", "cls", "j", "x", "isinstance"}
     if shadowed:
         raise TypeError(f"{cls.__name__} fields {sorted(shadowed)} shadow names the generated code uses")
-    behavior = issubclass(cls, Behavior)
     encoder, decoder = ("_to_dict_body", "_from_dict_body") if behavior else ("to_jsonable", "from_jsonable")
     # A behavior's generated __init__ does not call Behavior.__init__.
     finished = [" self._finished = False", " self._finished = read_bool(j.get('done', False), 'done')"] if behavior else ["", ""]
@@ -566,14 +601,19 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     source += [f"def {decoder}(cls, j):", unpack, *decoded, " if cls is not this:", f"  self = cls({', '.join(arguments)})"]
     source += [f" {finished[1]}", "  return self"]
     source += [" self = new(cls)", *stores, finished[1], check, " return self"]
+    body = "".join(entries[key] for key in sorted(entries))
+    last = f" return '{{' + f{body!r}[1:] + '}}'" if omitted else f" return f{'{{' + body[1:] + '}}'!r}"
+    source += ["def _text(self):", *lines, last]
     exec("\n".join(source), ns)
-    for name in ("__init__", encoder, decoder):
+    for name in ("__init__", encoder, decoder, "_text"):
         ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
         setattr(cls, name, classmethod(ns[name]) if name == decoder else ns[name])
     cls.__init__.__annotations__ = {**{f.name: f.type for f in columns}, "return": None}
     cls._noun = noun or getattr(cls, "_noun", None)
     cls._tag = tag
     _RECORDS[cls] = None
+    if not behavior or cls.to_dict is Behavior.to_dict:
+        _TEXTS["to_dict" if behavior else "to_jsonable"][cls] = None
     return cls
 
 
@@ -678,11 +718,6 @@ def message_matches(msg: Message, type_filter: str, conversation: str | None = N
 # ---------------------------------------------------------------------------
 
 
-# One encoder for every blob and payload. It keeps no cycle markers, so a
-# circular value recurses until Python's recursion limit stops it.
-_encode = _c_encoder(None) or CANONICAL_ENCODER.encode
-
-
 def canonical_json(value: Any) -> bytes:
     """Deterministic JSON encoding: sorted keys, no whitespace, ASCII only.
 
@@ -732,17 +767,18 @@ class AgentShell:
 
 
 def serialize_shell(shell: AgentShell) -> bytes:
-    """Encode a whole shell (behavior internals included) as canonical JSON."""
-    return canonical_json(
-        {
-            "id": shell.id.value,
-            "home": location_to_jsonable(shell.home),
-            "current": location_to_jsonable(shell.current),
-            "behaviors": [b.to_dict() for b in shell.behaviors],
-            "state": shell.state,
-            "inbox": [message_to_jsonable(m) for m in shell.inbox],
-        }
-    )
+    """Encode a whole shell (behavior internals included) as the canonical JSON
+    of its dict form, written as text from the records' columns (see ``record``).
+    A behavior tree or state too deep or circular to encode raises ValueError."""
+    try:
+        i = shell.id.value
+        return (
+            f'{{"behaviors":[{",".join([behavior_text(b) for b in shell.behaviors])}],"current":{LocationId._text(shell.current)},'
+            f'"home":{LocationId._text(shell.home)},"id":{i if i.__class__ is int else _encode(i)},'
+            f'"inbox":[{",".join([Message._text(m) for m in shell.inbox])}],"state":{_encode(shell.state)}}}'
+        ).encode()
+    except RecursionError:
+        raise ValueError("canonical JSON: the value is circular or nested too deep to encode") from None
 
 
 def deserialize_shell(data: bytes) -> AgentShell:

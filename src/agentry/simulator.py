@@ -253,7 +253,7 @@ class SimPlatform:
     # Locations -------------------------------------------------------------
 
     def create_location(self, name: str) -> LocationId:
-        if name in self._locs_by_name:
+        if read_str(name, "location name") in self._locs_by_name:
             raise DuplicateLocationName(f"location name {name!r} already in use")
         loc = LocationId(self._next_loc_value, name)
         self._next_loc_value += 1
@@ -337,6 +337,8 @@ class SimPlatform:
     # Messaging and migration ----------------------------------------------
 
     def send(self, msg: Message) -> None:
+        if msg.__class__ is not Message:  # a send pays no call
+            read_instance(msg, "sent message", Message)
         rec = self._agents.get(msg.sender.value)
         if rec is None or rec.status != _ACTIVE:
             self._check_sender(rec, msg.sender)

@@ -6,10 +6,11 @@ row, built only when the trace is read. A trace is the runtime's testable
 output: two runs are equivalent exactly when their JSONL renderings are
 byte-identical, so the encoding here is deliberately rigid (fixed field
 order, sorted detail keys, compact separators) and defined once, in
-``_json_line``. The runtime's own events come in a few fixed detail shapes;
-``to_jsonl`` renders those through per-kind templates (``_TEMPLATES``), which
-reproduce ``_json_line``'s bytes without the generic encoder, and every other
-row through ``_json_line`` itself.
+``_json_line``. The runtime's own events, and an itinerary's objective
+events, come in a few fixed detail shapes; ``to_jsonl`` renders those
+through per-kind templates (``_TEMPLATES``), which reproduce
+``_json_line``'s bytes without the generic encoder, and every other row
+through ``_json_line`` itself.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ def _json_line(
     return f'{{"tick":{tick},"seq":{seq},"kind":"{kind._value_}","agent":{agent.value},"detail":{encode(detail)}}}'
 
 
-# The runtime's own detail shapes: kind -> {key: the exact class of its value}, keys sorted.
+# The templated detail shapes: kind -> {key: the exact class of its value}, keys sorted.
 _SHAPES: dict[str, dict[str, type]] = {
     "spawn": {"at": str},
     "terminate": {},
@@ -71,6 +72,9 @@ _SHAPES: dict[str, dict[str, type]] = {
     "migrate_start": {"from": str, "to": str},
     "migrate_end": {"from": str, "latency": int, "to": str},
     "behavior_done": {"kind": str, "slot": int},
+    # An itinerary's, through ctx.trace.
+    "objective_reached": {"arrival": int, "class": str, "location": str, "objective": int},
+    "objective_missed": {"arrival": int, "by": int, "location": str, "objective": int},
 }
 
 

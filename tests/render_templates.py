@@ -5,9 +5,10 @@ what ``_json_line`` renders.
 per-kind templates and every other row through ``_json_line``, which defines
 the trace's bytes. Each seed builds a log of rows of every templated kind
 with exactly its keys, near misses of them (a key added or dropped; a value
-that is a bool, a float, a ``str`` or ``int`` subclass or None; a detail
-that is not a plain dict) and rows of the other kinds, with strings that
-need escaping and ints up to 2**100 in size. The check lists each way
+that is a bool, a float, a ``str`` or ``int`` subclass or None, an
+objective event's ``arrival`` of None among them; a detail that is not a
+plain dict) and rows of the other kinds, with strings that need escaping
+and ints up to 2**100 in size. The check lists each way
 ``to_jsonl`` differs from the rows rendered one by one through
 ``_json_line``, with and without the C encoder, and each exact shape that
 missed its template. An int longer than ``sys.get_int_max_str_digits()``
@@ -29,8 +30,8 @@ from json import encoder as json_encoder
 from agentry.model import AgentId
 from agentry.trace import _TEMPLATES, EventKind, TraceLog, _json_line
 
-# The runtime's own details, written out from the platforms' emits rather
-# than read from the table under test.
+# The templated details, written out from the platforms' and the itinerary's
+# emits rather than read from the table under test.
 RUNTIME_SHAPES = {
     EventKind.SPAWN: {"at": str},
     EventKind.TERMINATE: {},
@@ -39,6 +40,9 @@ RUNTIME_SHAPES = {
     EventKind.MIGRATE_START: {"from": str, "to": str},
     EventKind.MIGRATE_END: {"from": str, "to": str, "latency": int},
     EventKind.BEHAVIOR_DONE: {"kind": str, "slot": int},
+    # An itinerary's, through ctx.trace.
+    EventKind.OBJECTIVE_REACHED: {"objective": int, "location": str, "arrival": int, "class": str},
+    EventKind.OBJECTIVE_MISSED: {"objective": int, "location": str, "arrival": int, "by": int},
 }
 
 
@@ -87,6 +91,8 @@ def _detail(rng, kind):
     elif miss == 4 and detail:
         key = rng.choice(list(detail))
         detail[key] = Text(detail[key]) if shape[key] is str else Count(detail[key])
+    elif miss == 5 and "arrival" in detail:  # an itinerary arriving at no tick
+        detail["arrival"] = None
     return detail
 
 

@@ -47,6 +47,14 @@ Why each generator exists:
   gives, on exact shapes, near misses and strings that need escaping. Its
   module imports only the standard library and agentry, so CI also runs it
   alone, with ``python -S``, on every interpreter.
+* ``blob_text``: ``serialize_shell`` writes a blob as text from the records'
+  columns, which must give the bytes of the shell's dict form through
+  ``canonical_json``, or its error, on nested trees of every behavior kind,
+  hand-written and subclassed behaviors, junk stored after construction,
+  escape-heavy strings, big ints, refused states and trees, and stop tasks
+  whose params change after a write. Its module imports only the standard
+  library and agentry, so CI also runs it alone, with ``python -S``, on
+  every interpreter.
 
 To register a generator, write beside it a check that calls it on a seed and
 lists what disagrees, a range of tier-1 seeds from 0 and a test parametrized
@@ -57,6 +65,7 @@ the CI seeds that continue them.
 import sys
 from typing import Callable, NamedTuple
 
+import blob_text
 import document_fuzz
 import render_templates
 import test_composites
@@ -81,6 +90,7 @@ GENERATORS = {
     "construct_round_trip": Generator(test_model.constructs_round_trip, test_model.CONSTRUCT_SEEDS, range(200, 2200)),
     "config_accepts": Generator(test_model.config_accepts, test_model.CONFIG_SEEDS, range(200, 2200)),
     "render_templates": Generator(render_templates.templates_render_as_json_line, render_templates.TIER1_SEEDS, render_templates.CI_SEEDS),
+    "blob_text": Generator(blob_text.blob_text_holds, blob_text.TIER1_SEEDS, blob_text.CI_SEEDS),
 }
 
 
@@ -123,6 +133,7 @@ def test_the_ci_seeds_continue_the_tier_1_seeds():
         "construct_round_trip": list(range(2200)),
         "config_accepts": list(range(2200)),
         "render_templates": list(range(2200)),
+        "blob_text": list(range(2200)),
     }
 
 

@@ -17,7 +17,7 @@ import agentry as ag
 from agentry import simulator
 from agentry.model import AgentShell, deserialize_shell, read_list, read_object, serialize_shell
 from agentry.scenario import build_platform, render_trace, validate_scenario_doc
-from agentry.trace import EventKind
+from agentry.trace import _TEMPLATES, EventKind
 
 from conftest import events_of
 from document_fuzz import _slots
@@ -784,6 +784,14 @@ def test_migration_blobs_and_trace_bytes_are_pinned(monkeypatch):
     # codec or the estimator faster keeps every byte.
     digest = hashlib.sha256(b"".join(blobs) + trace.encode()).hexdigest()
     assert (len(blobs), digest) == (61, "ab00f37e4c7a94422b1f5080e2c8a827a81d433f78377192ff257807f3512a45")
+
+
+def test_an_itinerarys_objective_events_render_through_their_templates():
+    platform = build_platform(fleet_like_doc(seed=7))
+    platform.run()
+    rows = [e for e in platform.trace() if e.kind in (EventKind.OBJECTIVE_REACHED, EventKind.OBJECTIVE_MISSED)]
+    assert {e.kind for e in rows} == {EventKind.OBJECTIVE_REACHED, EventKind.OBJECTIVE_MISSED}
+    assert [_TEMPLATES[e.kind.value](e.tick, e.seq, e.agent, e.detail) for e in rows] == [e.to_json_line() + "\n" for e in rows]
 
 
 # ---------------------------------------------------------------------------

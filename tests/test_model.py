@@ -34,6 +34,7 @@ from agentry.model import (
 from agentry.scenario import _latency, _read, build_platform
 from agentry.simulator import _MIGRATING
 from agentry.trace import CANONICAL_ENCODER
+import blob_text
 from document_fuzz import JUNK, SHIPPED, _document_base, _slots
 from test_scenario_cli import base_doc
 
@@ -576,8 +577,39 @@ def _samples():
 
 
 def test_every_record_has_a_sample():
+    # But the two blob_text defines to test the written blob.
     samples = [type(sample) for sample in _samples()]
-    assert len(samples) == len(set(samples)) and set(samples) == set(model._RECORDS)
+    assert len(samples) == len(set(samples)) and set(samples) == set(model._RECORDS) - {blob_text.Counted, blob_text.OwnDict}
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [*_samples(), ag.Question("q", ag.TRUE_FALSE, "?", True, 1), ag.Route((ag.Objective(L2, 1),), None), ag.DelayEstimator()],
+    ids=lambda sample: type(sample).__name__,
+)
+def test_a_record_writes_the_canonical_text_of_its_codec(sample):
+    # The second Question omits its empty options.
+    codec = sample.to_dict() if isinstance(sample, ag.Behavior) else sample.to_jsonable()
+    assert sample._text() == model.canonical_json(codec).decode()
+
+
+def test_a_task_free_route_keeps_its_text_and_a_route_with_stop_tasks_writes_it_anew():
+    free = ag.Route((ag.Objective(L2, 1, 3), ag.Objective(ag.LocationId(3, "lab"))))
+    assert free._text() is free._text()
+    tasks = ag.Route((ag.Objective(L2, 1, 3, (ag.ActionDescriptor("noop", {"n": [1]}),)),))
+    before = tasks._text()
+    tasks.objectives[0].stop_tasks[0].params["n"].append(2)
+    assert tasks._text() == model.canonical_json(tasks.to_jsonable()).decode() != before
+
+
+@pytest.mark.parametrize("seed", blob_text.TIER1_SEEDS)
+def test_a_blob_is_written_as_the_dict_form_encodes(seed):
+    assert blob_text.blob_text_holds(seed) == []
+
+
+def test_the_blob_text_shells_hold_every_behavior_record():
+    ours = {cls for cls in model._RECORDS if issubclass(cls, ag.Behavior) and cls.__module__.startswith("agentry.")}
+    assert len(ours) == 9 and ours <= blob_text.kinds_built(blob_text.TIER1_SEEDS)
 
 
 def _constructions():

@@ -726,13 +726,18 @@ def _generated_world(factory, seed):
     return p, (p.trace().to_jsonl(), p.now())
 
 
+# The kinds only the runtime emits. The objective kinds have templates too,
+# but they come through ctx.trace, where any detail shape is legal.
+_RUNTIME_KINDS = ("spawn", "terminate", "send", "deliver", "migrate_start", "migrate_end", "behavior_done")
+
+
 def _untemplated(log):
     """The runtime's own events in ``log`` that miss their render template,
     which only a failed deliver is meant to do."""
     return [
         f"seq {e.seq} ({e.kind._value_}) misses its template"
         for e in log
-        if e.kind._value_ in _TEMPLATES and "failed" not in e.detail and _TEMPLATES[e.kind._value_](e.tick, e.seq, e.agent, e.detail) is None
+        if e.kind._value_ in _RUNTIME_KINDS and "failed" not in e.detail and _TEMPLATES[e.kind._value_](e.tick, e.seq, e.agent, e.detail) is None
     ]
 
 
@@ -761,8 +766,9 @@ def test_generated_worlds_agree_on_both_platforms(seed):
     assert generated_worlds_agree(seed) == []
 
 
-# Calls ``(platform, agent, location, behavior)`` whose id or location
-# argument, or ``until``, is of the wrong type or out of range.
+# Calls ``(platform, agent, location, behavior)`` whose id, location,
+# location name or message argument, or ``until``, is of the wrong type or
+# out of range.
 JUNK_CALLS = [
     lambda p, a, loc, b: p.run(until=1.5),
     lambda p, a, loc, b: p.run(until=True),
@@ -773,6 +779,8 @@ JUNK_CALLS = [
     lambda p, a, loc, b: p.spawn_agent(loc.name, []),
     lambda p, a, loc, b: p.spawn_agent(loc, [], a.value),
     lambda p, a, loc, b: p.attach_behavior(a.value, b),
+    lambda p, a, loc, b: p.create_location([loc.name]),
+    lambda p, a, loc, b: p.send(loc.name),
 ]
 
 
@@ -876,10 +884,10 @@ def test_a_junk_argument_raises_at_the_call_and_changes_nothing(call):
         loc = p.create_location("l")
         agent = p.spawn_agent(loc, [ag.Listener("A", [ag.ActionDescriptor("noop")])])
         p.run(until=2)
-        before = (p.now(), p.trace().to_jsonl(), p.reserve_agent_id().value)
+        before = (p.now(), p.trace().to_jsonl(), p.locations(), p.reserve_agent_id().value)
         with pytest.raises(ValueError) as raised:
             JUNK_CALLS[call](p, agent, loc, ag.Task(ag.ActionDescriptor("noop")))
-        assert (p.now(), p.trace().to_jsonl(), p.reserve_agent_id().value - 1) == before
+        assert (p.now(), p.trace().to_jsonl(), p.locations(), p.reserve_agent_id().value - 1) == before
         texts.append(str(raised.value))
     assert texts[0] == texts[1]
     assert texts[0] == [
@@ -892,7 +900,25 @@ def test_a_junk_argument_raises_at_the_call_and_changes_nothing(call):
         "spawn location must be a LocationId, got 'l'",
         "spawned agent id must be an AgentId, got 1",
         "attach target must be an AgentId, got 1",
+        "location name must be a string, got ['l']",
+        "sent message must be a message, got 'l'",
     ][call]
+
+
+def test_a_junk_send_draws_no_latency():
+    # At the parent both platforms raised AttributeError reading msg.sender.
+    def trace(junk):
+        p = ag.SimPlatform(ag.SimConfig(seed=3, message_latency=ag.UniformRange(0, 9)))
+        agent = p.spawn_agent(p.create_location("l"), [ag.Listener("A", [ag.ActionDescriptor("noop")])])
+        if junk:
+            with pytest.raises(ValueError, match="^sent message must be a message, got 'x'$"):
+                p.send("x")
+        for _ in range(3):
+            p.send(ag.make_message(agent, agent, "A", "c"))
+        p.run(None)
+        return p.trace().to_jsonl()
+
+    assert trace(junk=True) == trace(junk=False)
 
 
 # ---------------------------------------------------------------------------

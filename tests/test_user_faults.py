@@ -220,6 +220,54 @@ def test_state_that_will_not_encode_raises_from_the_migrating_step_on_both_platf
     assert [after == clean for after, clean in draws] == [True, True]
 
 
+def _sequential_chain(depth, home):
+    tree = ag.Task(act("noop"))
+    for _ in range(depth):
+        tree = ag.Sequential([tree])
+    return tree
+
+
+def _itinerary_chain(depth, home):
+    # Each level is the missed behavior of the itinerary above it.
+    tree = ag.Task(act("noop"))
+    for _ in range(depth):
+        tree = ag.Itinerary(ag.ItineraryConfig(ag.Route((ag.Objective(home),)), missed_behavior=tree))
+    return ag.Sequential([ag.Task(act("noop")), tree])
+
+
+def _moves(factory, chain, depth):
+    """Whether an agent holding ``chain(depth)`` moves and runs on; a tree
+    refused at the move raises ValueError with nothing of the move traced."""
+    p = factory()
+    a_loc, b_loc = p.create_location("a"), p.create_location("b")
+    agent = p.spawn_agent(a_loc, [ag.Task(act("t.sim.go", {"dest": location_to_jsonable(b_loc)})), chain(depth, a_loc)])
+    try:
+        p.run(None)
+    except ValueError as refused:
+        assert "circular or nested too deep" in str(refused)
+        assert [e.kind for e in p.trace()] == [K.SPAWN, K.BEHAVIOR_DONE] and p.agent_location(agent) == a_loc
+        return False
+    return True
+
+
+def test_a_behavior_tree_too_deep_to_write_raises_value_error_at_the_move(platform_factory):
+    # It raised a bare RecursionError, from to_dict outside the encoder's guard.
+    assert not _moves(platform_factory, _sequential_chain, 2_000)
+
+
+@pytest.mark.parametrize("chain", [_sequential_chain, _itinerary_chain])
+def test_a_tree_too_deep_to_decode_is_refused_at_the_move(platform_factory, chain):
+    # Writing must fail where decoding would, or the agent is lost in
+    # transit: a migrate_start, then a RecursionError when it lands.
+    moves, refused = 1, 2_000
+    while refused - moves > 1:
+        middle = (moves + refused) // 2
+        moves, refused = (middle, refused) if _moves(platform_factory, chain, middle) else (moves, middle)
+    assert 100 < moves < 1_000
+    for depth in range(moves - 3, refused + 4):  # each moves on, or is refused as it moves
+        _moves(platform_factory, chain, depth)
+
+
 def test_a_run_after_a_raise_resumes_at_the_next_tick_on_both_platforms():
     runs = []
     for make in (make_sim, make_mock):
