@@ -44,12 +44,16 @@ class PlatformAdapter(Protocol):
     """
 
     def create_location(self, name: str) -> LocationId:
-        """Create a named location. Names must be unique."""
+        """Create a named location. A name that is not a string raises
+        ValueError, and one already in use DuplicateLocationName."""
         ...
 
     def locations(self) -> list[LocationId]: ...
 
-    def location_named(self, name: str) -> LocationId: ...
+    def location_named(self, name: str) -> LocationId:
+        """The location created under ``name``; any other name raises
+        UnknownLocation."""
+        ...
 
     def reserve_agent_id(self) -> AgentId:
         """Allocate an agent id ahead of its spawn (ids are never reused)."""
@@ -78,17 +82,27 @@ class PlatformAdapter(Protocol):
 
     def migrate(self, agent: AgentId, dest: LocationId) -> None:
         """Serialize the agent, move it, reactivate it at ``dest`` after the
-        migration latency. The inbox keeps accumulating while in transit."""
+        migration latency. The inbox keeps accumulating while in transit.
+        An argument of the wrong class raises ValueError, a ``dest`` of
+        another runtime UnknownLocation, an agent never spawned or
+        terminated UnknownAgent, and one in transit AlreadyMigrating. A
+        state or tree that will not encode raises TypeError (a value JSON
+        cannot write) or ValueError (circular or too deep). Each raises
+        before a latency is drawn or anything is traced."""
         ...
 
     def attach_behavior(self, target: AgentId, behavior: Behavior) -> None:
         """Append a behavior to ``target``'s list; it first steps at
         ``now() + 1``, or at the tick after arrival if ``target`` is in
-        transit. Anything but a behavior raises ValueError."""
+        transit. A ``target`` that is not an AgentId, or a ``behavior``
+        that is not a behavior, raises ValueError; an agent never spawned or
+        terminated raises UnknownAgent."""
         ...
 
     def agent_location(self, agent: AgentId) -> Optional[LocationId]:
-        """Where the agent currently is, or None while it is in transit."""
+        """Where the agent currently is, or None while it is in transit; a
+        terminated agent reports where it ended. An agent never spawned
+        raises UnknownAgent."""
         ...
 
     def agents_at(self, location: LocationId) -> list[AgentId]: ...
@@ -96,7 +110,9 @@ class PlatformAdapter(Protocol):
     def is_alive(self, agent: AgentId) -> bool: ...
 
     def agent_state(self, agent: AgentId) -> dict[str, Any]:
-        """Copy of the agent's serializable key/value store."""
+        """Copy of the agent's serializable key/value store, read from its
+        blob while it is in transit. An agent never spawned raises
+        UnknownAgent."""
         ...
 
     def now(self) -> Ticks: ...
@@ -110,6 +126,12 @@ class PlatformAdapter(Protocol):
         ``until=None``, run to quiescence (no runnable behavior, no pending
         delivery or migration, no future timer); exceeding the configured
         tick budget before quiescence raises TickBudgetExceeded.
+
+        An ``until`` that is neither None nor an integer of at least 0
+        raises ValueError before the clock moves. An exception a behavior's
+        own step raises, or a step's move whose shell will not encode (as
+        ``migrate`` raises), propagates out of ``run``; an action that
+        raises is traced as an error instead.
         """
         ...
 

@@ -32,7 +32,6 @@ from .model import (
     StepOutcome,
     Ticks,
     _encode,
-    behavior_from_dict,
     bound_marker,
     clone_behavior,
     column,
@@ -367,14 +366,6 @@ def next_departure_plan(
 # ---------------------------------------------------------------------------
 
 
-def _behavior_column(label: str, **options: Any) -> Any:
-    """A column holding a behavior or None. Any value but None decodes
-    through behavior_from_dict, so 5 reads "behavior must be an object"."""
-    options["encode"] = lambda v: None if v is None else v.to_dict()
-    options["decode"] = lambda v: None if v is None else behavior_from_dict(v)
-    return column(read_instance, label, Behavior, null=True, default=None, **options)
-
-
 @record(frozen=True, noun="itinerary config")
 class ItineraryConfig:
     """Route, arrival listeners, and the missed-objective policy. Frozen:
@@ -384,7 +375,7 @@ class ItineraryConfig:
     reached_listeners: tuple[ActionDescriptor, ...] = nested_list(
         ActionDescriptor, "itinerary listeners", tuple, key="listeners", default=()
     )
-    missed_behavior: Optional[Behavior] = _behavior_column("itinerary missed_behavior")
+    missed_behavior: Optional[Behavior] = nested(Behavior, "itinerary missed_behavior", null=True, default=None)
 
 
 _START = "start"
@@ -432,7 +423,7 @@ class Itinerary(Behavior):
     _phase: str = column(read_one_of, "itinerary phase", _PHASES, default=_START, kw_only=True)
     _arrival: Optional[Ticks] = column(read_int, "itinerary arrival", null=True, default=None, kw_only=True)
     _arrival_class: str = column(read_one_of, "itinerary arrival_class", ("", "early", "on_time"), default="", kw_only=True)
-    _missed_clone: Optional[Behavior] = _behavior_column("itinerary missed_clone", kw_only=True)
+    _missed_clone: Optional[Behavior] = nested(Behavior, "itinerary missed_clone", null=True, default=None, kw_only=True)
 
     def _check(self) -> None:
         if self._phase != _START and not isinstance(self._base, int):

@@ -259,8 +259,6 @@ class MockPlatform:
                     )
             self._one_tick(tick)
             tick += 1
-        if until is not None and until > self._clock:
-            self._clock = until
         return self._log
 
     def _next_work(self, from_tick: Ticks) -> Optional[Ticks]:

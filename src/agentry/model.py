@@ -473,17 +473,13 @@ def _codec(cls: type) -> tuple[str, Callable[[Any], Any]]:
     return "to_jsonable", cls.from_jsonable  # type: ignore[attr-defined]
 
 
-def nested(cls: type, label: str, *, null: bool = False, **options: Any) -> Any:
-    """A column holding a ``cls`` (a record or a behavior), or None when
-    ``null``, through ``cls``'s own codec. A required one decodes through it,
-    which rejects a non-object under ``cls``'s noun; a nullable one decodes
-    an object and passes anything else on."""
+def nested(cls: type, label: str, **options: Any) -> Any:
+    """A column holding a ``cls`` (a record or a behavior), or None with
+    ``null=True``, through ``cls``'s own codec, whose decoder rejects a
+    non-object under ``cls``'s noun. A nullable one writes None as null and
+    reads null as None; anything else it decodes as a required one does."""
     to, of = _codec(cls)
-    if not null:
-        return column(read_instance, label, cls, encode=to, decode=of, **options)
-    options["encode"] = lambda v: None if v is None else getattr(v, to)()
-    options["decode"] = lambda v: of(v) if isinstance(v, dict) else v
-    return column(read_instance, label, cls, null=True, **options)
+    return column(read_instance, label, cls, encode=to, decode=of, **options)
 
 
 def nested_list(cls: type, label: str, into: type = list, **options: Any) -> Any:
@@ -520,7 +516,10 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
     read it, or after a subclass's ``__init__``. ``_text`` writes the canonical
     JSON text of what the encoder gives, keys sorted at class build: each value
     in field order, a nested one whose exact class ``_TEXTS`` lists under its
-    codec through its own ``_text``, a list's items joined, the rest by ``_SCALAR``. ``noun``
+    codec through its own ``_text``, a list's items joined, the rest by ``_SCALAR``.
+    A nullable nested column (``encode`` a codec method's name, ``null=True``
+    passed to its reader) writes None as null, reads null as None, and
+    writes and decodes anything else as a required one does. ``noun``
     names the record in errors ("<noun> must be an object" from its decoder).
     A field without a column raises TypeError."""
     if cls is None:
@@ -563,7 +562,9 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
         # Method calls and comprehensions are written out, so that a nested
         # behavior costs the stack frames a hand-written codec would.
         e, value = c["encode"], "v" if c["each"] else f"self.{n}"
+        null = isinstance(e, str) and c["kwargs"].get("null")  # a nullable nested column
         value = f"{value}.{e}()" if isinstance(e, str) else f"e_{n}({value})" if e else value
+        value = f"None if self.{n} is None else {value}" if null else value
         value = f"[{value} for v in self.{n}]" if c["each"] else value
         if c["omit"]:
             omitted.append(f" if self.{n} != b_{n}: j[{key!r}] = {value}")
@@ -573,6 +574,7 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
         if isinstance(e, str):
             ns[f"w_{n}"] = _TEXTS.get(e, {})
             item = "behavior_text(v)" if e == "to_dict" else f"v._text() if v.__class__ in w_{n} else enc(v.{e}())"
+            item = f"'null' if v is None else {item}" if null else item
             text = [f" t{t} = '[' + ','.join([{item} for v in self.{n}]) + ']'"] if c["each"] else [f" v = self.{n}", f" t{t} = {item}"]
         entries[key] = "," + encode_basestring_ascii(key).replace("{", "{{").replace("}", "}}") + f":{{t{t}}}"
         if c["omit"]:
@@ -580,6 +582,7 @@ def record(cls: Any = None, /, *, noun: Optional[str] = None, tag: Optional[str]
             entries[key] = f"{{t{t}}}"
         lines += text
         got = f"c_{n}(j[{key!r}])" if c["decode"] else f"j[{key!r}]"
+        got = f"(None if (x := j[{key!r}]) is None else c_{n}(x))" if null else got
         if c["each"]:
             got = f"([c_{n}(v) for v in x] if isinstance(x := j[{key!r}], list) else x)"
         if c["absent"] is not MISSING:

@@ -152,6 +152,15 @@ def test_sequential_reorder_rejects_non_permutation():
         seq.reorder([0])
 
 
+def test_a_decoded_sequential_skips_a_current_child_already_done(platform_factory):
+    blob = ag.Sequential([mark("a"), mark("b"), mark("c")]).to_dict()
+    blob["children"][0]["done"] = True
+    blob["children"][1]["done"] = True
+    p, agent = run_world(platform_factory, [ag.behavior_from_dict(blob)])
+    assert marks_of(p, agent) == [["c", 0]]
+    assert terminate_tick(p) == 0
+
+
 def test_empty_sequential_finishes_immediately(platform_factory):
     p, a = run_world(platform_factory, [ag.Sequential([])])
     assert terminate_tick(p) == 0

@@ -602,6 +602,22 @@ def test_a_task_free_route_keeps_its_text_and_a_route_with_stop_tasks_writes_it_
     assert tasks._text() == model.canonical_json(tasks.to_jsonable()).decode() != before
 
 
+def test_a_shell_writes_a_nullable_nested_behavior_without_its_dict(monkeypatch):
+    # missed_behavior and missed_clone are written through the record's own
+    # _text, as a required nested column is, so no behavior builds its dict.
+    config = ag.ItineraryConfig(ag.Route((ag.Objective(L2, 1, 3),)), missed_behavior=ag.Task(ag.ActionDescriptor("noop", {"n": [1]})))
+    itinerary = ag.Itinerary(config, _missed_clone=ag.Sequential([ag.Task(ag.ActionDescriptor("noop"))]))
+    shell = AgentShell(ag.AgentId(3), L1, L1, [itinerary, ag.Itinerary(ag.ItineraryConfig(config.route))], {}, deque())
+    blob = blob_text.reference(shell)
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__}.to_dict called")
+
+    monkeypatch.setattr(ag.Behavior, "to_dict", refuse)
+    assert serialize_shell(shell) == blob
+    assert b'"missed_behavior":{"action":{"name":"noop","params":{"n":[1]}}' in blob and b'"missed_clone":null' in blob
+
+
 @pytest.mark.parametrize("seed", blob_text.TIER1_SEEDS)
 def test_a_blob_is_written_as_the_dict_form_encodes(seed):
     assert blob_text.blob_text_holds(seed) == []

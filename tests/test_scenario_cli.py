@@ -299,6 +299,8 @@ MISTYPED_FIELDS = {
         {**CLIENT, "server": 0, "phase": 7},
         "client phase must be one of ('init', 'await_ack', 'await_result'), got 7",
     ),
+    # A nullable nested field decodes anything but null as its class does.
+    "client_on_result_int": ({**CLIENT, "server": 0, "on_result": 5}, "action must be an object, got 5"),
     "client_phase_unknown": (
         {**CLIENT, "server": 0, "phase": "done"},
         "client phase must be one of ('init', 'await_ack', 'await_result'), got 'done'",

@@ -7,6 +7,7 @@ import pytest
 
 import agentry as ag
 from agentry import simulator
+from agentry.actions import builtin_action
 from agentry.model import location_to_jsonable
 from agentry.scenario import _read, build_platform, load_scenario
 from agentry.trace import _TEMPLATES, check_trace
@@ -252,6 +253,35 @@ def test_agent_location_none_while_migrating(platform_factory):
     assert p.agent_location(agent) == b_loc
     assert agent in p.agents_at(b_loc)
     assert p.is_alive(agent)
+
+
+def test_the_state_of_an_agent_in_transit_reads_the_same_on_both_platforms():
+    # While the agent travels its state is read from its blob, a fresh copy per read.
+    states = []
+    for make in (make_sim, make_mock):
+        p = make(migration=6)
+        a_loc, b_loc = p.create_location("a"), p.create_location("b")
+        memo = ag.Task(ag.ActionDescriptor("set_state", {"key": "memo", "value": [1, "two"]}))
+        agent = p.spawn_agent(a_loc, [ag.Sequential([memo, mover(b_loc).children[0]])])
+        p.run(until=3)
+        assert p.agent_location(agent) is None
+        p.agent_state(agent)["memo"].append(3)
+        states.append(p.agent_state(agent))
+    assert states[0] == states[1] == {"memo": [1, "two"]}
+
+
+@builtin_action("t.sim.note_home")
+def _note_home(ctx, params, message):
+    ctx.state.setdefault("seen", []).append([ctx.now, ctx.home.name, ctx.location.name])
+
+
+def test_home_stays_the_spawn_location_after_a_move(platform_factory):
+    p = platform_factory(migration=2)
+    a_loc, b_loc = p.create_location("a"), p.create_location("b")
+    note = ag.Task(ag.ActionDescriptor("t.sim.note_home"))
+    agent = p.spawn_agent(a_loc, [ag.Sequential([note, mover(b_loc).children[0], ag.Task(ag.ActionDescriptor("t.sim.note_home"))])])
+    p.run(None)
+    assert p.agent_state(agent)["seen"] == [[0, "a", "a"], [3, "a", "b"]]
 
 
 def test_mail_sent_to_traveler_arrives_with_it(platform_factory):
